@@ -17,6 +17,10 @@ class CheckFailed(AssertionError):
     """An output disagrees with the independent computation."""
 
 
+class KnownFault(RuntimeError):
+    """An operation ended with the documented symptom of a known program fault."""
+
+
 def expect(cond, message):
     if not cond:
         raise CheckFailed(message)

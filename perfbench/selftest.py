@@ -24,8 +24,9 @@ sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import run  # noqa: E402
-from calibrate import Calibrator  # noqa: E402
+import session  # noqa: E402
 import workloads  # noqa: E402
+from calibrate import Calibrator  # noqa: E402
 from oracles import CheckFailed, braid_dims, parse_multiset, sklyanin_dims  # noqa: E402
 from session import fix_matrix_ok  # noqa: E402
 
@@ -217,7 +218,7 @@ def cli_checks():
         nc, commands, _ = run.setup(wl, 1, cal)
     covered = {}
     for cmd in commands:
-        if cmd.expect_fail:
+        if cmd.fault is not None:
             continue
         if covered.get(cmd.kind, 0) >= 3:
             continue
@@ -234,6 +235,46 @@ def cli_checks():
     for text, psqd in [("sqrt(2)", (0, 1, 1, 2))]:
         if not fix_matrix_ok([[3, 4], [2, 3]], *psqd):
             failures.append(f"fix_matrix_ok rejects the fixing matrix of {text}")
+    known_fault_checks([c for c in commands if c.fault is not None])
+
+
+def known_fault_checks(commands):
+    """A known fault is recognised only by its documented symptom, and the
+    output check of those commands would accept a mended program."""
+    def report(name, ok, what):
+        if ok:
+            print(f"ok  {name}: {what}")
+        else:
+            failures.append(f"{name}: {what} does not hold")
+
+    for cmd in commands:
+        name = f"known fault / {' '.join(cmd.argv)[:60]}"
+        if cmd.kind == "rm fix":
+            report(name, cmd.fault(1, "", "error: period not detected; increase max_terms")
+                   and not cmd.fault(1, "", "error: invalid theta")
+                   and not cmd.fault(2, "", "error: period not detected")
+                   and not cmd.fault(0, '{"matrix": [[1, 0], [0, 1]]}', ""),
+                   "only exit 1 with 'period not detected' is the known fault")
+            continue
+        printed = next(p for *_, p in session.UNPARENTHESIZED_PRODUCTS
+                       if cmd.fault(0, json.dumps({"product": p}), ""))
+        mended = printed_with_parentheses(printed)
+        report(name, not cmd.fault(0, json.dumps({"product": mended}), "")
+               and not cmd.fault(1, json.dumps({"product": printed}), ""),
+               "only the documented ambiguous product is the known fault")
+        level = int(cmd.argv[cmd.argv.index("-f") + 1].split(":")[0]) + \
+            int(cmd.argv[cmd.argv.index("-g") + 1].split(":")[0])
+        verdict(name, cmd.check, {"level": level, "product": mended},
+                [("the documented ambiguous product", {"level": level, "product": printed})])
+
+
+def printed_with_parentheses(printed):
+    """The true product of a documented ambiguous rendering, written with
+    parentheses around each composite coefficient."""
+    return {
+        "q*u^2 + q + 2*u + 2": "q*u^2 + (q + 2)*u + 2",
+        "q^2*u^3 + q + 3*u^2 + q^2*u + q + 3": "q^2*u^3 + (q + 3)*u^2 + q^2*u + (q + 3)",
+    }[printed]
 
 
 def main():

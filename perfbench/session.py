@@ -1,16 +1,20 @@
 """The cli-session workload: seeded ncproj commands and their output checks.
 
 Each round sends the same fixed-size list of commands through the click
-entry point, in-process.  The seed picks every argument; the number of
-commands of each kind is fixed, so the mix (and hence the per-command
-latency distribution) does not depend on the seed.  Three `rm fix` commands
-use thetas whose continued-fraction period exceeds the 60-term cap of
-`real_mult.fixing_matrix`; they do not depend on the seed and are expected
-to fail in every round.
+entry point, in-process.  The seed picks every argument; every command kind
+has the same number of commands, so the mix (and hence the per-command
+latency distribution) does not depend on the seed.  Six commands of each
+round do not depend on the seed and show a known program fault every round:
+three `rm fix` commands whose theta has a continued-fraction period beyond
+the 60-term cap of `real_mult.fixing_matrix`, and three `thcr multiply`
+commands over Q(q) whose product has composite coefficients, which
+`UPoly.render` prints without parentheses.  Each is counted as failed only
+when it shows exactly the documented symptom.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -22,20 +26,30 @@ from oracles import (Surd, avoiding_word_counts, cf_expand_surd,
 # q is specialised to this value wherever an output over Q(q) is checked.
 Q0 = Fraction(7, 3)
 
+# Commands of each kind per round: one invocation per command group, scaled
+# up to a few hundred commands.  For `rm fix` and `thcr multiply` this count
+# includes the three known-fault commands below.
+PER_KIND = 16
+
+KINDS = ["heart hn", "heart split", "heart hom", "heart euler",
+         "rm cf", "rm reduce", "rm fix", "rm hilbert", "gamma two-point",
+         "thcr present", "thcr multiply",
+         "algebra hilbert", "algebra gk", "algebra standard-check", "algebra twist"]
+
 # Continued-fraction periods 217, 458 and 73 (computed by oracles.cf_expand_surd).
 LONG_PERIOD_THETAS = [("sqrt(9949)", (0, 1, 1, 9949)),
                       ("sqrt(1000003)", (0, 1, 1, 1000003)),
                       ("(1+1*sqrt(9949))/2", (1, 1, 2, 9949))]
 
-# commands of each kind per round
-MIX = {
-    "heart hn": 24, "heart split": 24, "heart hom": 24, "heart euler": 24,
-    "rm cf": 20, "rm reduce": 16, "rm fix": 16, "rm hilbert": 12,
-    "gamma two-point": 20,
-    "thcr present": 8, "thcr multiply": 20,
-    "algebra hilbert": 8, "algebra gk": 6, "algebra standard-check": 6,
-    "algebra twist": 6,
-}
+# Section products over Q(q) with composite coefficients, sigma: u -> q*u + 1,
+# as (f, level, g, level, rule, the product as UPoly.render prints it).  The
+# true products are q*u^2 + (q+2)*u + 2 for the first two and
+# q^2*u^3 + (q+3)*u^2 + q^2*u + (q+3) for the third.
+UNPARENTHESIZED_PRODUCTS = [
+    ("1+u", 1, "1+u", 1, "thcr", "q*u^2 + q + 2*u + 2"),
+    ("1+u", 1, "1+u", 1, "gamma", "q*u^2 + q + 2*u + 2"),
+    ("1+u^2", 2, "2+u", 1, "thcr", "q^2*u^3 + q + 3*u^2 + q^2*u + q + 3"),
+]
 
 RM_HILBERT_PAIRS = [((1, 1, 1, 2), (-1, 1, 2, 5)),
                     ((3, 4, 2, 3), (0, 1, 1, 2)),
@@ -43,14 +57,37 @@ RM_HILBERT_PAIRS = [((1, 1, 1, 2), (-1, 1, 2, 5)),
 
 
 class Command:
-    __slots__ = ("kind", "argv", "field", "expect_fail", "check")
+    """One ncproj command line and the check of its JSON report.
 
-    def __init__(self, kind, argv, check, field=None, expect_fail=False):
+    `fault`, when set, recognises the documented symptom of a known program
+    fault from (exit code, stdout, stderr); such a run counts as failed.
+    """
+
+    __slots__ = ("kind", "argv", "field", "check", "fault")
+
+    def __init__(self, kind, argv, check, field=None, fault=None):
         self.kind = kind
         self.argv = argv
         self.field = field
-        self.expect_fail = expect_fail
         self.check = check
+        self.fault = fault
+
+
+def period_not_detected(code, stdout, stderr):
+    """`rm fix` stopped at fixing_matrix's 60-term cap."""
+    return code == 1 and "period not detected" in stderr
+
+
+def unparenthesized(product):
+    """`thcr multiply` printed exactly the documented ambiguous product."""
+    def fault(code, stdout, stderr):
+        if code != 0:
+            return False
+        try:
+            return json.loads(stdout)["product"] == product
+        except (ValueError, KeyError, TypeError):
+            return False
+    return fault
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +554,8 @@ def _thcr_multiply(rng, i):
     rule = "gamma" if (i // 2) % 2 else "thcr"
     if over_q:
         # diagonal sigma with one monomial factor keeps every coefficient of
-        # the product a monomial in q (see FOUND in CHANGES.md on rendering)
+        # the product a monomial in q; composite coefficients are printed
+        # ambiguously and are covered by UNPARENTHESIZED_PRODUCTS
         text, sigma = _sigma_q(1 + (i // 4) % 2, 0)
         ft, f, n = _section(rng, i % 3, rule == "thcr")
         gt, g, m = _section(rng, (i // 3) % 3, rule == "gamma")
@@ -530,6 +568,16 @@ def _thcr_multiply(rng, i):
                     "-g", f"{m}:{gt}", "--rule", rule],
                    _check_thcr_multiply(sigma, f, n, g, m, rule),
                    field="Q(q)" if over_q else "Q")
+
+
+def _composite_multiply(ft, n, gt, m, rule, printed):
+    sigma = (Q0, Fraction(1), Fraction(0), Fraction(1))
+    return Command("thcr multiply",
+                   ["thcr", "multiply", "--sigma", "q,1,0,1", "-f", f"{n}:{ft}",
+                    "-g", f"{m}:{gt}", "--rule", rule],
+                   _check_thcr_multiply(sigma, _upoly_from_text(ft), n,
+                                        _upoly_from_text(gt), m, rule),
+                   field="Q(q)", fault=unparenthesized(printed))
 
 
 def _skew3(rng, over_q, equal=False):
@@ -637,11 +685,16 @@ def generate(rng):
     algebra family) follow the command's slot, not the seed, so every seed
     gets the same mix of costs.
     """
+    faulty = {
+        "rm fix": [Command("rm fix", ["rm", "fix", "--theta", text], _check_fix(psqd),
+                           fault=period_not_detected)
+                   for text, psqd in LONG_PERIOD_THETAS],
+        "thcr multiply": [_composite_multiply(*spec) for spec in UNPARENTHESIZED_PRODUCTS],
+    }
     cmds = []
-    for kind, count in MIX.items():
-        cmds.extend(MAKERS[kind](rng, i) for i in range(count))
-    for text, psqd in LONG_PERIOD_THETAS:
-        cmds.append(Command("rm fix", ["rm", "fix", "--theta", text],
-                            _check_fix(psqd), expect_fail=True))
+    for kind in KINDS:
+        extra = faulty.get(kind, [])
+        cmds.extend(MAKERS[kind](rng, i) for i in range(PER_KIND - len(extra)))
+        cmds.extend(extra)
     rng.shuffle(cmds)
     return cmds

@@ -3,7 +3,8 @@
 `Tracer.install` replaces every public function of every ncproj module with
 a timing wrapper, in the defining module and in every module that imported
 it by name (homology's `normal_form`, for example), plus a few class methods
-that carry the hot paths.  Spans nest on a stack; a span's self time is its
+that carry the hot paths.  `fields.ratfunc_new` counts RatFunc objects made
+by either constructor, the normalizing `__init__` and the trusted `_raw`.  Spans nest on a stack; a span's self time is its
 duration minus the duration of the wrapped calls made inside it.  Hook work
 (counting matrix cells, Betti numbers, ...) is excluded from every span.
 `uninstall` restores the original objects.
@@ -18,6 +19,7 @@ from time import perf_counter
 CLASS_METHODS = [
     ("words", "NcPoly", "__mul__", "words.ncpoly_mul", True),
     ("fields", "RatFunc", "__init__", "fields.ratfunc_new", False),
+    ("fields", "RatFunc", "_raw", "fields.ratfunc_new", False),
     ("fields", "UPoly", "gcd", "fields.upoly_gcd", False),
     ("fields", "QuadExt", "floor", "fields.quadext_floor", False),
     ("linalg", "SpanTracker", "add", "linalg.span", True),
@@ -111,7 +113,8 @@ class Tracer:
     # -- install / uninstall ----------------------------------------------
 
     def _set(self, owner, attr, value):
-        self._undo.append((owner, attr, getattr(owner, attr)))
+        # vars(), not getattr(): a staticmethod must be restored as one
+        self._undo.append((owner, attr, vars(owner)[attr]))
         setattr(owner, attr, value)
 
     def install(self, package_modules, cli_owner):
@@ -135,11 +138,15 @@ class Tracer:
         for short, cls_name, meth, name, timed in CLASS_METHODS:
             cls = getattr(package_modules[short], cls_name)
             fn = vars(cls)[meth]
+            static = isinstance(fn, staticmethod)
+            if static:
+                fn = fn.__func__
             if timed:
                 post = self._hooks(f"{name}.{meth}")[1]
-                self._set(cls, meth, self.timed(name, fn, None, post))
+                wrapper = self.timed(name, fn, None, post)
             else:
-                self._set(cls, meth, self.counted(name, fn))
+                wrapper = self.counted(name, fn)
+            self._set(cls, meth, staticmethod(wrapper) if static else wrapper)
         pre, post = self._hooks("cli")
         self._set(cli_owner, "invoke_cli",
                   self.timed("cli", cli_owner.invoke_cli, pre, post))

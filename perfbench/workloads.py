@@ -21,21 +21,23 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import session
-from oracles import (braid_dims, det3, expect, gaussian_binomial, koszul_betti,
-                     poly_scale, sklyanin_dims, trimmed)
+from oracles import (KnownFault, braid_dims, det3, expect, gaussian_binomial,
+                     koszul_betti, poly_scale, sklyanin_dims, trimmed)
 
 Q_FIELD, QQ_FIELD = "Q", "Q(q)"
 
 
 class Job:
-    __slots__ = ("name", "field", "run", "check", "expect_fail")
+    """One operation of a round.  `run` raises oracles.KnownFault when the
+    operation shows the documented symptom of a known program fault."""
 
-    def __init__(self, name, field, run, check, expect_fail=False):
+    __slots__ = ("name", "field", "run", "check")
+
+    def __init__(self, name, field, run, check):
         self.name = name
         self.field = field
         self.run = run
         self.check = check
-        self.expect_fail = expect_fail
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +348,11 @@ class CliSession:
     def round_jobs(nc, commands):
         out, err = io.StringIO(), io.StringIO()
 
-        def run(argv):
+        def run(cmd):
             def inner():
-                code, stdout, stderr = invoke_cli(nc.cli.main, argv, out, err)
+                code, stdout, stderr = invoke_cli(nc.cli.main, cmd.argv, out, err)
+                if cmd.fault is not None and cmd.fault(code, stdout, stderr):
+                    raise KnownFault(f"exit {code}: {(stderr or stdout).strip()}")
                 if code != 0:
                     raise CommandFailed(f"exit {code}: {stderr.strip()}")
                 return stdout
@@ -357,8 +361,7 @@ class CliSession:
         def check(cmd):
             return lambda stdout: cmd.check(json.loads(stdout))
 
-        return [Job(cmd.kind, cmd.field, run(cmd.argv), check(cmd), cmd.expect_fail)
-                for cmd in commands]
+        return [Job(cmd.kind, cmd.field, run(cmd), check(cmd)) for cmd in commands]
 
 
 WORKLOADS = {w.name: w for w in (ProjColimit, RewriteCold, CliSession)}

@@ -14,7 +14,6 @@ import sys
 
 import click
 
-from . import linalg  # noqa: F401  (re-exported for interactive use)
 from .coord_rings import (P1Automorphism, Section, gamma_multiply,
                           section_space_dim, thcr_multiply, thcr_presentation,
                           two_point_hilbert)
@@ -259,7 +258,11 @@ def _parse_section(text, field):
     if ":" not in text:
         raise click.UsageError("sections are written level:polynomial, e.g. 1:u")
     level, poly = text.split(":", 1)
-    return Section(parse_upoly(poly, field), int(level))
+    try:
+        level = int(level)
+    except ValueError:
+        raise ParseError(f"section level {level!r} is not an integer", 1, 1) from None
+    return Section(parse_upoly(poly, field), level)
 
 
 @main.group()

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .fields import UPoly
+from .homology import _evaluation_kernel
 from .presentations import AlgebraPresentation
 from .words import Alphabet, MonomialOrder, NcPoly
 
@@ -150,16 +150,15 @@ def thcr_presentation(sigma, d_max, bundle=1, name="B"):
     for d in range(2, d_max + 1):
         words = normal_words(R, d)
         target_dim = section_space_dim(d, bundle)
-        rows = []
+        images = []
         for w in words:
             acc = gens[w[0]]
             for i in w[1:]:
                 acc = thcr_multiply(acc, gens[i], sigma)
             coeffs = list(acc.poly.coeffs) + \
                 [field.zero] * (target_dim - len(acc.poly.coeffs))
-            rows.append(coeffs)
-        matrix = [[rows[i][j] for i in range(len(words))] for j in range(target_dim)]
-        kernel = linalg.kernel_basis(matrix, len(words), field)
+            images.append(coeffs)
+        kernel = _evaluation_kernel(images, field)
         if kernel:
             for v in kernel:
                 relations.append(NcPoly(alphabet, field,

@@ -13,6 +13,7 @@ No floating point enters any computation.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -163,32 +164,8 @@ class UPoly:
     def render(self, sym="q"):
         if not self.coeffs:
             return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                mono = None
-            elif i == 1:
-                mono = sym
-            else:
-                mono = f"{sym}^{i}"
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if mono is None:
-                body = cs
-            elif cs == "1":
-                body = mono
-            else:
-                body = f"{cs}*{mono}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return render_terms((c, None if i == 0 else sym if i == 1 else f"{sym}^{i}")
+                            for i, c in reversed(list(enumerate(self.coeffs))) if c)
 
     def __repr__(self):
         return f"UPoly({self.render()})"
@@ -347,6 +324,7 @@ class RatFunc:
 # real quadratic fields Q(sqrt(D))
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
 def squarefree_part(n):
     """Write n = f^2 * d with d squarefree; return (d, f)."""
     if n <= 0:
@@ -516,13 +494,10 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def floor(self):
-        approx = (self.p + self.s * math.sqrt(self.D)) / self.q
-        n = math.floor(approx)
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        r = math.isqrt(self.s * self.s * self.D)      # floor(|s| sqrt(D))
+        if self.s < 0:
+            r = -r - 1                                # s^2 D is not a square
+        return (self.p + r) // self.q
 
     def __float__(self):
         return (self.p + self.s * math.sqrt(self.D)) / self.q
@@ -586,6 +561,28 @@ def field_by_name(name):
 def render_scalar(x):
     """Canonical text form of a scalar, used by polynomial rendering and JSON."""
     return str(x)
+
+
+def render_terms(terms):
+    """Text of a sum of (coefficient, monomial text or None) terms, in order.
+
+    A composite coefficient is parenthesized; a coefficient 1 in front of a
+    monomial is omitted.
+    """
+    parts = []
+    for c, mono in terms:
+        cs = render_scalar(c)
+        neg = False
+        if scalar_is_composite(c):
+            cs = f"({cs})"
+        elif cs.startswith("-"):
+            neg, cs = True, cs[1:]
+        body = cs if mono is None else mono if cs == "1" else f"{cs}*{mono}"
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)
 
 
 def scalar_is_composite(x):

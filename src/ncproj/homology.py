@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .rewriting import CutoffExceededError, hilbert_function, normal_form, normal_words
+from .rewriting import CutoffExceededError, normal_form, normal_words
 from .words import NcPoly
 
 UNSTABLE = "UNSTABLE"
@@ -28,15 +28,42 @@ class AtLeast:
 
 
 def _nf_word(R, w):
-    cache = getattr(R, "_nfw_cache", None)
-    if cache is None:
-        cache = {}
-        R._nfw_cache = cache
+    cache = R.cache.word_nf
     hit = cache.get(w)
     if hit is None:
         hit = normal_form(NcPoly.word(R.alphabet, R.field, w), R)
         cache[w] = hit
     return hit
+
+
+def _evaluation_kernel(images, field):
+    """Kernel of the linear map sending the k-th basis vector to images[k]."""
+    return linalg.kernel_basis(list(zip(*images)), len(images), field)
+
+
+def _minimal_generators(degrees, field, candidates, multiples):
+    """Minimal generators, degree by degree, in ascending degrees.
+
+    candidates(d) returns (vectors, make): the degree-d candidate vectors,
+    all of one length, and make(k), the generator that vectors[k] stands
+    for.  multiples(g, e, d) lists the degree-d vectors of the multiples of
+    a generator g kept in degree e.  A candidate is kept when it is outside
+    the span of those multiples and of the candidates kept before it.
+    Returns the kept (degree, generator) pairs.
+    """
+    gens = []
+    for d in degrees:
+        vectors, make = candidates(d)
+        if not vectors:
+            continue
+        span = linalg.SpanTracker(len(vectors[0]), field)
+        for e, g in gens:
+            for v in multiples(g, e, d):
+                span.add(v)
+        for k, v in enumerate(vectors):
+            if span.add(v):
+                gens.append((d, make(k)))
+    return gens
 
 
 class GradedModulePresentation:
@@ -112,18 +139,21 @@ class GradedModulePresentation:
     # -- graded slices ------------------------------------------------------
 
     def free_basis(self, d):
-        key = d
-        hit = self._slice_cache.get(key)
+        return self._slice(d)[0]
+
+    def _slice(self, d):
+        """The degree-d basis (summand, word) of the free cover and its index."""
+        hit = self._slice_cache.get(d)
         if hit is None:
-            hit = [(i, w) for i, l in enumerate(self.shifts) if d - l >= 0
-                   for w in normal_words(self.ambient, d - l)]
-            self._slice_cache[key] = hit
+            basis = [(i, w) for i, l in enumerate(self.shifts) if d - l >= 0
+                     for w in normal_words(self.ambient, d - l)]
+            hit = (basis, {bw: k for k, bw in enumerate(basis)})
+            self._slice_cache[d] = hit
         return hit
 
     def _expand(self, vec_polys, d):
         """Vector of NcPolys (one per summand) -> coordinates in degree d."""
-        basis = self.free_basis(d)
-        index = {bw: k for k, bw in enumerate(basis)}
+        basis, index = self._slice(d)
         fld = self.ambient.field
         out = [fld.zero] * len(basis)
         for i, p in enumerate(vec_polys):
@@ -132,21 +162,35 @@ class GradedModulePresentation:
                 out[k] = out[k] + c
         return out
 
+    def _multiples(self, row, e, d):
+        """Degree-d coordinates of a . row for every normal word a of degree d - e.
+
+        row is a degree-e cover vector, one NcPoly per summand; the products
+        go through the cached normal forms of single words.
+        """
+        R = self.ambient
+        basis, index = self._slice(d)
+        out = []
+        for a in normal_words(R, d - e):
+            v = [R.field.zero] * len(basis)
+            for i, p in enumerate(row):
+                for w, c in p.terms.items():
+                    for w2, c2 in _nf_word(R, a + w).terms.items():
+                        k = index[(i, w2)]
+                        v[k] = v[k] + c2 * c
+            out.append(v)
+        return out
+
     def submodule_span(self, d):
         """Row space of the relation submodule in internal degree d."""
         hit = self._span_cache.get(d)
         if hit is not None:
             return hit
-        R = self.ambient
-        fld = R.field
-        span = linalg.SpanTracker(len(self.free_basis(d)), fld)
+        span = linalg.SpanTracker(len(self.free_basis(d)), self.ambient.field)
         for D, row in self.rows:
-            if D > d:
-                continue
-            for a in normal_words(R, d - D):
-                moved = [normal_form(NcPoly.word(R.alphabet, fld, a) * p, R)
-                         for p in row]
-                span.add(self._expand(moved, d))
+            if D <= d:
+                for v in self._multiples(row, D, d):
+                    span.add(v)
         self._span_cache[d] = span
         return span
 
@@ -198,27 +242,6 @@ class GradedModulePresentation:
 # minimal resolutions
 # ---------------------------------------------------------------------------
 
-def _map_matrix(R, dom_shifts, rows, codomain, d):
-    """Matrix of e_j -> rows[j] in internal degree d.
-
-    Columns are indexed by the degree-d basis of the free module with
-    dom_shifts, rows by the degree-d free basis of the codomain cover.
-    """
-    fld = R.field
-    dom_basis = [(j, a) for j, l in enumerate(dom_shifts) if d - l >= 0
-                 for a in normal_words(R, d - l)]
-    cod_len = len(codomain.free_basis(d))
-    cols = []
-    for j, a in dom_basis:
-        moved = [NcPoly.zero(R.alphabet, fld) for _ in codomain.shifts]
-        for i, p in enumerate(rows[j][1]):
-            for w, c in p.terms.items():
-                moved[i] = moved[i] + _nf_word(R, a + w).scale(c)
-        cols.append(codomain._expand(moved, d))
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(cod_len)]
-    return dom_basis, matrix
-
-
 def _vector_to_row(vec, dom_basis, dom_shifts, R):
     """Kernel vector over a free-module basis -> row of NcPoly entries."""
     fld = R.field
@@ -233,41 +256,20 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N):
     """Minimal generators (degree, row) of ker(free(dom_shifts) -> codomain cover).
 
     The map sends e_j to rows[j] regarded inside the codomain free cover;
-    generators are collected degree by degree up to N, reducing against the
-    part already generated by lower-degree generators.
+    generators are collected degree by degree up to N.
     """
-    fld = R.field
-    tagged = []
-    for j, row in enumerate(rows):
-        degs = {p.degree() + codomain.shifts[i]
-                for i, p in enumerate(row) if not p.is_zero()}
-        tagged.append((degs.pop() if degs else None, row))
-    gens = []
-    dmin = min(dom_shifts, default=0)
-    for d in range(dmin, N + 1):
-        dom_basis, matrix = _map_matrix(R, dom_shifts, tagged, codomain, d)
-        if not dom_basis:
-            continue
-        kernel = linalg.kernel_basis(matrix, len(dom_basis), fld)
-        if not kernel:
-            continue
-        index = {bw: k for k, bw in enumerate(dom_basis)}
-        old = linalg.SpanTracker(len(dom_basis), fld)
-        for D, g in gens:
-            for a in normal_words(R, d - D):
-                v = [fld.zero] * len(dom_basis)
-                for j, p in enumerate(g):
-                    for w, c in p.terms.items():
-                        nf = _nf_word(R, a + w).scale(c)
-                        for w2, c2 in nf.terms.items():
-                            k = index[(j, w2)]
-                            v[k] = v[k] + c2
-                old.add(v)
-        for v in kernel:
-            if not old.contains(v):
-                old.add(v)
-                gens.append((d, _vector_to_row(v, dom_basis, dom_shifts, R)))
-    return gens
+    domain = GradedModulePresentation.free(R, dom_shifts)
+
+    def candidates(d):
+        # the domain basis lists (j, a) by j, then by the normal words a
+        images = [v for j, l in enumerate(dom_shifts) if l <= d
+                  for v in codomain._multiples(rows[j], l, d)]
+        kernel = _evaluation_kernel(images, R.field)
+        return kernel, lambda k: _vector_to_row(kernel[k], domain.free_basis(d),
+                                                dom_shifts, R)
+
+    return _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
+                               candidates, domain._multiples)
 
 
 @dataclass
@@ -319,52 +321,31 @@ def minimal_resolution(module, p_max, N):
         else:
             gens = None
         shifts = new_shifts
-    else:
-        # ran through p_max homological degrees without the kernel dying
-        pass
     if not terminated and gens == []:
         terminated = True
         length = p_max
-    minimal = _minimality_audit(diffs, R)
+    minimal = _minimality_audit(diffs)
     return ResolutionReport(betti, diffs, (p_max, N), minimal, terminated,
                             length if terminated else AtLeast(p_max))
 
 
 def _minimize_rows(module, N):
     """Minimal generators of the relation submodule of a presentation."""
-    R = module.ambient
-    fld = R.field
-    gens = []
     by_degree = {}
     for D, row in module.rows:
         by_degree.setdefault(D, []).append(row)
-    for d in sorted(by_degree):
-        if d > N:
-            continue
-        basis = module.free_basis(d)
-        span = linalg.SpanTracker(len(basis), fld)
-        for D, g in gens:
-            for a in normal_words(R, d - D):
-                moved = [normal_form(NcPoly.word(R.alphabet, fld, a) * p, R)
-                         for p in g]
-                span.add(module._expand(moved, d))
-        for row in by_degree[d]:
-            v = module._expand(row, d)
-            if not span.contains(v):
-                span.add(v)
-                gens.append((d, row))
-    return gens
+
+    def candidates(d):
+        rows = by_degree[d]
+        return [module._expand(row, d) for row in rows], rows.__getitem__
+
+    return _minimal_generators([d for d in sorted(by_degree) if d <= N],
+                               module.ambient.field, candidates, module._multiples)
 
 
-def _minimality_audit(diffs, R):
-    for rows in diffs:
-        for row in rows:
-            for p in row:
-                if () in p.terms:
-                    return False
-                if any(not w for w in p.terms):
-                    return False
-    return True
+def _minimality_audit(diffs):
+    """No differential entry has a constant term."""
+    return not any(() in p.terms for rows in diffs for row in rows for p in row)
 
 
 def global_dimension(R, p_max, N):
@@ -473,13 +454,18 @@ def ext_k_A(R, i, N, p_max=None):
     if p_max is None:
         p_max = i + 2
     rep = minimal_resolution(GradedModulePresentation.trivial(R), p_max, N)
-    A = GradedModulePresentation.algebra(R)
+    return _ext_k_A_dims(R, rep, i, N)
+
+
+def _ext_k_A_dims(R, rep, i, N):
+    """Nonzero graded dims of Ext^i(k, A) from a resolution rep of k."""
     involved = []
     for level in (i - 1, i, i + 1):
         if 0 <= level < len(rep.betti):
             involved.extend(rep.betti[level])
     if not involved:
         return {}
+    A = GradedModulePresentation.algebra(R)
     lo = -max(rep.betti[i]) if i < len(rep.betti) else 0
     hi = N - max(involved)
     out = {}
@@ -492,22 +478,13 @@ def ext_k_A(R, i, N, p_max=None):
 
 def gorenstein_check(R, N, p_max=8):
     """AS-Gorenstein test: Ext^i(k, A) vanishes except in degree d, where it is k."""
-    gd = global_dimension(R, p_max, N)
-    if isinstance(gd, AtLeast):
+    rep = minimal_resolution(GradedModulePresentation.trivial(R), p_max, N)
+    if not rep.terminated:
         return {"passes": False, "d": None,
                 "reason": f"global dimension not finite within p_max={p_max}"}
-    rep = minimal_resolution(GradedModulePresentation.trivial(R), gd + 1, N)
-    A = GradedModulePresentation.algebra(R)
+    gd = rep.length
     for i in range(gd + 1):
-        involved = []
-        for level in (i - 1, i, i + 1):
-            if 0 <= level < len(rep.betti):
-                involved.extend(rep.betti[level])
-        lo = -max(rep.betti[i])
-        hi = N - max(involved)
-        total = 0
-        for e in range(lo, hi + 1):
-            total += _ext_dims_from_resolution(rep, A, e, i)
+        total = sum(_ext_k_A_dims(R, rep, i, N).values())
         if i != gd and total != 0:
             return {"passes": False, "d": gd,
                     "reason": f"Ext^{i}(k, A) is nonzero"}
@@ -593,10 +570,7 @@ def _quotient_resolution(R, n, p_max):
     Computed over the full degree window of R so one resolution serves
     every twist; deepened in place when a larger p_max is requested.
     """
-    cache = getattr(R, "_qres_cache", None)
-    if cache is None:
-        cache = {}
-        R._qres_cache = cache
+    cache = R.cache.resolutions
     hit = cache.get(n)
     if hit is not None and hit[0] >= p_max:
         return hit[1]

@@ -7,12 +7,12 @@ kernel computation against the twisted product, degree by degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .rewriting import complete_truncated_over, normal_form, normal_words
-from .words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
+from .homology import _evaluation_kernel, _minimal_generators
+from .rewriting import RewriteSystem, complete_truncated_over, normal_form, normal_words
+from .words import Alphabet, MonomialOrder, NcPoly
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 AMBIGUOUS = "AMBIGUOUS"
@@ -67,27 +67,23 @@ def build(p, cutoff):
 
 def check_automorphism(p, sigma, N):
     """Does sigma descend to the quotient algebra (checked in degrees <= N)?"""
+    return _descends(p, sigma, N)[0]
+
+
+def _descends(p, sigma, N):
+    """(whether sigma descends, the completed system it was checked against)."""
     if not p.alphabet.all_unit_weight():
         raise ValueError("automorphism support requires weight-1 generators")
     if not sigma.is_invertible():
         raise ValueError("matrix is singular")
     R = build(p, N)
-    return all(normal_form(sigma.apply(rel), R).is_zero() for rel in p.relations)
+    return all(normal_form(sigma.apply(rel), R).is_zero() for rel in p.relations), R
 
 
-def _words_of_degree(alphabet, d):
-    out = []
-
-    def extend(w, deg):
-        if deg == d:
-            out.append(w)
-            return
-        for i in range(len(alphabet)):
-            if deg + alphabet.weights[i] <= d:
-                extend(w + (i,), deg + alphabet.weights[i])
-
-    extend((), 0)
-    return out
+def _free_system(p, cutoff):
+    """The rule-free system on p's generators: every word is normal, and the
+    normal words of a degree come in generator-index order."""
+    return RewriteSystem([], cutoff, MonomialOrder(p.alphabet), p.field)
 
 
 def _twisted_eval(word, R, sigma_powers):
@@ -123,47 +119,37 @@ def twist(p, sigma, N, s_max=None):
     """
     if s_max is None:
         s_max = p.max_relation_degree() + 1
-    if not check_automorphism(p, sigma, N):
+    descends, R = _descends(p, sigma, N)
+    if not descends:
         raise ValueError("matrix does not define an automorphism of the algebra")
-    R = build(p, N)
     fld = p.field
     sigma_powers = [sigma.power(k) for k in range(s_max)]
+    free = _free_system(p, s_max)
 
-    relations = []
-    for s in range(2, s_max + 1):
-        free_words = _words_of_degree(p.alphabet, s)
+    def candidates(s):
+        words = normal_words(free, s)
         target = normal_words(R, s)
-        rows = [_coeff_vector(_twisted_eval(w, R, sigma_powers), target, fld)
-                for w in free_words]
-        # kernel of eval, as combinations of free words
-        kernel = linalg.kernel_basis(_transpose(rows, fld), len(free_words), fld)
-        # span of lower-degree relations inside this degree slice of the ideal
-        span = linalg.SpanTracker(len(free_words), fld)
-        windex = {w: i for i, w in enumerate(free_words)}
-        for rel in relations:
-            rdeg = rel.degree()
-            for a in _words_of_degree(p.alphabet, s - rdeg):
-                for cut in range(len(a) + 1):
-                    left = NcPoly.word(p.alphabet, fld, a[:cut])
-                    right = NcPoly.word(p.alphabet, fld, a[cut:])
-                    prod = left * rel * right
-                    v = [fld.zero] * len(free_words)
-                    for w, c in prod.terms.items():
-                        v[windex[w]] = v[windex[w]] + c
-                    span.add(v)
-        for v in kernel:
-            if not span.contains(v):
-                span.add(v)
-                relations.append(NcPoly(p.alphabet, fld,
-                                        [(free_words[i], v[i])
-                                         for i in range(len(v)) if v[i]]))
+        kernel = _evaluation_kernel(
+            [_coeff_vector(_twisted_eval(w, R, sigma_powers), target, fld) for w in words],
+            fld)
+        return kernel, lambda k: NcPoly(p.alphabet, fld,
+                                        [(w, c) for w, c in zip(words, kernel[k]) if c])
+
+    def multiples(rel, e, s):
+        # the two-sided multiples left * rel * right with left, right words
+        index = {w: i for i, w in enumerate(normal_words(free, s))}
+        out = []
+        for a in normal_words(free, s - e):
+            for cut in range(len(a) + 1):
+                v = [fld.zero] * len(index)
+                for w, c in rel.terms.items():
+                    v[index[a[:cut] + w + a[cut:]]] = c
+                out.append(v)
+        return out
+
+    relations = [g for _, g in _minimal_generators(range(2, s_max + 1), fld,
+                                                   candidates, multiples)]
     return AlgebraPresentation(f"{p.name}_twist", fld, p.alphabet, relations, p.order)
-
-
-def _transpose(rows, fld):
-    if not rows:
-        return []
-    return [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
 
 
 @dataclass
@@ -228,9 +214,9 @@ def standard_check(p):
             acc = acc + gens[i] * M[i][j]
         g.append(acc)
 
-    words = _words_of_degree(p.alphabet, s)
+    words = normal_words(_free_system(p, s), s)
     fvecs = [_coeff_vector(f, words, fld) for f in p.relations]
-    fmat = _transpose(fvecs, fld)          # columns are the f_l
+    fmat = list(zip(*fvecs))               # columns are the f_l
     frank = linalg.rank(fvecs, fld)
     report = StandardCheckReport(
         "OK", r=r, s=s, M=M,

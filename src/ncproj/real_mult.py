@@ -9,6 +9,7 @@ pairing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,13 +110,17 @@ class CFExpansion:
 
 def cf_expand(theta, max_terms=60):
     """Partial quotients by exact floor-and-invert; the period is detected at
-    the first exact repeat of the surd state (Lagrange guarantees one)."""
+    the first exact repeat of the surd state (Lagrange guarantees one).
+
+    max_terms may be math.inf: the expansion then always finds the period.
+    """
     if theta.is_rational():
         raise ValueError("continued-fraction periodicity needs an irrational input")
     seen = {}
     quotients = []
     state = theta
-    for k in range(max_terms):
+    k = 0
+    while k < max_terms:
         key = (state.p, state.s, state.q, state.D)
         if key in seen:
             start = seen[key]
@@ -124,6 +129,7 @@ def cf_expand(theta, max_terms=60):
         a = state.floor()
         quotients.append(a)
         state = (state - a).inverse()
+        k += 1
     return CFExpansion(quotients, [], max_terms)
 
 
@@ -154,13 +160,7 @@ def morita_reduce(theta):
     if theta.is_rational():
         raise ValueError("theta must be irrational")
     n = theta.floor()
-    reduced = theta - n
-    word = []
-    if n > 0:
-        word = [("g", -n)]
-    elif n < 0:
-        word = [("g", -n)]
-    return reduced, word
+    return theta - n, [("g", -n)] if n else []
 
 
 def apply_word(word, theta):
@@ -191,9 +191,7 @@ def fixing_matrix(theta):
     """
     if theta.is_rational():
         raise ValueError("theta must be a quadratic irrational")
-    cf = cf_expand(theta)
-    if not cf.period:
-        raise ValueError("period not detected; increase max_terms")
+    cf = cf_expand(theta, math.inf)
     pa, pb, pc, pd = _word_matrix(cf.period)
     det = pa * pd - pb * pc
     ma, mb, mc, md = (pa, pb, pc, pd)

@@ -10,10 +10,11 @@ range.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .words import MonomialOrder, NcPoly
+from .words import NcPoly
 
 INFINITE = "INFINITE"
 
@@ -36,6 +37,56 @@ class RewriteRule:
         return f"{lead.render(order)} -> {self.rhs.render(order)}"
 
 
+class NormalWordAutomaton:
+    """Aho-Corasick automaton over the rule leads: Ufnarovski's graph.
+
+    State 0 is the empty word and every other state a proper prefix of a
+    lead.  For the state s of a normal word w, step[s][a] is the state of
+    wa, the longest suffix of wa that is a state, or None when wa ends in a
+    lead and so is not normal.
+    """
+
+    def __init__(self, leads, nletters):
+        children = [{}]
+        ends_in_lead = [False]
+        for lead in leads:
+            s = 0
+            for a in lead:
+                if a not in children[s]:
+                    children[s][a] = len(children)
+                    children.append({})
+                    ends_in_lead.append(False)
+                s = children[s][a]
+            ends_in_lead[s] = True
+        goto = [None] * len(children)
+        goto[0] = [children[0].get(a, 0) for a in range(nletters)]
+        queue = deque((t, 0) for t in children[0].values())
+        while queue:
+            s, fail = queue.popleft()
+            ends_in_lead[s] = ends_in_lead[s] or ends_in_lead[fail]
+            goto[s] = [children[s].get(a, goto[fail][a]) for a in range(nletters)]
+            queue.extend((t, goto[fail][a]) for a, t in children[s].items())
+        self.step = [[None if ends_in_lead[t] else t for t in row] for row in goto]
+
+
+class RewriteCache:
+    """What a rewrite system derives from its fixed rules, filled on first use.
+
+    words[d], states[d]: the sorted degree-d normal words and the automaton
+    state each one ends in; dims: the longest Hilbert function computed;
+    word_nf: word -> normal form; resolutions: n -> (p_max, minimal
+    resolution of A/A_{>=n}), kept by the homology layer.
+    """
+
+    def __init__(self, rules, nletters):
+        self.automaton = NormalWordAutomaton([r.lead for r in rules], nletters)
+        self.words = [[()]]
+        self.states = [[0]]
+        self.dims = []
+        self.word_nf = {}
+        self.resolutions = {}
+
+
 class RewriteSystem:
     """Interreduced rewrite rules, confluent up to the degree cutoff."""
 
@@ -45,8 +96,7 @@ class RewriteSystem:
         self.order = order
         self.alphabet = order.alphabet
         self.field = field
-        self._nw_cache = {}
-        self._dim_cache = None
+        self.cache = RewriteCache(self.rules, len(self.alphabet))
 
     def serialize(self):
         return [r.render(self.order) for r in self.rules]
@@ -201,83 +251,55 @@ def ideal_member_truncated(p, R):
 
 
 def normal_words(R, d):
-    """Degree-d words avoiding every rule lead as a subword, sorted."""
+    """Degree-d words avoiding every rule lead as a subword, sorted.
+
+    Built degree by degree through the normal-word automaton: every normal
+    word is a shorter normal word followed by one letter.
+    """
     if d > R.cutoff:
         raise CutoffExceededError(f"degree {d} exceeds cutoff {R.cutoff}")
-    key = d
-    if key in R._nw_cache:
-        return R._nw_cache[key]
-    leads = [r.lead for r in R.rules]
+    if d < 0:
+        return []
+    cache = R.cache
+    step = cache.automaton.step
     weights = R.alphabet.weights
-    out = []
-
-    def ends_with_lead(w):
-        for lead in leads:
-            if len(lead) <= len(w) and w[len(w) - len(lead):] == lead:
-                return True
-        return False
-
-    def extend(w, deg):
-        if deg == d:
-            out.append(w)
-            return
-        for i in range(len(weights)):
-            if deg + weights[i] <= d:
-                nw = w + (i,)
-                if not ends_with_lead(nw):
-                    extend(nw, deg + weights[i])
-
-    extend((), 0)
-    out.sort(key=R.order.key)
-    R._nw_cache[key] = out
-    return out
-
-
-def _prefix_automaton(R):
-    """States: proper prefixes of rule leads reachable as longest suffixes."""
-    leads = [r.lead for r in R.rules]
-    prefixes = {()}
-    for lead in leads:
-        for k in range(1, len(lead)):
-            prefixes.add(lead[:k])
-
-    def longest_suffix(t):
-        for k in range(len(t)):
-            if t[k:] in prefixes:
-                return t[k:]
-        return ()
-
-    trans = {}
-    for s in prefixes:
-        for a in range(len(R.alphabet)):
-            t = s + (a,)
-            dead = any(len(lead) <= len(t) and t[len(t) - len(lead):] == lead
-                       for lead in leads)
-            trans[(s, a)] = None if dead else (longest_suffix(t) if t not in prefixes else t)
-    return trans
+    key = R.order.key
+    while len(cache.words) <= d:
+        e = len(cache.words)
+        found = []
+        for a, wa in enumerate(weights):
+            if wa <= e:
+                for w, s in zip(cache.words[e - wa], cache.states[e - wa]):
+                    t = step[s][a]
+                    if t is not None:
+                        found.append((w + (a,), t))
+        found.sort(key=lambda ws: key(ws[0]))
+        cache.words.append([w for w, _ in found])
+        cache.states.append([t for _, t in found])
+    return cache.words[d]
 
 
 def hilbert_function(R, N):
     """dims[d] = number of degree-d normal words, for 0 <= d <= N."""
     if N > R.cutoff:
         raise CutoffExceededError(f"degree {N} exceeds cutoff {R.cutoff}")
-    if R._dim_cache is not None and len(R._dim_cache) > N:
-        return R._dim_cache[:N + 1]
-    trans = _prefix_automaton(R)
-    weights = R.alphabet.weights
-    counts = [dict() for _ in range(N + 1)]
-    counts[0][()] = 1
-    dims = []
-    for d in range(N + 1):
-        dims.append(sum(counts[d].values()))
-        for s, c in counts[d].items():
-            for a, wa in enumerate(weights):
-                if d + wa <= N:
-                    t = trans[(s, a)]
-                    if t is not None:
-                        counts[d + wa][t] = counts[d + wa].get(t, 0) + c
-    R._dim_cache = dims
-    return dims
+    cache = R.cache
+    if len(cache.dims) <= N:
+        step = cache.automaton.step
+        weights = R.alphabet.weights
+        counts = [dict() for _ in range(N + 1)]
+        counts[0][0] = 1
+        dims = []
+        for d in range(N + 1):
+            dims.append(sum(counts[d].values()))
+            for s, c in counts[d].items():
+                for a, wa in enumerate(weights):
+                    if d + wa <= N:
+                        t = step[s][a]
+                        if t is not None:
+                            counts[d + wa][t] = counts[d + wa].get(t, 0) + c
+        cache.dims = dims
+    return cache.dims[:N + 1]
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldTag, render_scalar, scalar_is_composite
+from .fields import render_terms
 
 
 class Alphabet:
@@ -228,28 +228,7 @@ class NcPoly:
         if order is None:
             order = MonomialOrder(self.alphabet)
         words = sorted(self.terms, key=order.key, reverse=True)
-        parts = []
-        for w in words:
-            c = self.terms[w]
-            mono = self._render_word(w)
-            cs = render_scalar(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if scalar_is_composite(c):
-                cs = f"({render_scalar(c)})"
-                neg = False
-            if mono is None:
-                body = cs
-            elif cs == "1":
-                body = mono
-            else:
-                body = f"{cs}*{mono}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return render_terms((self.terms[w], self._render_word(w)) for w in words)
 
     def _render_word(self, w):
         if not w:

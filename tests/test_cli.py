@@ -5,6 +5,8 @@ import json
 from click.testing import CliRunner
 
 from ncproj.cli import main
+from ncproj.dsl import parse_upoly
+from ncproj.fields import QQ_Q, RatFunc, UPoly
 
 QP = "algebra QP over Q(q) { gens: x:1, y:1; rels: y*x - q*x*y; }"
 PLANE = "algebra P over Q { gens: x, y; rels: y*x - x*y; }"
@@ -96,6 +98,15 @@ def test_thcr_multiply():
     assert d2["product"] == "u"
 
 
+def test_thcr_multiply_composite_coefficients_parse_back():
+    for rule in ("thcr", "gamma"):
+        d = run_json("thcr", "multiply", "--sigma", "q,1,0,1",
+                     "-f", "1:1+u", "-g", "1:1+u", "--rule", rule)
+        assert d["product"] == "q*u^2 + (q + 2)*u + 2"
+        q = RatFunc.q()
+        assert parse_upoly(d["product"], QQ_Q) == UPoly((RatFunc(2), q + 2, q))
+
+
 def test_gamma_two_point():
     d = run_json("gamma", "two-point", "--r1", "1", "--r2", "0", "-n", "6")
     assert d["dims"] == [1, 0, 1, 0, 1, 0, 1]
@@ -163,6 +174,18 @@ def test_exit_code_parse_error():
     res = run("algebra", "hilbert", "--input", "algebra broken {")
     assert res.exit_code == 2
     assert "line 1" in res.stderr
+
+
+def test_exit_code_bad_section_level():
+    for bad in ("x:1", "1.5:u", ":u"):
+        res = run("thcr", "multiply", "--sigma", "1,1,0,1", "-f", bad, "-g", "1:u")
+        assert res.exit_code == 2, bad
+        assert res.stderr.count("\n") == 1 and "section level" in res.stderr
+
+
+def test_rm_fix_long_period():
+    d = run_json("rm", "fix", "--theta", "sqrt(9949)")
+    assert d["trace"] > 2
 
 
 def test_exit_code_domain_error():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncproj.dsl import parse_upoly
 from ncproj.fields import (QQ, QQ_Q, FieldMismatchError, QuadExt, RatFunc,
                            UPoly, field_by_name, quad_field, squarefree_part)
 
@@ -108,6 +109,23 @@ def test_quadext_floor():
         n = x.floor()
         assert QuadExt.from_rational(n, x.D) <= x
         assert x < QuadExt.from_rational(n + 1, x.D)
+
+
+@pytest.mark.parametrize("x", [QuadExt(10 ** 25 + 1, 1, 3, 2),
+                               QuadExt(10 ** 45 + 1, 1, 3, 2),
+                               QuadExt(-10 ** 400, -7, 3, 2),
+                               QuadExt(5, -10 ** 30, 7, 3)])
+def test_quadext_floor_beyond_float_range(x):
+    n = x.floor()
+    assert QuadExt.from_rational(n, x.D) <= x < QuadExt.from_rational(n + 1, x.D)
+
+
+def test_upoly_render_parenthesizes_composite_coefficients():
+    q = RatFunc.q()
+    p = UPoly((RatFunc(2), q + 2, q, RatFunc(1) / q, -q + 1))
+    text = p.render("u")
+    assert text == "(-q + 1)*u^4 + (1/q)*u^3 + q*u^2 + (q + 2)*u + 2"
+    assert parse_upoly(text, QQ_Q) == p
 
 
 def test_quadext_sign_and_inverse():

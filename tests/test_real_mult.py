@@ -113,6 +113,16 @@ def test_fixing_matrix_random():
         assert mobius_act(g, x) == x
 
 
+@pytest.mark.parametrize("theta", [QuadExt(0, 1, 1, 9949), QuadExt(0, 1, 1, 1000003),
+                                   QuadExt(1, 1, 2, 9949)])
+def test_fixing_matrix_long_period(theta):
+    # periods 217, 458 and 73: past the 60 terms cf_expand stops at by default
+    assert not cf_expand(theta).period
+    g = fixing_matrix(theta)
+    assert g.trace() > 2
+    assert mobius_act(g, theta) == theta
+
+
 def test_charge_action_matches_mobius_on_slopes():
     g = SL2Matrix(1, 1, 1, 2)
     z = Charge(2, 1)

@@ -1,5 +1,6 @@
 """Truncated completion, normal forms, Hilbert functions, growth."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -132,3 +133,44 @@ def test_gk_report_serializes():
     d = gk_estimate(RewriteSystem([], 20, MonomialOrder(one), QQ)).to_dict()
     assert d["cutoff"] == 20 and d["window"] == [10, 20]
     assert isinstance(d["gk_estimate"], str)
+
+
+def _all_words(alphabet, d):
+    """Every word of weighted degree d, by brute force over lengths."""
+    return [w for n in range(d + 1)
+            for w in itertools.product(range(len(alphabet)), repeat=n)
+            if alphabet.degree(w) == d]
+
+
+def _is_normal(w, R):
+    return not any(w[i:i + len(r.lead)] == r.lead
+                   for r in R.rules for i in range(len(w) - len(r.lead) + 1))
+
+
+def _systems():
+    x, y = gens(QQ)
+    xyz = Alphabet(["x", "y", "z"])
+    X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
+    weighted = Alphabet(["x", "y", "z"], [1, 2, 3])
+    wx, wy, wz = (NcPoly.gen(weighted, QQ, i) for i in range(3))
+    return [
+        pytest.param(complete_truncated([commutator(QQ)], 8, ORD), id="plane"),
+        pytest.param(complete_truncated([quantum_relation()], 8, ORD), id="quantum plane"),
+        pytest.param(complete_truncated([Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X], 7,
+                                        MonomialOrder(xyz)), id="C3"),
+        pytest.param(complete_truncated([y * x * x - x * x * y, y * y * x - x * y * y], 9,
+                                        ORD), id="braid"),
+        pytest.param(complete_truncated([wy * wx - wx * wy, wz * wx - wx * wz], 9,
+                                        MonomialOrder(weighted)), id="weighted"),
+        pytest.param(RewriteSystem([], 9, MonomialOrder(weighted), QQ), id="weighted free"),
+    ]
+
+
+@pytest.mark.parametrize("R", _systems())
+def test_normal_words_match_brute_force(R):
+    dims = hilbert_function(R, R.cutoff)
+    for d in range(R.cutoff + 1):
+        want = sorted((w for w in _all_words(R.alphabet, d) if _is_normal(w, R)),
+                      key=R.order.key)
+        assert normal_words(R, d) == want, d
+        assert dims[d] == len(want), d

@@ -2,10 +2,28 @@
 
 Matrices are lists of lists of scalars.  All routines are fraction-free in
 spirit but not in implementation: scalars divide exactly, so plain row
-reduction stays exact.
+reduction stays exact.  The matrices met in practice are sparse, so a row
+operation only touches the nonzero columns of the row it subtracts.
 """
 
 from __future__ import annotations
+
+
+def _normalized(row, c, field):
+    """row scaled so that its entry in column c is one."""
+    inv = field.one / row[c]
+    return [x * inv if x else x for x in row]
+
+
+def _support(row):
+    return [j for j, x in enumerate(row) if x]
+
+
+def _eliminate(row, c, pivot_row, support):
+    """row -= row[c] * pivot_row in place, where pivot_row[c] is one."""
+    f = row[c]
+    for j in support:
+        row[j] = row[j] - f * pivot_row[j]
 
 
 def rref(rows, field):
@@ -21,12 +39,11 @@ def rref(rows, field):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = prow = _normalized(rows[r], c, field)
+        support = _support(prow)
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                _eliminate(rows[i], c, prow, support)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -103,9 +120,7 @@ def reduce_against(basis_rref, pivots, vec, field):
     v = list(vec)
     for r, c in enumerate(pivots):
         if v[c]:
-            f = v[c]
-            row = basis_rref[r]
-            v = [a - f * b for a, b in zip(v, row)]
+            _eliminate(v, c, basis_rref[r], _support(basis_rref[r]))
     return v
 
 
@@ -133,12 +148,11 @@ class SpanTracker:
         pivot = next((c for c in range(self.ncols) if v[c]), None)
         if pivot is None:
             return False
-        inv = self.field.one / v[pivot]
-        v = [x * inv for x in v]
-        for r in range(len(self.rows)):
-            if self.rows[r][pivot]:
-                f = self.rows[r][pivot]
-                self.rows[r] = [a - f * b for a, b in zip(self.rows[r], v)]
+        v = _normalized(v, pivot, self.field)
+        support = _support(v)
+        for row in self.rows:
+            if row[pivot]:
+                _eliminate(row, pivot, v, support)
         at = next((i for i, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)

@@ -326,12 +326,18 @@ class RatFunc:
 
 @functools.lru_cache(maxsize=1024)
 def squarefree_part(n):
-    """Write n = f^2 * d with d squarefree; return (d, f)."""
+    """Write n = f^2 * d with d squarefree; return (d, f).
+
+    Trial division runs only while p^3 <= m.  Every prime factor of what is
+    left is then at least p, so it has at most two of them: it is 1, a
+    prime, a product of two distinct primes or the square of a prime, and
+    an exact integer square root tells the square apart from the rest.
+    """
     if n <= 0:
         raise ValueError("expected a positive integer")
     d, f, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -341,7 +347,11 @@ def squarefree_part(n):
                 d *= p
             f *= p ** (e // 2)
         p += 1 if p == 2 else 2
-    d *= m
+    r = math.isqrt(m)
+    if r * r == m:
+        f *= r
+    else:
+        d *= m
     return d, f
 
 

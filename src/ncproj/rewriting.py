@@ -9,6 +9,7 @@ range.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -122,24 +123,50 @@ def _make_rule(p, order):
 
 
 def _reduce(p, rules, order):
-    """Full normal form of p with respect to a rule list."""
-    while True:
-        hit = None
-        for w in sorted(p.terms, key=order.key, reverse=True):
-            for rule in rules:
-                pos = _find_subword(w, rule.lead)
-                if pos is not None:
-                    hit = (w, rule, pos)
-                    break
-            if hit:
+    """Full normal form of p with respect to a rule list, in one top-down pass.
+
+    Pending words are settled from the largest down.  A word that contains
+    a rule lead is rewritten once, by the first such rule in list order at
+    its leftmost occurrence, into words that are strictly smaller, because
+    every rhs word is smaller than its lead and the order is compatible
+    with concatenation.  So when a word is popped, every contribution to
+    its coefficient has already arrived, and each word is settled once.
+    """
+    def entry(w):
+        # order.key reversed, then w itself.  Two words of equal weighted
+        # degree are never prefixes of one another (weights are positive),
+        # so negating each rank reverses the lexicographic part, and two
+        # entries differ before either runs out of ranks: w is never compared.
+        d, ranks = order.key(w)
+        return (-d, *[-r for r in ranks], w)
+
+    pending = dict(p.terms)
+    heap = [entry(w) for w in pending]
+    heapq.heapify(heap)
+    terms = {}
+    while heap:
+        w = heapq.heappop(heap)[-1]
+        c = pending.pop(w)
+        if not c:
+            continue
+        for rule in rules:
+            pos = _find_subword(w, rule.lead)
+            if pos is not None:
                 break
-        if hit is None:
-            return p
-        w, rule, pos = hit
-        c = p.terms[w]
-        pre = NcPoly.word(p.alphabet, p.field, w[:pos], c)
-        post = NcPoly.word(p.alphabet, p.field, w[pos + len(rule.lead):])
-        p = p - NcPoly.word(p.alphabet, p.field, w, c) + pre * rule.rhs * post
+        else:
+            terms[w] = c
+            continue
+        pre, post = w[:pos], w[pos + len(rule.lead):]
+        for u, a in rule.rhs.terms.items():
+            v = pre + u + post
+            if v in pending:
+                pending[v] = pending[v] + c * a
+            else:
+                pending[v] = c * a
+                heapq.heappush(heap, entry(v))
+    out = NcPoly.zero(p.alphabet, p.field)
+    out.terms = terms
+    return out
 
 
 def _interreduce(rules, order):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import render_terms
+from .linalg import invert_matrix, rank
 
 
 class Alphabet:
@@ -307,30 +308,12 @@ class GradedEndomorphism:
             out = out.compose(self)
         return out
 
-    def determinant(self):
-        # small matrices only; cofactor expansion is fine here
-        return _det([list(r) for r in self.matrix], self.field)
-
     def is_invertible(self):
-        return bool(self.determinant())
+        return rank(self.matrix, self.field) == len(self.alphabet)
 
     def inverse(self):
-        from .linalg import invert_matrix
         inv = invert_matrix([list(r) for r in self.matrix], self.field)
         if inv is None:
             raise ValueError("matrix is singular")
         return GradedEndomorphism(self.alphabet, self.field, inv)
 
-
-def _det(rows, field):
-    n = len(rows)
-    if n == 0:
-        return field.one
-    if n == 1:
-        return rows[0][0]
-    acc = field.zero
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det(minor, field)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc

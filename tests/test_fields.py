@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals, rational functions, quadratic fields."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -83,6 +84,21 @@ def test_squarefree_part():
     assert squarefree_part(12) == (3, 2)
     assert squarefree_part(5) == (5, 1)
     assert squarefree_part(49) == (1, 7)
+
+
+def test_squarefree_part_matches_definition():
+    for n in range(1, 10 ** 4 + 1):
+        f = max(k for k in range(1, math.isqrt(n) + 1) if n % (k * k) == 0)
+        assert squarefree_part(n) == (n // (f * f), f), n
+
+
+def test_squarefree_part_large_radicands():
+    p, q = 999983, 1000003
+    assert squarefree_part(p * q) == (p * q, 1)
+    assert squarefree_part(p * p) == (1, p)
+    assert squarefree_part(12 * p * p * q) == (3 * q, 2 * p)
+    # a prime near 10^20: trial division up to its square root would hang
+    assert squarefree_part(100000000000000000039) == (100000000000000000039, 1)
 
 
 def test_quadext_normalization():

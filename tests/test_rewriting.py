@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ncproj.fields import QQ, QQ_Q, RatFunc
+from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
 from ncproj.rewriting import (INFINITE, CutoffExceededError, RewriteSystem,
-                              complete_truncated, confluence_audit,
-                              gk_estimate, hilbert_function,
+                              _make_rule, _reduce, complete_truncated,
+                              confluence_audit, gk_estimate, hilbert_function,
                               ideal_member_truncated, normal_form,
                               normal_words)
 from ncproj.words import Alphabet, MonomialOrder, NcPoly
@@ -174,3 +174,96 @@ def test_normal_words_match_brute_force(R):
                       key=R.order.key)
         assert normal_words(R, d) == want, d
         assert dims[d] == len(want), d
+
+
+def _reduce_restarting(p, rules, order):
+    """Reference normal form: after every single rewrite, start again from
+    the largest word that contains a lead, rewriting it by the first rule in
+    list order at its leftmost occurrence."""
+    while True:
+        for w in sorted(p.terms, key=order.key, reverse=True):
+            hits = ((rule, i) for rule in rules for i in range(len(w))
+                    if w[i:i + len(rule.lead)] == rule.lead)
+            rule, i = next(hits, (None, None))
+            if rule is not None:
+                break
+        else:
+            return p
+        c = p.terms[w]
+        pre = NcPoly.word(p.alphabet, p.field, w[:i], c)
+        post = NcPoly.word(p.alphabet, p.field, w[i + len(rule.lead):])
+        p = p - NcPoly.word(p.alphabet, p.field, w, c) + pre * rule.rhs * post
+
+
+def _relations():
+    """name -> (order, relations) for the differential test of _reduce."""
+    x, y = gens(QQ)
+    qx, qy = gens(QQ_Q)
+    xyz = Alphabet(["x", "y", "z"])
+    X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
+    heavy = Alphabet(["x", "y"], [1, 2])
+    hx, hy = (NcPoly.gen(heavy, QQ, i) for i in range(2))
+    return {
+        "plane": (ORD, [y * x - x * y]),
+        "QP": (ORD, [qy * qx - (qx * qy).scale(RatFunc.q())]),
+        "C3": (MonomialOrder(xyz), [Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X]),
+        "Sklyanin": (MonomialOrder(xyz), [Y * Z + 2 * Z * Y + 3 * X * X,
+                                          Z * X + 2 * X * Z + 3 * Y * Y,
+                                          X * Y + 2 * Y * X + 3 * Z * Z]),
+        # y and x*x have equal weighted degree and different lengths
+        "weighted x:1 y:2": (MonomialOrder(heavy), [hy * hx - hx * hy - 2 * hx * hx * hx,
+                                                    hy * hy - hx * hy * hx + hx * hx * hy]),
+    }
+
+
+def _random_poly(alphabet, field, rnd, max_degree):
+    terms = []
+    for _ in range(rnd.randint(1, 6)):
+        w, degree = (), rnd.randint(0, max_degree)
+        while alphabet.degree(w) < degree:
+            w += (rnd.randrange(len(alphabet)),)
+        terms.append((w, Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))))
+    return NcPoly(alphabet, field, terms)
+
+
+def _rule_lists(order, rels):
+    raw = [_make_rule(r, order) for r in rels]
+    yield "completed", list(complete_truncated(rels, 7, order).rules)
+    yield "raw", raw
+    yield "raw reversed", raw[::-1]
+
+
+@pytest.mark.parametrize("name", list(_relations()))
+def test_reduce_matches_restarting_reference(name):
+    order, rels = _relations()[name]
+    rnd = random.Random(f"reduce {name}")
+    for kind, rules in _rule_lists(order, rels):
+        for _ in range(25):
+            p = _random_poly(order.alphabet, rels[0].field, rnd, 7)
+            assert _reduce(p, rules, order) == _reduce_restarting(p, rules, order), kind
+
+
+def _gaussian_binomials(n):
+    """[n choose k]_q for k = 0..n as integer coefficient lists, by the
+    q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    row = [[1]]
+    for m in range(1, n + 1):
+        nxt = []
+        for k in range(m + 1):
+            left = row[k - 1] if k > 0 else []
+            right = [0] * k + row[k] if k < m else []
+            nxt.append([a + b for a, b in itertools.zip_longest(left, right, fillvalue=0)])
+        row = nxt
+    return row
+
+
+def test_quantum_plane_binomial_powers():
+    R = complete_truncated([quantum_relation()], 12, ORD)
+    x, y = gens(QQ_Q)
+    power = NcPoly.one(AB, QQ_Q)
+    for n in range(1, 13):
+        power = power * (x + y)
+        want = NcPoly(AB, QQ_Q, [((0,) * k + (1,) * (n - k),
+                                  RatFunc(UPoly([Fraction(c) for c in coeffs])))
+                                 for k, coeffs in enumerate(_gaussian_binomials(n))])
+        assert normal_form(power, R) == want, n

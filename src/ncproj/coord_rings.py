@@ -149,21 +149,17 @@ def thcr_presentation(sigma, d_max, bundle=1, name="B"):
     R = RewriteSystem([], d_max, order, field)
     for d in range(2, d_max + 1):
         words = normal_words(R, d)
-        target_dim = section_space_dim(d, bundle)
         images = []
         for w in words:
             acc = gens[w[0]]
             for i in w[1:]:
                 acc = thcr_multiply(acc, gens[i], sigma)
-            coeffs = list(acc.poly.coeffs) + \
-                [field.zero] * (target_dim - len(acc.poly.coeffs))
-            images.append(coeffs)
+            images.append({t: c for t, c in enumerate(acc.poly.coeffs) if c})
         kernel = _evaluation_kernel(images, field)
         if kernel:
             for v in kernel:
                 relations.append(NcPoly(alphabet, field,
-                                        [(words[i], v[i])
-                                         for i in range(len(v)) if v[i]]))
+                                        [(words[i], c) for i, c in sorted(v.items())]))
             R = complete_truncated_over(relations, d_max, order, field)
     return AlgebraPresentation(name, field, alphabet, relations, order)
 

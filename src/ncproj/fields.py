@@ -94,15 +94,17 @@ class UPoly:
             return UPoly(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return UPoly()
+        # c q^k times a polynomial shifts it by the k zeros below c and
+        # multiplies only its nonzero coefficients
         a_nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        zero = self.coeffs[-1] * 0
         if len(a_nz) == 1:
             i, a = a_nz[0]
-            return UPoly([zero] * i + [b * a for b in other.coeffs])
+            return UPoly(self.coeffs[:i] + tuple(b * a if b else b for b in other.coeffs))
         b_nz = [(j, c) for j, c in enumerate(other.coeffs) if c]
         if len(b_nz) == 1:
             j, b = b_nz[0]
-            return UPoly([zero] * j + [a * b for a in self.coeffs])
+            return UPoly(other.coeffs[:j] + tuple(a * b if a else a for a in self.coeffs))
+        zero = self.coeffs[-1] * 0
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in a_nz:
             for j, b in b_nz:
@@ -178,6 +180,11 @@ class UPoly:
 _QONE = UPoly((Fraction(1),))
 
 
+def _valuation(p):
+    """The q-adic valuation of a nonzero polynomial: its lowest degree."""
+    return next(i for i, c in enumerate(p.coeffs) if c)
+
+
 def _as_qpoly(x):
     if isinstance(x, UPoly):
         return x
@@ -200,13 +207,21 @@ class RatFunc:
             self.num = num
             self.den = _QONE
             return
-        # constant denominators and numerators need no gcd
+        # a constant denominator needs no gcd
         if den.degree() == 0:
             c = den.coeffs[0]
             self.num = num if c == 1 else num.scale(1 / c)
             self.den = _QONE
             return
-        if num.degree() > 0:
+        vn, vd = _valuation(num), _valuation(den)
+        if vn == num.degree() or vd == den.degree():
+            # a monomial (a constant, say) over or under anything: the gcd
+            # is q^min(vn, vd), which is stripped instead of divided out
+            s = min(vn, vd)
+            if s:
+                num = UPoly(num.coeffs[s:])
+                den = UPoly(den.coeffs[s:])
+        else:
             g = num.gcd(den)
             if g.degree() > 0:
                 num = num.divmod(g)[0]

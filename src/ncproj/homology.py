@@ -28,35 +28,70 @@ class AtLeast:
 
 
 def _nf_word(R, w):
-    cache = R.cache.word_nf
-    hit = cache.get(w)
+    """Normal form of the word w as a tuple of (normal word, coefficient).
+
+    Cached on the rewrite system, which keeps one copy of each normal word
+    and of each coefficient (R.cache.interned).  A normal word is its own
+    normal form, and its key is that copy too.
+    """
+    cache = R.cache
+    hit = cache.word_nf.get(w)
     if hit is None:
-        hit = normal_form(NcPoly.word(R.alphabet, R.field, w), R)
-        cache[w] = hit
+        intern = cache.interned.setdefault
+        terms = normal_form(NcPoly.word(R.alphabet, R.field, w), R).terms
+        hit = tuple((intern(u, u), intern(c, c)) for u, c in terms.items())
+        cache.word_nf[intern(w, w) if w in terms else w] = hit
     return hit
 
 
+def _add_word_nf(v, index, R, i, w, s):
+    """v += s * (normal form of w in summand i), v sparse over index."""
+    for u, c in _nf_word(R, w):
+        k = index[(i, u)]
+        x = v.get(k)
+        if x is None:
+            v[k] = c * s
+        else:
+            x = x + c * s
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+
+
 def _evaluation_kernel(images, field):
-    """Kernel of the linear map sending the k-th basis vector to images[k]."""
-    return linalg.kernel_basis(list(zip(*images)), len(images), field)
+    """Kernel of the linear map sending the k-th basis vector to images[k].
+
+    images are sparse {coordinate: scalar} vectors; the kernel basis is a
+    list of sparse {k: scalar} vectors, one per free column, ascending.
+    """
+    rows = {}
+    for k, image in enumerate(images):
+        for t, x in image.items():
+            rows.setdefault(t, {})[k] = x
+    span = linalg.SpanTracker(len(images), field)
+    for row in rows.values():
+        span.add(row)
+    return span.kernel()
 
 
 def _minimal_generators(degrees, field, candidates, multiples):
     """Minimal generators, degree by degree, in ascending degrees.
 
-    candidates(d) returns (vectors, make): the degree-d candidate vectors,
-    all of one length, and make(k), the generator that vectors[k] stands
-    for.  multiples(g, e, d) lists the degree-d vectors of the multiples of
-    a generator g kept in degree e.  A candidate is kept when it is outside
-    the span of those multiples and of the candidates kept before it.
-    Returns the kept (degree, generator) pairs.
+    candidates(d) returns (ncols, vectors, make): the length of the
+    degree-d vectors, the degree-d candidate vectors (sparse) and make(k),
+    the generator that vectors[k] stands for.  multiples(g, e, d) lists the
+    degree-d vectors of the multiples of a generator g kept in degree e.  A
+    candidate is kept when it is outside the span of those multiples and of
+    the candidates kept before it.  Returns the kept (degree, generator)
+    pairs.
     """
     gens = []
     for d in degrees:
-        vectors, make = candidates(d)
+        ncols, vectors, make = candidates(d)
         if not vectors:
             continue
-        span = linalg.SpanTracker(len(vectors[0]), field)
+        span = linalg.SpanTracker(ncols, field)
         for e, g in gens:
             for v in multiples(g, e, d):
                 span.add(v)
@@ -152,32 +187,25 @@ class GradedModulePresentation:
         return hit
 
     def _expand(self, vec_polys, d):
-        """Vector of NcPolys (one per summand) -> coordinates in degree d."""
-        basis, index = self._slice(d)
-        fld = self.ambient.field
-        out = [fld.zero] * len(basis)
-        for i, p in enumerate(vec_polys):
-            for w, c in p.terms.items():
-                k = index[(i, w)]
-                out[k] = out[k] + c
-        return out
+        """Vector of NcPolys (one per summand) -> sparse coordinates in degree d."""
+        index = self._slice(d)[1]
+        return {index[(i, w)]: c for i, p in enumerate(vec_polys)
+                for w, c in p.terms.items()}
 
     def _multiples(self, row, e, d):
-        """Degree-d coordinates of a . row for every normal word a of degree d - e.
+        """Sparse degree-d coordinates of a . row for every normal word a of degree d - e.
 
         row is a degree-e cover vector, one NcPoly per summand; the products
         go through the cached normal forms of single words.
         """
         R = self.ambient
-        basis, index = self._slice(d)
+        index = self._slice(d)[1]
         out = []
         for a in normal_words(R, d - e):
-            v = [R.field.zero] * len(basis)
+            v = {}
             for i, p in enumerate(row):
                 for w, c in p.terms.items():
-                    for w2, c2 in _nf_word(R, a + w).terms.items():
-                        k = index[(i, w2)]
-                        v[k] = v[k] + c2 * c
+                    _add_word_nf(v, index, R, i, a + w, c)
             out.append(v)
         return out
 
@@ -199,40 +227,35 @@ class GradedModulePresentation:
             return 0
         return len(self.free_basis(d)) - self.submodule_span(d).dim()
 
+    def _free_columns(self, d):
+        """The free-cover columns of degree d that are not relation pivots."""
+        rows = self.submodule_span(d).rows
+        return [c for c in range(len(self.free_basis(d))) if c not in rows]
+
     def quotient_coords(self, vec, d):
-        """Coordinates of a free-cover vector in the quotient module slice."""
-        span = self.submodule_span(d)
-        res = span.residue(vec)
-        pivset = set(span.pivots)
-        return [res[c] for c in range(len(res)) if c not in pivset]
+        """Coordinates of a sparse free-cover vector in the quotient module slice."""
+        res = self.submodule_span(d).residue(vec)
+        zero = self.ambient.field.zero
+        return [res.get(c, zero) for c in self._free_columns(d)]
 
     def lift_coords(self, coords, d):
-        """A free-cover representative of quotient coordinates."""
-        span = self.submodule_span(d)
-        fld = self.ambient.field
-        pivset = set(span.pivots)
-        free_cols = [c for c in range(len(self.free_basis(d))) if c not in pivset]
-        v = [fld.zero] * len(self.free_basis(d))
-        for c, x in zip(free_cols, coords):
-            v[c] = x
-        return v
+        """A sparse free-cover representative of quotient coordinates."""
+        return {c: x for c, x in zip(self._free_columns(d), coords) if x}
 
     def act(self, poly, coords, d):
         """Left action of a homogeneous algebra element on a quotient element."""
         R = self.ambient
-        fld = R.field
         if poly.is_zero():
-            e = d
-            return [fld.zero] * self.dim(e)
+            return [R.field.zero] * self.dim(d)
         e = d + poly.degree()
-        v = self.lift_coords(coords, d)
         basis = self.free_basis(d)
-        acc_polys = [NcPoly.zero(R.alphabet, fld) for _ in self.shifts]
-        for k, (i, w) in enumerate(basis):
-            if v[k]:
-                for pw, pc in poly.terms.items():
-                    acc_polys[i] = acc_polys[i] + _nf_word(R, pw + w).scale(pc * v[k])
-        return self.quotient_coords(self._expand(acc_polys, e), e)
+        index = self._slice(e)[1]
+        v = {}
+        for k, x in self.lift_coords(coords, d).items():
+            i, w = basis[k]
+            for pw, pc in poly.terms.items():
+                _add_word_nf(v, index, R, i, pw + w, pc * x)
+        return self.quotient_coords(v, e)
 
     def __repr__(self):
         return f"Module({self.name or self.shifts}, {len(self.rows)} rows)"
@@ -243,13 +266,12 @@ class GradedModulePresentation:
 # ---------------------------------------------------------------------------
 
 def _vector_to_row(vec, dom_basis, dom_shifts, R):
-    """Kernel vector over a free-module basis -> row of NcPoly entries."""
-    fld = R.field
-    entries = [NcPoly.zero(R.alphabet, fld) for _ in dom_shifts]
-    for k, (j, a) in enumerate(dom_basis):
-        if vec[k]:
-            entries[j] = entries[j] + NcPoly.word(R.alphabet, fld, a, vec[k])
-    return entries
+    """Sparse kernel vector over a free-module basis -> row of NcPoly entries."""
+    terms = [{} for _ in dom_shifts]
+    for k, x in sorted(vec.items()):
+        j, a = dom_basis[k]
+        terms[j][a] = x
+    return [NcPoly(R.alphabet, R.field, t) for t in terms]
 
 
 def _kernel_generators(R, dom_shifts, rows, codomain, N):
@@ -265,8 +287,8 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N):
         images = [v for j, l in enumerate(dom_shifts) if l <= d
                   for v in codomain._multiples(rows[j], l, d)]
         kernel = _evaluation_kernel(images, R.field)
-        return kernel, lambda k: _vector_to_row(kernel[k], domain.free_basis(d),
-                                                dom_shifts, R)
+        return len(images), kernel, lambda k: _vector_to_row(
+            kernel[k], domain.free_basis(d), dom_shifts, R)
 
     return _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
                                candidates, domain._multiples)
@@ -337,7 +359,8 @@ def _minimize_rows(module, N):
 
     def candidates(d):
         rows = by_degree[d]
-        return [module._expand(row, d) for row in rows], rows.__getitem__
+        return (len(module.free_basis(d)), [module._expand(row, d) for row in rows],
+                rows.__getitem__)
 
     return _minimal_generators([d for d in sorted(by_degree) if d <= N],
                                module.ambient.field, candidates, module._multiples)

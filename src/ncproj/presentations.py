@@ -128,24 +128,18 @@ def twist(p, sigma, N, s_max=None):
 
     def candidates(s):
         words = normal_words(free, s)
-        target = normal_words(R, s)
+        index = {w: i for i, w in enumerate(normal_words(R, s))}
         kernel = _evaluation_kernel(
-            [_coeff_vector(_twisted_eval(w, R, sigma_powers), target, fld) for w in words],
-            fld)
-        return kernel, lambda k: NcPoly(p.alphabet, fld,
-                                        [(w, c) for w, c in zip(words, kernel[k]) if c])
+            [{index[u]: c for u, c in _twisted_eval(w, R, sigma_powers).terms.items()}
+             for w in words], fld)
+        return len(words), kernel, lambda k: NcPoly(
+            p.alphabet, fld, [(words[j], c) for j, c in sorted(kernel[k].items())])
 
     def multiples(rel, e, s):
         # the two-sided multiples left * rel * right with left, right words
         index = {w: i for i, w in enumerate(normal_words(free, s))}
-        out = []
-        for a in normal_words(free, s - e):
-            for cut in range(len(a) + 1):
-                v = [fld.zero] * len(index)
-                for w, c in rel.terms.items():
-                    v[index[a[:cut] + w + a[cut:]]] = c
-                out.append(v)
-        return out
+        return [{index[a[:cut] + w + a[cut:]]: c for w, c in rel.terms.items()}
+                for a in normal_words(free, s - e) for cut in range(len(a) + 1)]
 
     relations = [g for _, g in _minimal_generators(range(2, s_max + 1), fld,
                                                    candidates, multiples)]

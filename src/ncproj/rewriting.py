@@ -75,8 +75,11 @@ class RewriteCache:
 
     words[d], states[d]: the sorted degree-d normal words and the automaton
     state each one ends in; dims: the longest Hilbert function computed;
-    word_nf: word -> normal form; resolutions: n -> (p_max, minimal
-    resolution of A/A_{>=n}), kept by the homology layer.
+    word_nf: word -> its normal form as a tuple of (normal word,
+    coefficient) pairs; interned: the one copy of each normal word and of
+    each coefficient that word_nf holds, keyed by itself; resolutions: n ->
+    (p_max, minimal resolution of A/A_{>=n}).  word_nf, interned and
+    resolutions are kept by the homology layer.
     """
 
     def __init__(self, rules, nletters):
@@ -85,6 +88,7 @@ class RewriteCache:
         self.states = [[0]]
         self.dims = []
         self.word_nf = {}
+        self.interned = {}
         self.resolutions = {}
 
 

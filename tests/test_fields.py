@@ -74,6 +74,63 @@ def test_ratfunc_normalization():
         RatFunc(UPoly((Fraction(1, 2),)), UPoly([Fraction(0), Fraction(1)]))
 
 
+def gcd_normalized(num, den):
+    """(num, den) divided by their gcd, the denominator made monic."""
+    g = num.gcd(den)
+    if g.degree() > 0:
+        num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.coeffs[-1]
+    return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def rand_nonzero_fraction():
+    return rng.choice([-1, 1]) * Fraction(rng.randint(1, 20), rng.randint(1, 12))
+
+
+def rand_monomial():
+    """c q^k, k = 0 included, c of either sign and rarely 1."""
+    return UPoly([Fraction(0)] * rng.randint(0, 6) + [rand_nonzero_fraction()])
+
+
+def rand_upoly(max_degree=5):
+    """A random polynomial, zero coefficients (low ones too) included."""
+    cs = [rand_fraction() if rng.random() < 0.6 else Fraction(0)
+          for _ in range(rng.randint(0, max_degree + 1))]
+    return UPoly(cs)
+
+
+def test_ratfunc_monomial_fast_path_matches_gcd_normalization():
+    """A monomial over or under anything reduces as the general gcd does."""
+    for case in range(3000):
+        mono = rand_monomial()
+        other = rand_monomial() if case % 5 == 0 else rand_upoly()
+        if other.is_zero():
+            continue
+        for num, den in ((mono, other), (other, mono)):
+            r = RatFunc(num, den)
+            want_num, want_den = gcd_normalized(num, den)
+            assert (r.num, r.den) == (want_num, want_den), (num, den)
+            assert r.den.coeffs[-1] == 1
+
+
+def schoolbook(a, b):
+    if a.is_zero() or b.is_zero():
+        return UPoly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return UPoly(out)
+
+
+def test_upoly_mul_matches_schoolbook():
+    makers = [rand_monomial, rand_upoly, lambda: UPoly()]
+    for _ in range(3000):
+        a, b = rng.choice(makers)(), rng.choice(makers)()
+        assert a * b == schoolbook(a, b), (a, b)
+        assert b * a == schoolbook(a, b), (a, b)
+
+
 def test_ratfunc_q_renders():
     q = RatFunc.q()
     assert str(q) == "q"

@@ -167,3 +167,22 @@ def test_proj_cohomology_reports():
 def test_cd_estimate_plane():
     R = plane(16)
     assert cd_estimate(R, 2, range(-3, 2), 8) == 1
+
+
+def test_word_nf_cache_keeps_one_copy_of_each_word():
+    R = quantum_plane(17)
+    A = GradedModulePresentation.algebra(R)
+    assert proj_cohomology(R, A, 0, 1, 4).stabilized_dim == 2
+    assert proj_cohomology(R, A, 1, -2, 5).stabilized_dim == 1
+    cache = R.cache.word_nf
+    assert cache
+    stored = {}
+    for pairs in cache.values():
+        assert type(pairs) is tuple and not isinstance(pairs, NcPoly)
+        for u, c in pairs:
+            assert type(u) is tuple and not isinstance(c, NcPoly)
+            assert stored.setdefault(u, u) is u
+    # a normal word is its own normal form, keyed by the stored copy
+    for key, pairs in cache.items():
+        if key in stored:
+            assert key is stored[key] and pairs == ((key, QQ_Q.one),)

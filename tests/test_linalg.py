@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ncproj import linalg
-from ncproj.fields import QQ, QQ_Q, RatFunc
+from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
+from ncproj.homology import _evaluation_kernel
 
 rng = random.Random(7011)
 
@@ -65,11 +69,18 @@ def test_invert_matrix():
         assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def span_of(rows, ncols, field=QQ):
+    span = linalg.SpanTracker(ncols, field)
+    for r in rows:
+        span.add(r)
+    return span
+
+
 def test_row_space_contains():
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert linalg.row_space_contains(A, [Fraction(3), Fraction(-2)], QQ)
+    assert span_of(A, 2).contains([Fraction(3), Fraction(-2)])
     B = [[Fraction(1), Fraction(1)]]
-    assert not linalg.row_space_contains(B, [Fraction(1), Fraction(0)], QQ)
+    assert not span_of(B, 2).contains([Fraction(1), Fraction(0)])
 
 
 def test_span_tracker_matches_rank():
@@ -105,3 +116,136 @@ def test_over_rational_functions():
     # singular at the level of rational functions
     B = [[q, q], [QQ_Q.one, QQ_Q.one]]
     assert linalg.invert_matrix(B, QQ_Q) is None
+
+
+# ---------------------------------------------------------------------------
+# differential test: the sparse eliminator against dense Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+def dense_rref(rows, field):
+    """Column by column dense elimination, every row kept: the reference."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = prow = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_kernel_basis(rows, ncols, field):
+    """One kernel vector per free column of dense_rref, ascending."""
+    red, pivots = dense_rref(rows, field)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def dense(vec, ncols, field):
+    return [vec.get(j, field.zero) for j in range(ncols)]
+
+
+nonzero_rationals = st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=6).filter(bool)
+
+
+@st.composite
+def qq_monomials(draw):
+    """c q^k with k in {-1, 0, 1}: a monomial numerator or denominator."""
+    c, k = draw(nonzero_rationals), draw(st.integers(-1, 1))
+    q = UPoly([Fraction(0), Fraction(1)])
+    return RatFunc(UPoly((c,)) * q) if k == 1 else RatFunc(UPoly((c,)), q if k else None)
+
+
+def q_general():
+    q = RatFunc.q()
+    return [q + 1, q * q - 2, (q - 1) / (q + 2), (q * q + q + 1) / (q - 3)]
+
+
+@st.composite
+def sparse_matrices(draw, entries, field, general=()):
+    """Up to 12 x 12 with 10-40% nonzeros, some rows combinations of others.
+
+    At most two nonzeros are multiplied by a scalar from general: random
+    general rational functions make exact elimination swell, and a few
+    already exercise the gcd path.
+    """
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    lo = max(1, -(-m * n // 10))
+    count = draw(st.integers(lo, max(lo, 2 * m * n // 5)))
+    cells = draw(st.permutations([(i, j) for i in range(m) for j in range(n)]))
+    A = [[field.zero] * n for _ in range(m)]
+    for i, j in cells[:count]:
+        A[i][j] = draw(entries)
+    if general:
+        for i, j in cells[:draw(st.integers(0, 2))]:
+            A[i][j] = A[i][j] * draw(st.sampled_from(general))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = field.coerce(draw(nonzero_rationals))
+        A.append([x + c * y for x, y in zip(A[a], A[b])])
+    draw(st.randoms()).shuffle(A)
+    return A
+
+
+def check_against_dense(A, field):
+    m, n = len(A), len(A[0])
+    red, pivots = dense_rref(A, field)
+    assert linalg.rref(A, field) == (red, pivots)
+    assert linalg.rank(A, field) == len(pivots)
+    assert linalg.kernel_basis(A, n, field) == dense_kernel_basis(A, n, field)
+    # row i enlarges the span of the rows before it exactly when column i
+    # of the transpose is a pivot column
+    transpose = [list(col) for col in zip(*A)]
+    t_pivots = dense_rref(transpose, field)[1]
+    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in A]
+    for rows in (A, sparse_rows):
+        span = linalg.SpanTracker(n, field)
+        assert [span.add(r) for r in rows] == [i in t_pivots for i in range(m)]
+        assert span.pivots == pivots
+        assert [dense(span.rows[c], n, field) for c in span.pivots] == red[:len(pivots)]
+        assert all(span.contains(r) for r in rows)
+    # the kernel of the transpose, through the sparse homology entry
+    assert [dense(v, m, field) for v in _evaluation_kernel(sparse_rows, field)] == \
+        dense_kernel_basis(transpose, m, field)
+
+
+# derandomized: the same examples on every run, so the suite's time is stable
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(sparse_matrices(nonzero_rationals, QQ))
+def test_eliminator_matches_dense_over_Q(A):
+    check_against_dense(A, QQ)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(sparse_matrices(qq_monomials(), QQ_Q, q_general()))
+def test_eliminator_matches_dense_over_Qq(A):
+    check_against_dense(A, QQ_Q)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(sparse_matrices(nonzero_rationals, QQ))
+def test_rank_matches_sympy_over_Q(A):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in A])
+    assert linalg.rank(A, QQ) == M.rank()

@@ -225,16 +225,14 @@ def hom_dim_stable(z1, z2):
     """(hom, ext1) between stable classes; always hom - ext1 = chi(z1, z2).
 
     Dimensions follow from slope vanishing plus the dimension-level
-    Calabi-Yau duality ext1(a, b) = hom(b, a).
+    Calabi-Yau duality ext1(a, b) = hom(b, a).  Distinct stable classes have
+    distinct slopes, and slope(z1) < slope(z2) exactly when chi(z1, z2) > 0,
+    torsion included (its rank is 0 and its degree positive), so the sign
+    of chi decides which of hom and ext1 vanishes.
     """
     if not stable_p(z1) or not stable_p(z2):
         raise ValueError("both charges must be stable")
-    chi = euler_pairing(z1, z2)
     if z1 == z2:
         return (1, 1)
-    s1, s2 = Slope.of(z1), Slope.of(z2)
-    if s1 < s2:
-        return (chi, 0)
-    if s1 > s2:
-        return (0, -chi)
-    return (0, 0)
+    chi = euler_pairing(z1, z2)
+    return (chi, 0) if chi > 0 else (0, -chi)

@@ -417,11 +417,6 @@ def graded_hom_dim(M, P, d):
     return nvars - linalg.rank(constraints, fld)
 
 
-def _hom_space_dims(resolution_betti, M, d):
-    """Dims of Hom(P^i, M[d])_0 along a resolution, per homological degree."""
-    return [sum(M.dim(l + d) for l in shifts) for shifts in resolution_betti]
-
-
 def _ext_dims_from_resolution(rep, M, d, i):
     """dim Ext^i at twist d, from a minimal free resolution of length >= i+1."""
     R = M.ambient

@@ -1,10 +1,12 @@
 """Degree-truncated two-sided Groebner completion in free algebras.
 
-The completion is a plain diamond-lemma loop: resolve overlap ambiguities in
-ascending degree, interreduce after every new rule, stop at the degree
-cutoff.  A completed system is confluent for all words of degree <= cutoff,
-so normal forms, normal-word bases and Hilbert functions are exact in that
-range.
+The completion closes one degree at a time, lowest first, in the batched
+manner of Faugere's F4: the input relations and the S-polynomials of the
+overlap ambiguities of degree d are reduced against the rules found so far,
+and the reduced row echelon form of the results gives the new degree-d rules
+in one step.  It stops at the degree cutoff.  A completed system is
+confluent for all words of degree <= cutoff, so normal forms, normal-word
+bases and Hilbert functions are exact in that range.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .linalg import SpanTracker
 from .words import NcPoly
 
 INFINITE = "INFINITE"
@@ -118,14 +121,6 @@ def _find_subword(word, sub):
     return None
 
 
-def _make_rule(p, order):
-    lead = p.lead_word(order)
-    c = p.terms[lead]
-    rest = p - NcPoly.word(p.alphabet, p.field, lead, c)
-    rhs = (-rest).scale(p.field.one / c)
-    return RewriteRule(lead, rhs)
-
-
 def _reduce(p, rules, order):
     """Full normal form of p with respect to a rule list, in one top-down pass.
 
@@ -173,25 +168,6 @@ def _reduce(p, rules, order):
     return out
 
 
-def _interreduce(rules, order):
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rules)):
-            others = rules[:i] + rules[i + 1:]
-            p = _reduce(rules[i].poly(), others, order)
-            if p.is_zero():
-                rules = others
-                changed = True
-                break
-            newr = _make_rule(p, order)
-            if newr != rules[i]:
-                rules = others + [newr]
-                changed = True
-                break
-    return sorted(rules, key=lambda r: order.key(r.lead))
-
-
 def _overlaps(r1, r2, alphabet, cutoff):
     """Proper overlap ambiguities lead1 = A B, lead2 = B C (B nonempty).
 
@@ -205,6 +181,16 @@ def _overlaps(r1, r2, alphabet, cutoff):
             w = l1 + c
             if alphabet.degree(w) <= cutoff:
                 yield w, a, c
+
+
+def _pairs(new, old):
+    """Each ordered pair of rules with at least one of them in new, once."""
+    for r1 in new:
+        for r2 in old:
+            yield r1, r2
+            yield r2, r1
+        for r2 in new:
+            yield r1, r2
 
 
 def _spoly(rule1, rule2, a, c, alphabet, field):
@@ -225,7 +211,26 @@ def complete_truncated(relations, cutoff, order):
 
 
 def complete_truncated_over(relations, cutoff, order, field):
+    """The reduced Groebner basis of the relations, truncated at the cutoff.
+
+    Degree by degree, lowest first.  Relations are homogeneous and a proper
+    overlap has a degree above both of its rules, so when degree d is
+    reached every rule that feeds a degree-d S-polynomial is final: a new
+    degree-d lead neither divides an older lead nor occurs in an older rhs.
+    Degree d reduces its input relations and the S-polynomials of its queued
+    overlaps against the rules, once each, and takes the rref of the
+    results over their words in descending order.  Each rref row is then a
+    new rule, its pivot the lead with coefficient one, and the rows are
+    already reduced against one another and against the older leads.  Each
+    ordered pair of rules is queued once, when the later of the two is made.
+
+    The reduced Groebner basis is unique, so the rules do not depend on the
+    order of the work; they come out sorted by order.key of their leads,
+    because the degrees ascend and each degree's pivots are taken from the
+    smallest word up.
+    """
     alphabet = order.alphabet
+    pending = {}                   # degree -> polynomials still to resolve
     for rel in relations:
         if rel.is_zero():
             raise ValueError("zero relation")
@@ -235,39 +240,36 @@ def complete_truncated_over(relations, cutoff, order, field):
             raise ValueError("relations over mixed coefficient fields")
         if rel.degree() > cutoff:
             raise ValueError("cutoff smaller than a relation degree")
-    rules = _interreduce([_make_rule(r, order) for r in relations], order)
+        pending.setdefault(rel.degree(), []).append(rel)
 
-    while True:
-        # regenerate the ambiguity queue against the current rule set
-        pending = []
-        for r1 in rules:
-            for r2 in rules:
-                for w, a, c in _overlaps(r1, r2, alphabet, cutoff):
-                    pending.append((alphabet.degree(w), order.key(w), r1, r2, a, c))
-        pending.sort(key=lambda t: (t[0], t[1]))
-        new_rule = None
-        for _, _, r1, r2, a, c in pending:
-            s = _reduce(_spoly(r1, r2, a, c, alphabet, field), rules, order)
-            if not s.is_zero():
-                new_rule = _make_rule(s, order)
-                break
-        if new_rule is None:
-            break
-        rules = _interreduce(rules + [new_rule], order)
+    rules = []
+    while pending:
+        residues = [_reduce(p, rules, order) for p in pending.pop(min(pending))]
+        words = sorted({w for p in residues for w in p.terms}, key=order.key, reverse=True)
+        column = {w: j for j, w in enumerate(words)}
+        span = SpanTracker(len(words), field)
+        for p in residues:
+            span.add({column[w]: c for w, c in p.terms.items()})
+        new = []
+        for pivot in reversed(span.pivots):
+            row = span.rows[pivot]
+            rhs = NcPoly(alphabet, field, [(words[j], -row[j]) for j in sorted(row) if j != pivot])
+            new.append(RewriteRule(words[pivot], rhs))
+        for r1, r2 in _pairs(new, rules):
+            for w, a, c in _overlaps(r1, r2, alphabet, cutoff):
+                pending.setdefault(alphabet.degree(w), []).append(
+                    _spoly(r1, r2, a, c, alphabet, field))
+        rules.extend(new)
 
     return RewriteSystem(rules, cutoff, order, field)
 
 
 def confluence_audit(R):
     """All overlap ambiguities of degree <= cutoff must reduce to zero."""
-    for r1 in R.rules:
-        for r2 in R.rules:
-            for w, a, c in _overlaps(r1, r2, R.alphabet, R.cutoff):
-                s = _reduce(_spoly(r1, r2, a, c, R.alphabet, R.field),
-                            list(R.rules), R.order)
-                if not s.is_zero():
-                    return False
-    return True
+    rules = list(R.rules)
+    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), rules, R.order).is_zero()
+               for r1, r2 in _pairs(rules, [])
+               for w, a, c in _overlaps(r1, r2, R.alphabet, R.cutoff))
 
 
 def normal_form(p, R):

@@ -43,6 +43,23 @@ def test_algebra_gk():
     assert d["cutoff"] == 40 and d["window"] == [20, 40]
 
 
+FREE = "algebra F over Q { gens: x, y; rels: }"
+
+
+def test_algebra_free_gk_and_hilbert():
+    d = run_json("algebra", "gk", "--input", FREE, "-N", "10")
+    assert d == {"algebra": "F", "cutoff": 10,
+                 "dims": [2 ** n for n in range(11)],
+                 "filtration_dims": [2 ** (n + 1) - 1 for n in range(11)],
+                 "gk_estimate": "INFINITE", "low_confidence": False,
+                 "window": [5, 10]}
+    d = run_json("algebra", "hilbert", "--input", FREE, "-N", "10")
+    assert d == {"N": 10, "algebra": "F", "dims": [2 ** n for n in range(11)]}
+    d = run_json("algebra", "hilbert", "--input",
+                 "algebra F over Q { gens: x, y:3; rels: }", "-N", "10")
+    assert d == {"N": 10, "algebra": "F", "dims": [1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28]}
+
+
 def test_algebra_twist():
     d = run_json("algebra", "twist", "--input",
                  "algebra C over Q(q) { gens: x, y; rels: y*x - x*y; }",

@@ -195,6 +195,27 @@ def test_hom_dim_stable_identities():
         hom_dim_stable(Charge(2, 4), Charge(1, 0))
 
 
+def _hom_dim_by_slope(z1, z2):
+    """Reference rule: hom vanishes when z1 out-slopes z2, ext1 when z2 does."""
+    chi = euler_pairing(z1, z2)
+    if z1 == z2:
+        return (1, 1)
+    s1, s2 = Slope.of(z1), Slope.of(z2)
+    if s1 < s2:
+        return (chi, 0)
+    if s1 > s2:
+        return (0, -chi)
+    return (0, 0)
+
+
+def test_hom_dim_stable_matches_slope_rule():
+    stables = [z for z in all_charges(20, 20) if stable_p(z)]
+    assert len(stables) == 512
+    for z1 in stables:
+        for z2 in stables:
+            assert hom_dim_stable(z1, z2) == _hom_dim_by_slope(z1, z2), (z1, z2)
+
+
 def test_heart_membership_and_degree_two_vanishing():
     phi = QuadExt(-1, 1, 2, 5)
     shifted = SheafClass([Charge(2, 1)])      # slope 1/2 <= phi

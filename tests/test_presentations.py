@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncproj.dsl import parse_presentation
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.presentations import (AMBIGUOUS, NOT_APPLICABLE, ABSENT,
                                   AlgebraPresentation, build,
@@ -165,3 +166,16 @@ def test_resolution_shape_check():
     free = AlgebraPresentation("F3", QQ, ABC, [])
     assert not resolution_shape_check(free, 3, 2, 10)
     assert not resolution_shape_check(poly_plane(), 2, 3, 10)
+
+
+def test_build_free_algebra():
+    R = build(parse_presentation("algebra F over Q { gens: x, y; rels: }"), 10)
+    assert R.rules == ()
+    assert hilbert_function(R, 10) == [2 ** d for d in range(11)]
+
+
+def test_build_weighted_free_algebra():
+    R = build(parse_presentation("algebra F over Q { gens: x, y:3; rels: }"), 10)
+    assert R.rules == ()
+    # words in x (weight 1) and y (weight 3): a_d = a_{d-1} + a_{d-3}
+    assert hilbert_function(R, 10) == [1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28]

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
-from ncproj.rewriting import (INFINITE, CutoffExceededError, RewriteSystem,
-                              _make_rule, _reduce, complete_truncated,
+from ncproj import rewriting
+from ncproj.rewriting import (INFINITE, CutoffExceededError, RewriteRule,
+                              RewriteSystem, _overlaps, _reduce, _spoly,
+                              complete_truncated, complete_truncated_over,
                               confluence_audit, gk_estimate, hilbert_function,
                               ideal_member_truncated, normal_form,
                               normal_words)
@@ -226,6 +228,14 @@ def _random_poly(alphabet, field, rnd, max_degree):
     return NcPoly(alphabet, field, terms)
 
 
+def _make_rule(p, order):
+    """The rule lead -> rhs of p, with lead its largest word."""
+    lead = p.lead_word(order)
+    c = p.terms[lead]
+    rest = p - NcPoly.word(p.alphabet, p.field, lead, c)
+    return RewriteRule(lead, (-rest).scale(p.field.one / c))
+
+
 def _rule_lists(order, rels):
     raw = [_make_rule(r, order) for r in rels]
     yield "completed", list(complete_truncated(rels, 7, order).rules)
@@ -267,3 +277,117 @@ def test_quantum_plane_binomial_powers():
                                   RatFunc(UPoly([Fraction(c) for c in coeffs])))
                                  for k, coeffs in enumerate(_gaussian_binomials(n))])
         assert normal_form(power, R) == want, n
+
+
+def _interreduce(rules, order):
+    """Reference interreduction: rewrite one rule by the others, restart."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rules)):
+            others = rules[:i] + rules[i + 1:]
+            p = _reduce(rules[i].poly(), others, order)
+            if p.is_zero():
+                rules = others
+                changed = True
+                break
+            newr = _make_rule(p, order)
+            if newr != rules[i]:
+                rules = others + [newr]
+                changed = True
+                break
+    return sorted(rules, key=lambda r: order.key(r.lead))
+
+
+def _complete_restarting(relations, cutoff, order, field):
+    """Reference completion: after every new rule, rebuild and sort the whole
+    overlap queue, reduce it again from the lowest degree, and interreduce
+    every rule from scratch."""
+    alphabet = order.alphabet
+    rules = _interreduce([_make_rule(r, order) for r in relations], order)
+    while True:
+        pending = []
+        for r1 in rules:
+            for r2 in rules:
+                for w, a, c in _overlaps(r1, r2, alphabet, cutoff):
+                    pending.append((alphabet.degree(w), order.key(w), r1, r2, a, c))
+        pending.sort(key=lambda t: (t[0], t[1]))
+        new_rule = None
+        for _, _, r1, r2, a, c in pending:
+            s = _reduce(_spoly(r1, r2, a, c, alphabet, field), rules, order)
+            if not s.is_zero():
+                new_rule = _make_rule(s, order)
+                break
+        if new_rule is None:
+            break
+        rules = _interreduce(rules + [new_rule], order)
+    return RewriteSystem(rules, cutoff, order, field)
+
+
+def _completion_cases():
+    """name -> (order, relations, cutoff, field) for the completion test."""
+    x, y = gens(QQ)
+    qx, qy = gens(QQ_Q)
+    q = RatFunc.q()
+    xyz = Alphabet(["x", "y", "z"])
+    X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
+    qX, qY, qZ = (NcPoly.gen(xyz, QQ_Q, i) for i in range(3))
+    weighted = Alphabet(["x", "y", "z"], [1, 2, 3])
+    wx, wy, wz = (NcPoly.gen(weighted, QQ, i) for i in range(3))
+    heavy = Alphabet(["x", "y"], [1, 2])
+    hx, hy = (NcPoly.gen(heavy, QQ, i) for i in range(2))
+    c3 = [Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X]
+    return {
+        "plane": (ORD, [y * x - x * y], 10, QQ),
+        "quantum plane": (ORD, [qy * qx - (qx * qy).scale(q)], 10, QQ_Q),
+        "C3": (MonomialOrder(xyz), c3, 8, QQ),
+        "Sklyanin": (MonomialOrder(xyz), [Y * Z + 2 * Z * Y + 3 * X * X,
+                                          Z * X + 2 * X * Z + 3 * Y * Y,
+                                          X * Y + 2 * Y * X + 3 * Z * Z], 7, QQ),
+        "braid": (ORD, [x * y * x - y * x * y], 16, QQ),
+        "cyclic": (MonomialOrder(xyz), [qY * qZ - (qZ * qY).scale(q) + qX * qX,
+                                        qZ * qX - (qX * qZ).scale(q) + qY * qY,
+                                        qX * qY - (qY * qX).scale(q) + qZ * qZ], 6, QQ_Q),
+        "weighted": (MonomialOrder(weighted), [wy * wx - wx * wy, wz * wx - wx * wz], 10, QQ),
+        "weighted x:1 y:2": (MonomialOrder(heavy), [hy * hx - hx * hy - 2 * hx * hx * hx,
+                                                    hy * hy - hx * hy * hx + hx * hx * hy],
+                             10, QQ),
+        "cubic": (ORD, [y * x * x - x * x * y, y * y * x - x * y * y], 12, QQ),
+        "free": (ORD, [], 8, QQ),
+        "duplicated": (ORD, [y * x - x * y, y * x - x * y, (x * y - y * x).scale(QQ.coerce(3))],
+                       8, QQ),
+        "dependent": (MonomialOrder(xyz), c3 + [c3[0] + 2 * c3[1] - c3[2]], 7, QQ),
+        # the cubic is in the ideal of the quadric, the quartic is not
+        "mixed degree": (ORD, [y * x * x - x * x * y, y * y - x * y,
+                               x * x * x * y - y * x * y * x + x * x * x * x], 10, QQ),
+        "linear and quadratic": (MonomialOrder(xyz), [X - Z, Y * Y - X * Y, Z * Y * X], 7, QQ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_completion_cases()))
+def test_completion_matches_restarting_reference(name):
+    order, rels, cutoff, field = _completion_cases()[name]
+    got = complete_truncated_over(rels, cutoff, order, field)
+    want = _complete_restarting(rels, cutoff, order, field)
+    assert [(r.lead, r.rhs.terms) for r in got.rules] == \
+        [(r.lead, r.rhs.terms) for r in want.rules]
+    assert got.serialize() == want.serialize()
+    assert confluence_audit(got)
+
+
+def test_sklyanin_reduces_each_overlap_once(monkeypatch):
+    calls = []
+
+    def counting_spoly(*args):
+        calls.append(args)
+        return _spoly(*args)
+
+    monkeypatch.setattr(rewriting, "_spoly", counting_spoly)
+    xyz = Alphabet(["x", "y", "z"])
+    X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
+    R = complete_truncated([Y * Z + 2 * Z * Y + 3 * X * X, Z * X + 2 * X * Z + 3 * Y * Y,
+                            X * Y + 2 * Y * X + 3 * Z * Z], 9, MonomialOrder(xyz))
+    overlaps = sum(1 for r1 in R.rules for r2 in R.rules
+                   for _ in _overlaps(r1, r2, xyz, 9))
+    assert len(R.rules) == 26
+    assert len(calls) == overlaps == 126

@@ -20,7 +20,7 @@ from .coord_rings import (P1Automorphism, Section, gamma_multiply,
 from .dsl import (ParseError, parse_charge, parse_int_matrix, parse_multiset,
                   parse_presentation, parse_scalar_matrix, parse_theta,
                   parse_upoly)
-from .fields import QQ, QQ_Q
+from .fields import QQ, QQ_Q, FieldMismatchError
 from .heart import (EMPTY, Slope, euler_pairing, hn, hom_vanishes, mu_max,
                     mu_min, torsion_split)
 from .homology import (GradedModulePresentation, cd_estimate, gorenstein_check,
@@ -51,7 +51,7 @@ def _guard(fn):
         except ParseError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(2)
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
+        except (ValueError, ZeroDivisionError, OverflowError, FieldMismatchError) as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(1)
     return wrapper

@@ -4,7 +4,12 @@ Everything reduces to linear algebra over the coefficient field against
 normal-word bases: minimal free resolutions, graded Hom/Ext dimensions,
 AS-Gorenstein checks, chi-condition probes, and Proj cohomology through
 truncation colimits.  No spectral machinery; each graded piece is computed
-exactly and independently.
+exactly.
+
+Every product goes through the letter tables (rewriting.letter_table): a.v
+for a normal word a = x.a' is x times a'.v, so spans, kernels and Hom maps
+are built one degree at a time from the degrees below, each rank in the one
+SpanTracker.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .rewriting import CutoffExceededError, normal_form, normal_words
+from .rewriting import CutoffExceededError, letter_table, normal_form, normal_words
 from .words import NcPoly
 
 UNSTABLE = "UNSTABLE"
@@ -27,36 +32,15 @@ class AtLeast:
         return f"AT_LEAST({self.bound})"
 
 
-def _nf_word(R, w):
-    """Normal form of the word w as a tuple of (normal word, coefficient).
-
-    Cached on the rewrite system, which keeps one copy of each normal word
-    and of each coefficient (R.cache.interned).  A normal word is its own
-    normal form, and its key is that copy too.
-    """
-    cache = R.cache
-    hit = cache.word_nf.get(w)
-    if hit is None:
-        intern = cache.interned.setdefault
-        terms = normal_form(NcPoly.word(R.alphabet, R.field, w), R).terms
-        hit = tuple((intern(u, u), intern(c, c)) for u, c in terms.items())
-        cache.word_nf[intern(w, w) if w in terms else w] = hit
-    return hit
-
-
-def _add_word_nf(v, index, R, i, w, s):
-    """v += s * (normal form of w in summand i), v sparse over index."""
-    for u, c in _nf_word(R, w):
-        k = index[(i, u)]
-        x = v.get(k)
-        if x is None:
-            v[k] = c * s
-        else:
-            x = x + c * s
-            if x:
-                v[k] = x
-            else:
-                del v[k]
+def _apply(images, v, one):
+    """The sparse sum of s * images[c] over the entries c: s of v, where
+    images[c] lists (coordinate, coefficient) pairs; one is never multiplied."""
+    out = {}
+    for c, s in v.items():
+        for t, a in images[c]:
+            y = s if a is one else s * a
+            out[t] = out[t] + y if t in out else y
+    return {t: y for t, y in out.items() if y}
 
 
 def _evaluation_kernel(images, field):
@@ -75,30 +59,37 @@ def _evaluation_kernel(images, field):
     return span.kernel()
 
 
-def _minimal_generators(degrees, field, candidates, multiples):
-    """Minimal generators, degree by degree, in ascending degrees.
+def _minimal_generators(degrees, field, candidates, grow):
+    """Minimal generators, degree by degree, over a range of degrees.
 
-    candidates(d) returns (ncols, vectors, make): the length of the
-    degree-d vectors, the degree-d candidate vectors (sparse) and make(k),
-    the generator that vectors[k] stands for.  multiples(g, e, d) lists the
-    degree-d vectors of the multiples of a generator g kept in degree e.  A
-    candidate is kept when it is outside the span of those multiples and of
-    the candidates kept before it.  Returns the kept (degree, generator)
-    pairs.
+    candidates(d) returns (ncols, total, find): the length of the degree-d
+    vectors, the dimension of the degree-d part of the whole submodule when
+    known up front (else None), and find() -> (vectors, make): the sparse
+    degree-d candidates and make(k), the generator vectors[k] stands for.
+    grow(spans, d) lists degree-d vectors spanning what the spans of the
+    degrees done so far generate in degree d.  A candidate is kept when it
+    is outside that and the candidates kept before it.  A span of dimension
+    total is the whole degree-d part: growing stops, and find is not called.
+    Returns the kept (degree, generator) pairs and the spans.
     """
     gens = []
+    spans = {}
     for d in degrees:
-        ncols, vectors, make = candidates(d)
-        if not vectors:
-            continue
+        ncols, total, find = candidates(d)
         span = linalg.SpanTracker(ncols, field)
-        for e, g in gens:
-            for v in multiples(g, e, d):
-                span.add(v)
-        for k, v in enumerate(vectors):
-            if span.add(v):
-                gens.append((d, make(k)))
-    return gens
+        for v in grow(spans, d):
+            if span.dim() == total:
+                break
+            span.add(v)
+        if span.dim() != total:
+            vectors, make = find()
+            for k, v in enumerate(vectors):
+                if span.add(v):
+                    gens.append((d, make(k)))
+                    if span.dim() == total:
+                        break
+        spans[d] = span
+    return gens, spans
 
 
 class GradedModulePresentation:
@@ -127,6 +118,7 @@ class GradedModulePresentation:
                 self.rows.append((degs.pop(), row))
         self._slice_cache = {}
         self._span_cache = {}
+        self._letter_cache = {}
 
     # -- canonical constructors --------------------------------------------
 
@@ -158,18 +150,20 @@ class GradedModulePresentation:
 
         Relations are the minimal generators of the kernel of the evaluation
         onto the ideal, computed up to rel_bound (a truncation surrogate;
-        defaults to n + 3).
+        defaults to n + 3).  Cached on the rewrite system.
         """
         if rel_bound is None:
             rel_bound = n + 3
-        alphabet, fld = R.alphabet, R.field
-        gens = normal_words(R, n)
-        shifts = [n] * len(gens)
-        ev_rows = [[NcPoly.word(alphabet, fld, w)] for w in gens]
-        target = GradedModulePresentation.free(R, [0])
-        kernel_rows = _kernel_generators(R, shifts, ev_rows, target, rel_bound)
-        return GradedModulePresentation(R, shifts, [r for _, r in kernel_rows],
-                                        name=f"A>={n}")
+        hit = R.cache.truncations.get((n, rel_bound))
+        if hit is None:
+            shifts = [n] * len(normal_words(R, n))
+            ev_rows = [[NcPoly.word(R.alphabet, R.field, w)] for w in normal_words(R, n)]
+            kernel_rows, _ = _kernel_generators(
+                R, shifts, ev_rows, GradedModulePresentation.free(R, [0]), rel_bound,
+                lambda d: len(normal_words(R, d)) if d >= n else 0)
+            hit = R.cache.truncations[(n, rel_bound)] = GradedModulePresentation(
+                R, shifts, [r for _, r in kernel_rows], name=f"A>={n}")
+        return hit
 
     # -- graded slices ------------------------------------------------------
 
@@ -192,35 +186,50 @@ class GradedModulePresentation:
         return {index[(i, w)]: c for i, p in enumerate(vec_polys)
                 for w, c in p.terms.items()}
 
-    def _multiples(self, row, e, d):
-        """Sparse degree-d coordinates of a . row for every normal word a of degree d - e.
+    def _letter_map(self, x, d):
+        """Multiplication by the letter x from cover degree d to d + w(x): per
+        column, the letter table entry of its word, offset to its summand."""
+        hit = self._letter_cache.get((x, d))
+        if hit is None:
+            R = self.ambient
+            e = d + R.alphabet.weights[x]
+            hit = []
+            offset = 0                 # the summand's first column in degree e
+            for l in self.shifts:
+                if d >= l:
+                    hit.extend(tuple((offset + k, a) for k, a in entry)
+                               for entry in letter_table(R, x, d - l))
+                if e >= l:
+                    offset += len(normal_words(R, e - l))
+            self._letter_cache[(x, d)] = hit
+        return hit
 
-        row is a degree-e cover vector, one NcPoly per summand; the products
-        go through the cached normal forms of single words.
-        """
-        R = self.ambient
-        index = self._slice(d)[1]
-        out = []
-        for a in normal_words(R, d - e):
-            v = {}
-            for i, p in enumerate(row):
-                for w, c in p.terms.items():
-                    _add_word_nf(v, index, R, i, a + w, c)
-            out.append(v)
-        return out
+    def _grow(self, spans, d):
+        """x . row for every letter x and every rref row of spans[d - w(x)]:
+        they span the degree-d part of the submodule the spans generate."""
+        one = self.ambient.field.one
+        for x, wx in enumerate(self.ambient.alphabet.weights):
+            span = spans.get(d - wx)
+            if span is not None:
+                images = self._letter_map(x, d - wx)
+                for row in span.rows.values():
+                    yield _apply(images, row, one)
 
     def submodule_span(self, d):
-        """Row space of the relation submodule in internal degree d."""
-        hit = self._span_cache.get(d)
-        if hit is not None:
-            return hit
-        span = linalg.SpanTracker(len(self.free_basis(d)), self.ambient.field)
-        for D, row in self.rows:
-            if D <= d:
-                for v in self._multiples(row, D, d):
-                    span.add(v)
-        self._span_cache[d] = span
-        return span
+        """Row space of the relation submodule in internal degree d, filled
+        degree by degree: the letters times the spans below, plus the rows."""
+        spans = self._span_cache
+        if d not in spans:
+            for e in range(min([D for D, _ in self.rows if D < d], default=d), d + 1):
+                if e not in spans:
+                    span = linalg.SpanTracker(len(self.free_basis(e)), self.ambient.field)
+                    for v in self._grow(spans, e):
+                        span.add(v)
+                    for D, row in self.rows:
+                        if D == e:
+                            span.add(self._expand(row, e))
+                    spans[e] = span
+        return spans[d]
 
     def dim(self, d):
         if d < min(self.shifts, default=0):
@@ -242,20 +251,26 @@ class GradedModulePresentation:
         """A sparse free-cover representative of quotient coordinates."""
         return {c: x for c, x in zip(self._free_columns(d), coords) if x}
 
+    def _times(self, poly, v, d):
+        """poly . v for a sparse degree-d cover vector v: each word of poly
+        acts through the letter maps, one letter at a time from the right."""
+        R = self.ambient
+        out = {}
+        for w, c in poly.terms.items():
+            u, e = v, d
+            for x in reversed(w):
+                u = _apply(self._letter_map(x, e), u, R.field.one)
+                e += R.alphabet.weights[x]
+            for t, y in u.items():
+                out[t] = out[t] + y * c if t in out else y * c
+        return out
+
     def act(self, poly, coords, d):
         """Left action of a homogeneous algebra element on a quotient element."""
-        R = self.ambient
         if poly.is_zero():
-            return [R.field.zero] * self.dim(d)
-        e = d + poly.degree()
-        basis = self.free_basis(d)
-        index = self._slice(e)[1]
-        v = {}
-        for k, x in self.lift_coords(coords, d).items():
-            i, w = basis[k]
-            for pw, pc in poly.terms.items():
-                _add_word_nf(v, index, R, i, pw + w, pc * x)
-        return self.quotient_coords(v, e)
+            return [self.ambient.field.zero] * self.dim(d)
+        return self.quotient_coords(self._times(poly, self.lift_coords(coords, d), d),
+                                    d + poly.degree())
 
     def __repr__(self):
         return f"Module({self.name or self.shifts}, {len(self.rows)} rows)"
@@ -274,24 +289,42 @@ def _vector_to_row(vec, dom_basis, dom_shifts, R):
     return [NcPoly(R.alphabet, R.field, t) for t in terms]
 
 
-def _kernel_generators(R, dom_shifts, rows, codomain, N):
+def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
     """Minimal generators (degree, row) of ker(free(dom_shifts) -> codomain cover).
 
-    The map sends e_j to rows[j] regarded inside the codomain free cover;
-    generators are collected degree by degree up to N.
+    The map sends e_j to rows[j] in the codomain free cover, and rank(d) is
+    the dimension of its image in degree d.  Generators are collected degree
+    by degree up to N and returned with the spans of the kernel.  The image
+    of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x) degrees below;
+    a kernel basis is computed only where the lower generators fall short.
     """
     domain = GradedModulePresentation.free(R, dom_shifts)
+    weights = R.alphabet.weights
+    images = {}                # degree -> the images of the domain basis
 
     def candidates(d):
         # the domain basis lists (j, a) by j, then by the normal words a
-        images = [v for j, l in enumerate(dom_shifts) if l <= d
-                  for v in codomain._multiples(rows[j], l, d)]
-        kernel = _evaluation_kernel(images, R.field)
-        return len(images), kernel, lambda k: _vector_to_row(
-            kernel[k], domain.free_basis(d), dom_shifts, R)
+        out = []
+        for j, l in enumerate(dom_shifts):
+            if l == d:
+                out.append(codomain._expand(rows[j], d))
+            elif l < d:
+                for a in normal_words(R, d - l):
+                    e = d - weights[a[0]]
+                    below = images[e][domain._slice(e)[1][(j, a[1:])]]
+                    out.append(_apply(codomain._letter_map(a[0], e), below, R.field.one))
+        images[d] = out
+        images.pop(d - max(weights), None)
+
+        def find():
+            kernel = _evaluation_kernel(out, R.field)
+            return kernel, lambda k: _vector_to_row(
+                kernel[k], domain.free_basis(d), dom_shifts, R)
+
+        return len(out), len(out) - rank(d), find
 
     return _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
-                               candidates, domain._multiples)
+                               candidates, domain._grow)
 
 
 @dataclass
@@ -327,43 +360,38 @@ def minimal_resolution(module, p_max, N):
     diffs = []
     shifts = list(module.shifts)
     gens = _minimize_rows(module, N)
-    terminated = False
-    length = None
-    for hom_deg in range(1, p_max + 1):
-        if not gens:
-            terminated = True
-            length = hom_deg - 1
-            break
+    # the image of each differential is the kernel found one step before
+    rank = lambda d: module.submodule_span(d).dim()
+    while gens and len(betti) <= p_max:
         betti.append(sorted(D for D, _ in gens))
         diffs.append([row for _, row in gens])
         new_shifts = [D for D, _ in gens]
-        codomain = GradedModulePresentation.free(R, shifts)
-        if hom_deg < p_max:
-            gens = _kernel_generators(R, new_shifts, [r for _, r in gens], codomain, N)
+        if len(betti) <= p_max:
+            gens, spans = _kernel_generators(R, new_shifts, [r for _, r in gens],
+                                             GradedModulePresentation.free(R, shifts), N, rank)
+            rank = lambda d, spans=spans: spans[d].dim() if d in spans else 0
         else:
             gens = None
         shifts = new_shifts
-    if not terminated and gens == []:
-        terminated = True
-        length = p_max
-    minimal = _minimality_audit(diffs)
-    return ResolutionReport(betti, diffs, (p_max, N), minimal, terminated,
-                            length if terminated else AtLeast(p_max))
+    terminated = gens == []
+    return ResolutionReport(betti, diffs, (p_max, N), _minimality_audit(diffs), terminated,
+                            len(betti) - 1 if terminated else AtLeast(p_max))
 
 
 def _minimize_rows(module, N):
     """Minimal generators of the relation submodule of a presentation."""
     by_degree = {}
     for D, row in module.rows:
-        by_degree.setdefault(D, []).append(row)
+        if D <= N:
+            by_degree.setdefault(D, []).append(row)
 
     def candidates(d):
-        rows = by_degree[d]
-        return (len(module.free_basis(d)), [module._expand(row, d) for row in rows],
-                rows.__getitem__)
+        rows = by_degree.get(d, [])
+        return len(module.free_basis(d)), None, lambda: (
+            [module._expand(row, d) for row in rows], rows.__getitem__)
 
-    return _minimal_generators([d for d in sorted(by_degree) if d <= N],
-                               module.ambient.field, candidates, module._multiples)
+    return _minimal_generators(range(min(by_degree, default=0), max(by_degree, default=-1) + 1),
+                               module.ambient.field, candidates, module._grow)[0]
 
 
 def _minimality_audit(diffs):
@@ -381,6 +409,31 @@ def global_dimension(R, p_max, N):
 # graded Hom and Ext
 # ---------------------------------------------------------------------------
 
+def _hom_rank(P, shifts, rows, d):
+    """Rank of Hom(F, P[d]) -> Hom(G, P[d]), the precomposition with rows.
+
+    F = ⊕_i A(-shifts[i]); G has one summand A(-D) for each (D, row) in
+    rows, sent to row.  Sending e_i to one quotient basis element of
+    P_{shifts[i]+d} gives, over all rows, the sparse vector of the images
+    row[i] . element side by side in the slices P_{D+d}.
+    """
+    one = P.ambient.field.one
+    offsets, ncols = [], 0
+    for D, _ in rows:
+        offsets.append(ncols)
+        ncols += P.dim(D + d)
+    span = linalg.SpanTracker(ncols, P.ambient.field)
+    for i, l in enumerate(shifts):
+        for c in P._free_columns(l + d):
+            v = {}
+            for offset, (D, row) in zip(offsets, rows):
+                if row[i]:
+                    image = P.quotient_coords(P._times(row[i], {c: one}, l + d), D + d)
+                    v.update((offset + t, x) for t, x in enumerate(image) if x)
+            span.add(v)
+    return span.dim()
+
+
 def graded_hom_dim(M, P, d):
     """dim of degree-0 module maps M -> P[d].
 
@@ -389,82 +442,27 @@ def graded_hom_dim(M, P, d):
     """
     if M.ambient is not P.ambient and M.ambient != P.ambient:
         raise ValueError("modules over different ambient systems")
-    R = M.ambient
-    fld = R.field
-    gen_dims = [P.dim(l + d) for l in M.shifts]
-    offsets = [0]
-    for g in gen_dims:
-        offsets.append(offsets[-1] + g)
-    nvars = offsets[-1]
+    nvars = sum(P.dim(l + d) for l in M.shifts)
     if nvars == 0:
         return 0
-    constraints = []
-    for D, row in M.rows:
-        target_dim = P.dim(D + d)
-        block = [[fld.zero] * nvars for _ in range(target_dim)]
-        for i, p in enumerate(row):
-            if p.is_zero() or gen_dims[i] == 0:
-                continue
-            src = M.shifts[i] + d
-            for k in range(gen_dims[i]):
-                unit = [fld.one if t == k else fld.zero for t in range(gen_dims[i])]
-                img = P.act(p, unit, src)
-                for t in range(target_dim):
-                    block[t][offsets[i] + k] = block[t][offsets[i] + k] + img[t]
-        constraints.extend(block)
-    if not constraints:
-        return nvars
-    return nvars - linalg.rank(constraints, fld)
+    return nvars - _hom_rank(P, M.shifts, M.rows, d)
 
 
 def _ext_dims_from_resolution(rep, M, d, i):
-    """dim Ext^i at twist d, from a minimal free resolution of length >= i+1."""
-    R = M.ambient
-    fld = R.field
+    """dim Ext^i at twist d, from a minimal free resolution of length >= i+1.
 
-    def delta_matrix(step):
-        """Matrix of Hom(P^{step-1}, M[d]) -> Hom(P^step, M[d])."""
-        dom_shifts = rep.betti[step - 1]
-        cod_shifts = rep.betti[step]
-        rows = rep.differentials[step - 1]
-        dom_dims = [M.dim(l + d) for l in dom_shifts]
-        cod_dims = [M.dim(l + d) for l in cod_shifts]
-        dom_off = [0]
-        for g in dom_dims:
-            dom_off.append(dom_off[-1] + g)
-        cod_off = [0]
-        for g in cod_dims:
-            cod_off.append(cod_off[-1] + g)
-        mat = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
-        for jj, row in enumerate(rows):
-            for ii, p in enumerate(row):
-                if p.is_zero() or dom_dims[ii] == 0:
-                    continue
-                src = dom_shifts[ii] + d
-                for k in range(dom_dims[ii]):
-                    unit = [fld.one if t == k else fld.zero
-                            for t in range(dom_dims[ii])]
-                    img = M.act(p, unit, src)
-                    for t in range(len(img)):
-                        mat[cod_off[jj] + t][dom_off[ii] + k] = \
-                            mat[cod_off[jj] + t][dom_off[ii] + k] + img[t]
-        return mat, dom_off[-1], cod_off[-1]
-
-    hom_i = sum(M.dim(l + d) for l in rep.betti[i]) if i < len(rep.betti) else 0
+    The homology at Hom(P^i, M[d]) of the complex Hom(P^., M[d]); the
+    differential P^{i+1} -> P^i has the rows rep.differentials[i], of
+    degrees rep.betti[i+1].
+    """
+    betti, diffs = rep.betti, rep.differentials
+    hom_i = sum(M.dim(l + d) for l in betti[i]) if i < len(betti) else 0
     if hom_i == 0:
         return 0
-    if i + 1 < len(rep.betti):
-        mat_out, _, _ = delta_matrix(i + 1)
-        r_out = linalg.rank(mat_out, fld) if mat_out else 0
-        ker_dim = hom_i - r_out
-    else:
-        ker_dim = hom_i
-    if i >= 1:
-        mat_in, _, _ = delta_matrix(i)
-        r_in = linalg.rank(mat_in, fld) if mat_in else 0
-    else:
-        r_in = 0
-    return ker_dim - r_in
+    r_out = _hom_rank(M, betti[i], list(zip(betti[i + 1], diffs[i])), d) \
+        if i + 1 < len(betti) else 0
+    r_in = _hom_rank(M, betti[i - 1], list(zip(betti[i], diffs[i - 1])), d) if i >= 1 else 0
+    return hom_i - r_out - r_in
 
 
 def ext_k_A(R, i, N, p_max=None):

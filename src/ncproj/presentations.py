@@ -132,17 +132,22 @@ def twist(p, sigma, N, s_max=None):
         kernel = _evaluation_kernel(
             [{index[u]: c for u, c in _twisted_eval(w, R, sigma_powers).terms.items()}
              for w in words], fld)
-        return len(words), kernel, lambda k: NcPoly(
-            p.alphabet, fld, [(words[j], c) for j, c in sorted(kernel[k].items())])
+        # the kernel is an ideal: it contains all that lower relations generate
+        return len(words), len(kernel), lambda: (kernel, lambda k: NcPoly(
+            p.alphabet, fld, [(words[j], c) for j, c in sorted(kernel[k].items())]))
 
-    def multiples(rel, e, s):
-        # the two-sided multiples left * rel * right with left, right words
+    def grow(spans, s):
+        # the ideal is two-sided: x * row and row * x for the rows below
         index = {w: i for i, w in enumerate(normal_words(free, s))}
-        return [{index[a[:cut] + w + a[cut:]]: c for w, c in rel.terms.items()}
-                for a in normal_words(free, s - e) for cut in range(len(a) + 1)]
+        for x, wx in enumerate(p.alphabet.weights):
+            if s - wx in spans:
+                words = normal_words(free, s - wx)
+                for row in spans[s - wx].rows.values():
+                    yield {index[(x,) + words[k]]: c for k, c in row.items()}
+                    yield {index[words[k] + (x,)]: c for k, c in row.items()}
 
     relations = [g for _, g in _minimal_generators(range(2, s_max + 1), fld,
-                                                   candidates, multiples)]
+                                                   candidates, grow)[0]]
     return AlgebraPresentation(f"{p.name}_twist", fld, p.alphabet, relations, p.order)
 
 

@@ -217,7 +217,7 @@ def fixing_matrix(theta):
     while g.trace() <= 2:
         g = g * g
     if mobius_act(g, theta) != theta:
-        raise AssertionError("fixing-matrix construction failed to fix theta")
+        raise ValueError("fixing-matrix construction failed to fix theta")
     return g
 
 

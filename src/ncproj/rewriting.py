@@ -77,22 +77,23 @@ class RewriteCache:
     """What a rewrite system derives from its fixed rules, filled on first use.
 
     words[d], states[d]: the sorted degree-d normal words and the automaton
-    state each one ends in; dims: the longest Hilbert function computed;
-    word_nf: word -> its normal form as a tuple of (normal word,
-    coefficient) pairs; interned: the one copy of each normal word and of
-    each coefficient that word_nf holds, keyed by itself; resolutions: n ->
-    (p_max, minimal resolution of A/A_{>=n}).  word_nf, interned and
-    resolutions are kept by the homology layer.
+    state each one ends in; position[d]: normal word -> its index in
+    words[d]; dims: the longest Hilbert function computed; letters[(x, d)]:
+    the letter table of x in degree d (see letter_table), the structure
+    constants of A in the normal-word basis.  resolutions: n -> (p_max,
+    minimal resolution of A/A_{>=n}) and truncations: (n, rel_bound) ->
+    the presentation of A_{>=n} are kept by the homology layer.
     """
 
     def __init__(self, rules, nletters):
         self.automaton = NormalWordAutomaton([r.lead for r in rules], nletters)
         self.words = [[()]]
         self.states = [[0]]
+        self.position = {}
         self.dims = []
-        self.word_nf = {}
-        self.interned = {}
+        self.letters = {}
         self.resolutions = {}
+        self.truncations = {}
 
 
 class RewriteSystem:
@@ -310,6 +311,36 @@ def normal_words(R, d):
         cache.words.append([w for w, _ in found])
         cache.states.append([t for _, t in found])
     return cache.words[d]
+
+
+def letter_table(R, x, d):
+    """Multiplication by the letter x from A_d to A_{d+w(x)}, normal-word bases.
+
+    Entry k is the normal form of x.u, u = normal_words(R, d)[k], as a tuple
+    of (index in normal_words(R, d + w(x)), coefficient) pairs.  As u is
+    normal, a rule lead in x.u can only start at x: either x.u is a normal
+    word, with the field's one as its coefficient, or one normal_form call
+    reduces it.  The normal form of any word a.u is then a chain of table
+    lookups, one letter of a at a time from the right.
+    """
+    cache = R.cache
+    table = cache.letters.get((x, d))
+    if table is None:
+        e = d + R.alphabet.weights[x]
+        position = cache.position.get(e)
+        if position is None:
+            position = cache.position[e] = {w: k for k, w in enumerate(normal_words(R, e))}
+        one = R.field.one
+        table = []
+        for u in normal_words(R, d):
+            k = position.get((x,) + u)
+            if k is not None:
+                table.append(((k, one),))
+            else:
+                nf = normal_form(NcPoly.word(R.alphabet, R.field, (x,) + u), R)
+                table.append(tuple((position[v], c) for v, c in nf.terms.items()))
+        cache.letters[(x, d)] = table
+    return table
 
 
 def hilbert_function(R, N):

@@ -224,3 +224,25 @@ def test_json_keys_sorted():
     res = run("rm", "fix", "--theta", "(-1+1*sqrt(5))/2")
     d = json.loads(res.output)
     assert list(d) == sorted(d)
+
+
+def test_exit_code_field_mismatch_and_failed_fixing_matrix(monkeypatch):
+    import ncproj.cli
+    import ncproj.real_mult
+    from ncproj.fields import FieldMismatchError
+
+    def mismatch(theta):
+        raise FieldMismatchError("cannot mix 2 with Q(q) scalar")
+
+    monkeypatch.setattr(ncproj.cli, "fixing_matrix", mismatch)
+    res = run("rm", "fix", "--theta", "sqrt(2)")
+    assert res.exit_code == 1
+    assert res.stderr == "error: cannot mix 2 with Q(q) scalar\n"
+    monkeypatch.undo()
+
+    # the final check of fixing_matrix fails when the action is wrong
+    monkeypatch.setattr(ncproj.real_mult, "mobius_act", lambda g, theta: theta + 1)
+    res = run("rm", "fix", "--theta", "sqrt(2)")
+    assert res.exit_code == 1
+    assert res.stderr == "error: fixing-matrix construction failed to fix theta\n"
+    assert "Traceback" not in res.output

@@ -8,7 +8,9 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
                              proj_cohomology, _stabilize)
-from ncproj.rewriting import RewriteSystem, complete_truncated
+from ncproj.dsl import parse_presentation
+from ncproj.presentations import build
+from ncproj.rewriting import RewriteSystem, complete_truncated, normal_words
 from ncproj.words import Alphabet, MonomialOrder, NcPoly
 
 AB1 = Alphabet(["x"])
@@ -169,20 +171,49 @@ def test_cd_estimate_plane():
     assert cd_estimate(R, 2, range(-3, 2), 8) == 1
 
 
-def test_word_nf_cache_keeps_one_copy_of_each_word():
+def test_letter_tables_hold_each_normal_word_once():
     R = quantum_plane(17)
     A = GradedModulePresentation.algebra(R)
     assert proj_cohomology(R, A, 0, 1, 4).stabilized_dim == 2
     assert proj_cohomology(R, A, 1, -2, 5).stabilized_dim == 1
-    cache = R.cache.word_nf
-    assert cache
+    cache = R.cache
+    assert cache.letters
+    for (x, d), table in cache.letters.items():
+        # one entry per normal word u of degree d, in the order of the basis,
+        # holding indices of normal words of degree d + 1 and no word itself
+        assert len(table) == len(normal_words(R, d))
+        for entry in table:
+            assert type(entry) is tuple and entry
+            for k, c in entry:
+                assert type(k) is int and 0 <= k < len(normal_words(R, d + 1))
+                assert c and not isinstance(c, tuple)
+    # each normal word is one object, kept by its degree's basis and
+    # shared by the index of that basis
     stored = {}
-    for pairs in cache.values():
-        assert type(pairs) is tuple and not isinstance(pairs, NcPoly)
-        for u, c in pairs:
-            assert type(u) is tuple and not isinstance(c, NcPoly)
-            assert stored.setdefault(u, u) is u
-    # a normal word is its own normal form, keyed by the stored copy
-    for key, pairs in cache.items():
-        if key in stored:
-            assert key is stored[key] and pairs == ((key, QQ_Q.one),)
+    for words in cache.words:
+        for w in words:
+            assert stored.setdefault(w, w) is w
+    for d, position in cache.position.items():
+        assert len(position) == len(cache.words[d])
+        for w, k in position.items():
+            assert cache.words[d][k] is w
+
+
+@pytest.mark.parametrize("text, cutoff, gldim, ell", [
+    ("algebra C3 over Q { gens: x, y, z; rels: y*z - z*y; z*x - x*z; x*y - y*x; }",
+     7, 3, 3),
+    ("algebra QP over Q(q) { gens: x, y; rels: y*x - q*x*y; }", 8, 2, 2),
+    ("algebra S over Q { gens: x, y, z; "
+     "rels: y*z + 2*z*y + 3*x*x; z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }", 6, 3, 3),
+    ("algebra Cu over Q { gens: x, y; rels: y*x*x - x*x*y; y*y*x - x*y*y; }", 8, 3, 4),
+    ("algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }", 8, 2, 3),
+])
+def test_as_regular_betti_tables_are_symmetric(text, cutoff, gldim, ell):
+    """The resolution of k over an AS-regular algebra is self-dual: the
+    shifts of betti[i] are ell minus those of betti[gldim - i]."""
+    R = build(parse_presentation(text), cutoff)
+    rep = minimal_resolution(GradedModulePresentation.trivial(R), gldim + 1, cutoff)
+    assert rep.terminated and rep.length == gldim
+    assert rep.betti[gldim] == [ell]
+    for i in range(gldim + 1):
+        assert rep.betti[i] == sorted(ell - s for s in rep.betti[gldim - i])

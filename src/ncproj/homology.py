@@ -158,9 +158,14 @@ class GradedModulePresentation:
         if hit is None:
             shifts = [n] * len(normal_words(R, n))
             ev_rows = [[NcPoly.word(R.alphabet, R.field, w)] for w in normal_words(R, n)]
+            # the image A_{d-n}.A_n is all of A_d when every word of degree
+            # d >= n has a suffix of degree n: for n = 0, or when the letters
+            # share one weight dividing n; otherwise its rank is not known
+            weights = set(R.alphabet.weights)
+            onto = n == 0 or (len(weights) == 1 and n % weights.pop() == 0)
             kernel_rows, _ = _kernel_generators(
                 R, shifts, ev_rows, GradedModulePresentation.free(R, [0]), rel_bound,
-                lambda d: len(normal_words(R, d)) if d >= n else 0)
+                lambda d: 0 if d < n else len(normal_words(R, d)) if onto else None)
             hit = R.cache.truncations[(n, rel_bound)] = GradedModulePresentation(
                 R, shifts, [r for _, r in kernel_rows], name=f"A>={n}")
         return hit
@@ -247,10 +252,6 @@ class GradedModulePresentation:
         zero = self.ambient.field.zero
         return [res.get(c, zero) for c in self._free_columns(d)]
 
-    def lift_coords(self, coords, d):
-        """A sparse free-cover representative of quotient coordinates."""
-        return {c: x for c, x in zip(self._free_columns(d), coords) if x}
-
     def _times(self, poly, v, d):
         """poly . v for a sparse degree-d cover vector v: each word of poly
         acts through the letter maps, one letter at a time from the right."""
@@ -264,13 +265,6 @@ class GradedModulePresentation:
             for t, y in u.items():
                 out[t] = out[t] + y * c if t in out else y * c
         return out
-
-    def act(self, poly, coords, d):
-        """Left action of a homogeneous algebra element on a quotient element."""
-        if poly.is_zero():
-            return [self.ambient.field.zero] * self.dim(d)
-        return self.quotient_coords(self._times(poly, self.lift_coords(coords, d), d),
-                                    d + poly.degree())
 
     def __repr__(self):
         return f"Module({self.name or self.shifts}, {len(self.rows)} rows)"
@@ -293,8 +287,9 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
     """Minimal generators (degree, row) of ker(free(dom_shifts) -> codomain cover).
 
     The map sends e_j to rows[j] in the codomain free cover, and rank(d) is
-    the dimension of its image in degree d.  Generators are collected degree
-    by degree up to N and returned with the spans of the kernel.  The image
+    the dimension of its image in degree d, or None when not known.
+    Generators are collected degree by degree up to N and returned with the
+    spans of the kernel.  The image
     of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x) degrees below;
     a kernel basis is computed only where the lower generators fall short.
     """
@@ -321,7 +316,8 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
             return kernel, lambda k: _vector_to_row(
                 kernel[k], domain.free_basis(d), dom_shifts, R)
 
-        return len(out), len(out) - rank(d), find
+        r = rank(d)
+        return len(out), None if r is None else len(out) - r, find
 
     return _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
                                candidates, domain._grow)

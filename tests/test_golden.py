@@ -29,6 +29,8 @@ SKLYANIN = ("algebra S over Q { gens: x, y, z; "
             "rels: y*z + 2*z*y + 3*x*x; z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }")
 CUBIC = "algebra Cu over Q { gens: x, y; rels: y*x*x - x*x*y; y*y*x - x*y*y; }"
 WEIGHTED = "algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }"
+# A_{d-1}.A_1 is not all of A_d here: the word y has no suffix of degree 1
+WEIGHTED3 = "algebra T over Q { gens: x, z, y:2; rels: z*x - x*z; x*y; }"
 DUAL = "algebra D over Q { gens: x; rels: x*x; }"
 FREE = "algebra F over Q { gens: x, y; rels: }"
 
@@ -41,6 +43,7 @@ CASES = [
     ["proj", "cohomology", "--input", QP, "-j", "1", "-d", "-2", "--nmax", "4"],
     ["proj", "cohomology", "--input", C3, "-j", "0", "-d", "1", "--nmax", "3"],
     ["proj", "cohomology", "--input", WEIGHTED, "-j", "0", "-d", "2", "--nmax", "4"],
+    ["proj", "cohomology", "--input", WEIGHTED3, "-j", "0", "-d", "1", "--nmax", "3"],
     ["proj", "cohomology", "--input", DUAL, "-j", "1", "-d", "-1", "--nmax", "3"],
     ["proj", "cohomology", "--input", C3, "-j", "2", "-d", "-3", "--nmax", "3"],
     ["proj", "cohomology", "--input", PLANE, "-j", "1", "-d", "-4", "--nmax", "7"],

@@ -112,3 +112,42 @@ def test_spans_degree_by_degree_match_word_by_word(name):
             got, want = M.submodule_span(d), span_word_by_word(M, d)
             assert got.pivots == want.pivots, (M, d)
             assert got.rows == want.rows, (M, d)
+
+
+def kernel_span_word_by_word(R, n, d):
+    """The degree-d kernel of the evaluation of A(-n)^{A_n} onto A_{>=n},
+    every image a.w expanded through normal_form."""
+    T = GradedModulePresentation.truncation(R, n)
+    gens = normal_words(R, n)
+    index = {w: k for k, w in enumerate(normal_words(R, d))}
+    rows = {}
+    for k, (j, a) in enumerate(T.free_basis(d)):
+        image = normal_form(NcPoly.word(R.alphabet, R.field, a + gens[j]), R)
+        for w, c in image.terms.items():
+            rows.setdefault(index[w], {})[k] = c
+    image_span = SpanTracker(len(T.free_basis(d)), R.field)
+    for row in rows.values():
+        image_span.add(row)
+    span = SpanTracker(len(T.free_basis(d)), R.field)
+    for v in image_span.kernel():
+        span.add(v)
+    return span
+
+
+# with letters of weights 1, 1, 2 the image A_{d-1}.A_1 is not all of A_d:
+# the word y has no suffix of degree 1
+TRUNCATED = dict(ALGEBRAS, **{
+    "weighted C3": "algebra T over Q { gens: x, z, y:2; rels: z*x - x*z; y*x - x*y; y*z - z*y; }",
+    "weighted x, z, y:2": "algebra T over Q { gens: x, z, y:2; rels: z*x - x*z; x*y; }",
+})
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED))
+def test_truncation_relations_span_the_evaluation_kernel(name):
+    R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
+    for n in (1, 2):
+        T = GradedModulePresentation.truncation(R, n)
+        for d in range(n, n + 4):           # the relations reach degree n + 3
+            got, want = T.submodule_span(d), kernel_span_word_by_word(R, n, d)
+            assert got.pivots == want.pivots, (n, d)
+            assert got.rows == want.rows, (n, d)

@@ -4,6 +4,8 @@ Every scalar used anywhere in the package is one of
 
 * ``fractions.Fraction`` -- the field Q,
 * ``RatFunc``            -- the field Q(q) of univariate rational functions,
+  normalized as q^e n(q)/d(q), so a monomial c q^e carries no coefficient
+  list and general gcds run as primitive remainder sequences over Z[q],
 * ``QuadExt``            -- a real quadratic field Q(sqrt(D)).
 
 All three support ``+ - * /``, equality and ``bool`` (nonzero test), so the
@@ -134,17 +136,22 @@ class UPoly:
                 rem[k + i] = rem[k + i] - c * b
         return UPoly(quo), UPoly(rem)
 
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        return UPoly(tuple(c / lead for c in self.coeffs))
-
     def gcd(self, other):
-        a, b = self, other
-        while b.coeffs:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        """Monic gcd over Q of two polynomials with rational coefficients.
+
+        A primitive remainder sequence over Z[q] (Collins 1967; Brown and
+        Traub 1971): both sides are cleared of denominators and contents,
+        and every pseudo-remainder is divided by its content, so the
+        integers grow no further than the gcd needs, where Euclid over Q
+        swells.  The last nonzero remainder is made monic over Q.
+        """
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        if not a:
+            return UPoly()
+        lead = a[-1]
+        return UPoly(tuple(Fraction(c, lead) for c in a))
 
     def eval(self, x):
         acc = x * 0
@@ -174,9 +181,46 @@ class UPoly:
 
 
 # ---------------------------------------------------------------------------
+# Z[q]: the integer remainder sequence behind UPoly.gcd
+# ---------------------------------------------------------------------------
+
+def _primitive(cs):
+    """The primitive integer coefficient list proportional to the rational
+    (or integer) coefficients cs, low degree first."""
+    if not cs:
+        return []
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    return ints if g == 1 else [c // g for c in ints]
+
+
+def _pseudo_remainder(a, b):
+    """A remainder of a by b != 0 over Z[q] up to a nonzero integer factor:
+    each leading term of a is cancelled by an integer combination with a
+    shift of b, the two multipliers divided by their gcd."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        lr = r[-1]
+        g = math.gcd(lr, lb)
+        s, t = lb // g, lr // g
+        k = len(r) - 1 - db
+        if s != 1:
+            r = [s * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= t * c
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+# ---------------------------------------------------------------------------
 # Q(q): rational functions
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
 _QONE = UPoly((Fraction(1),))
 
 
@@ -185,71 +229,114 @@ def _valuation(p):
     return next(i for i, c in enumerate(p.coeffs) if c)
 
 
+def _shifted(p, k):
+    """q^k p, for k >= 0."""
+    return UPoly((_ZERO,) * k + p.coeffs) if k else p
+
+
 def _as_qpoly(x):
     if isinstance(x, UPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
+        if all(type(c) is Fraction for c in x.coeffs):
+            return x
+        if all(isinstance(c, (int, Fraction)) for c in x.coeffs):
+            return UPoly(tuple(Fraction(c) for c in x.coeffs))
+    elif isinstance(x, (int, Fraction)):
         return UPoly.const(Fraction(x))
     raise FieldMismatchError(f"cannot coerce {x!r} into Q[q]")
 
 
-class RatFunc:
-    """Element of Q(q), stored as a reduced fraction with monic denominator."""
+def _cancel(num, den):
+    """num and den divided by their monic gcd, which is taken only when both
+    have positive degree."""
+    if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+        g = num.gcd(den)
+        if len(g.coeffs) > 1:
+            return num.divmod(g)[0], den.divmod(g)[0]
+    return num, den
 
-    __slots__ = ("num", "den")
+
+def _normal(e, num, den):
+    """(e', n, d) with q^e num/den = q^e' n/d in RatFunc's normal form, for
+    nonzero polynomials num and den over Q that are coprime but for powers
+    of q: the valuations go into e', and d is made monic."""
+    vn, vd = _valuation(num), _valuation(den)
+    if vn:
+        num = UPoly(num.coeffs[vn:])
+    if vd:
+        den = UPoly(den.coeffs[vd:])
+    lead = den.coeffs[-1]
+    if lead != 1:
+        num = num.scale(1 / lead)
+        den = den.scale(1 / lead)
+    return (e + vn - vd, num.coeffs[0] if len(num.coeffs) == 1 else num,
+            None if len(den.coeffs) == 1 else den)
+
+
+class RatFunc:
+    """Element of Q(q), normalized as q^e n(q)/d(q).
+
+    e is an integer, n(0) != 0 != d(0), n and d are coprime and d is monic;
+    zero is e = 0, n = 0.  A constant n is kept as its Fraction and any
+    other n as a UPoly; d is None when it is 1, else a UPoly.  A monomial
+    c q^e is thus the pair (c, e) with no coefficient list: the product or
+    quotient of two monomials, and the sum of two with one exponent, is one
+    Fraction operation.  Otherwise gcds are taken only where factors can
+    cancel, each by the remainder sequence over Z[q] of UPoly.gcd.  `num`
+    and `den` give the reduced fraction as dense polynomials, the
+    denominator monic.
+    """
+
+    __slots__ = ("e", "n", "d")
 
     def __init__(self, num, den=None):
+        if den is None and isinstance(num, (int, Fraction)):
+            self.e, self.n, self.d = 0, Fraction(num), None
+            return
         num = _as_qpoly(num)
         den = _QONE if den is None else _as_qpoly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in Q(q)")
         if num.is_zero():
-            self.num = num
-            self.den = _QONE
-            return
-        # a constant denominator needs no gcd
-        if den.degree() == 0:
-            c = den.coeffs[0]
-            self.num = num if c == 1 else num.scale(1 / c)
-            self.den = _QONE
-            return
-        vn, vd = _valuation(num), _valuation(den)
-        if vn == num.degree() or vd == den.degree():
-            # a monomial (a constant, say) over or under anything: the gcd
-            # is q^min(vn, vd), which is stripped instead of divided out
-            s = min(vn, vd)
-            if s:
-                num = UPoly(num.coeffs[s:])
-                den = UPoly(den.coeffs[s:])
+            self.e, self.n, self.d = 0, _ZERO, None
         else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+            self.e, self.n, self.d = _normal(0, *_cancel(num, den))
 
     @staticmethod
-    def _raw(num, den):
-        """Trusted constructor: num/den already reduced with monic den."""
+    def _raw(e, n, d):
+        """Trusted constructor: (e, n, d) already in normal form."""
         out = RatFunc.__new__(RatFunc)
-        out.num = num
-        out.den = den
+        out.e = e
+        out.n = n
+        out.d = d
         return out
 
     @staticmethod
     def q():
         return RatFunc(UPoly.var())
 
+    @property
+    def num(self):
+        """The numerator of the reduced fraction: q^e n, or n when e < 0."""
+        n = self.n if self.n.__class__ is UPoly else UPoly.const(self.n)
+        return _shifted(n, self.e) if self.e > 0 else n
+
+    @property
+    def den(self):
+        """The monic denominator of the reduced fraction: d, or q^-e d when e < 0."""
+        d = _QONE if self.d is None else self.d
+        return _shifted(d, -self.e) if self.e < 0 else d
+
+    def _polys(self):
+        """(e, n, d) with n and d as polynomials."""
+        n = self.n
+        return (self.e, n if n.__class__ is UPoly else UPoly((n,)),
+                _QONE if self.d is None else self.d)
+
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.n
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -259,75 +346,129 @@ class RatFunc:
         raise FieldMismatchError(f"cannot mix {other!r} with Q(q) scalar")
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except FieldMismatchError:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if other.__class__ is not RatFunc:
+            try:
+                other = self._coerce(other)
+            except FieldMismatchError:
+                return NotImplemented
+        return self.e == other.e and self.n == other.n and self.d == other.d
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.den == other.den:
-            if len(self.den.coeffs) == 1:
-                return RatFunc._raw(self.num + other.num, _QONE)
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if other.__class__ is not RatFunc:
+            other = self._coerce(other)
+        a, b = self.n, other.n
+        if (self.e == other.e and self.d is None and other.d is None
+                and a.__class__ is Fraction and b.__class__ is Fraction):
+            c = a + b
+            return RatFunc._raw(self.e if c else 0, c, None)
+        if not a:
+            return other
+        if not b:
+            return self
+        e1, n1, d1 = self._polys()
+        e2, n2, d2 = other._polys()
+        e = min(e1, e2)
+        n1, n2 = _shifted(n1, e1 - e), _shifted(n2, e2 - e)
+        if d1 == d2:
+            num, den = _cancel(n1 + n2, d1)
+        else:
+            # over the lcm of d1 and d2, only g = gcd(d1, d2) can share a
+            # factor with the numerator (Henrici; Knuth, TAOCP vol. 2, 4.5.1)
+            g = d1.gcd(d2) if len(d1.coeffs) > 1 and len(d2.coeffs) > 1 else _QONE
+            if len(g.coeffs) == 1:
+                num, den = n1 * d2 + n2 * d1, d1 * d2
+            else:
+                c1, c2 = d1.divmod(g)[0], d2.divmod(g)[0]
+                num, g = _cancel(n1 * c2 + n2 * c1, g)
+                den = c1 * c2 * g
+        if not num:
+            return RatFunc._raw(0, _ZERO, None)
+        return RatFunc._raw(*_normal(e, num, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return RatFunc._raw(self.e, -self.n, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if self.den == other.den:
-            if len(self.den.coeffs) == 1:
-                return RatFunc._raw(self.num - other.num, _QONE)
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        if other.__class__ is not RatFunc:
+            other = self._coerce(other)
+        a, b = self.n, other.n
+        if (self.e == other.e and self.d is None and other.d is None
+                and a.__class__ is Fraction and b.__class__ is Fraction):
+            c = a - b
+            return RatFunc._raw(self.e if c else 0, c, None)
+        return self + -other
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int) and other == 0:
-            return RatFunc(UPoly())
-        other = self._coerce(other)
-        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
-            return RatFunc._raw(self.num * other.num, _QONE)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if other.__class__ is not RatFunc:
+            other = self._coerce(other)
+        a, b = self, other
+        if b.d is None and b.n.__class__ is Fraction:
+            a, b = b, a
+        c = a.n
+        if a.d is None and c.__class__ is Fraction:
+            # c q^e times anything: scale its numerator, add the exponents
+            n = b.n
+            if not c or not n:
+                return RatFunc._raw(0, _ZERO, None)
+            return RatFunc._raw(a.e + b.e, n * c if c != 1 else n, b.d)
+        e1, n1, d1 = a._polys()
+        e2, n2, d2 = b._polys()
+        # n1/d1 and n2/d2 are reduced: only the crosswise pairs can cancel
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return RatFunc._raw(*_normal(e1 + e2, n1 * n2, d1 * d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.num.is_zero():
+        if other.__class__ is not RatFunc:
+            other = self._coerce(other)
+        c = other.n
+        if not c:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        if other.d is None and c.__class__ is Fraction:
+            n = self.n
+            if not n:
+                return self
+            return RatFunc._raw(self.e - other.e, n / c if n.__class__ is Fraction
+                                else n if c == 1 else n.scale(1 / c), self.d)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def inverse(self):
-        return RatFunc(self.den, self.num)
+        n, d = self.n, self.d
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(q)")
+        if n.__class__ is Fraction:
+            inv = 1 / n
+            return RatFunc._raw(-self.e, inv if d is None else d.scale(inv), None)
+        inv = 1 / n.coeffs[-1]
+        return RatFunc._raw(-self.e, inv if d is None else d.scale(inv), n.scale(inv))
 
     def is_composite(self):
-        """True when rendering needs parentheses as a coefficient."""
-        if self.den.degree() > 0:
-            return True
-        return sum(1 for c in self.num.coeffs if c) > 1
+        """True when rendering needs parentheses as a coefficient: the
+        denominator has positive degree or the numerator two terms."""
+        return self.d is not None or self.e < 0 or self.n.__class__ is UPoly
 
     def __str__(self):
-        if self.den.degree() == 0:
-            return self.num.render()
-        n = self.num.render()
-        d = self.den.render()
-        if sum(1 for c in self.num.coeffs if c) > 1:
+        num, den = self.num, self.den
+        if den.degree() == 0:
+            return num.render()
+        n = num.render()
+        d = den.render()
+        if sum(1 for c in num.coeffs if c) > 1:
             n = f"({n})"
-        if sum(1 for c in self.den.coeffs if c) > 1:
+        if sum(1 for c in den.coeffs if c) > 1:
             d = f"({d})"
         return f"{n}/{d}"
 

@@ -109,7 +109,7 @@ class GradedModulePresentation:
         self.name = name
         self.rows = []
         for row in rows:
-            row = [normal_form(p, ambient) for p in row]
+            row = [p if p.is_zero() else normal_form(p, ambient) for p in row]
             degs = {p.degree() + self.shifts[i]
                     for i, p in enumerate(row) if not p.is_zero()}
             if len(degs) > 1:
@@ -119,6 +119,15 @@ class GradedModulePresentation:
         self._slice_cache = {}
         self._span_cache = {}
         self._letter_cache = {}
+
+    @staticmethod
+    def _from_normal_rows(R, shifts, rows, name):
+        """A presentation whose rows are given as (degree, row) pairs that are
+        already homogeneous and in normal form, as rows built from normal
+        words are: no normal form is taken again."""
+        module = GradedModulePresentation(R, shifts, [], name=name)
+        module.rows = rows
+        return module
 
     # -- canonical constructors --------------------------------------------
 
@@ -141,8 +150,8 @@ class GradedModulePresentation:
     def quotient_truncation(R, n):
         """A/A_{>=n}, presented by the degree-n normal words."""
         alphabet, fld = R.alphabet, R.field
-        rows = [[NcPoly.word(alphabet, fld, w)] for w in normal_words(R, n)]
-        return GradedModulePresentation(R, [0], rows, name=f"A/A>={n}")
+        rows = [(n, [NcPoly.word(alphabet, fld, w)]) for w in normal_words(R, n)]
+        return GradedModulePresentation._from_normal_rows(R, [0], rows, f"A/A>={n}")
 
     @staticmethod
     def truncation(R, n, rel_bound=None):
@@ -166,8 +175,8 @@ class GradedModulePresentation:
             kernel_rows, _ = _kernel_generators(
                 R, shifts, ev_rows, GradedModulePresentation.free(R, [0]), rel_bound,
                 lambda d: 0 if d < n else len(normal_words(R, d)) if onto else None)
-            hit = R.cache.truncations[(n, rel_bound)] = GradedModulePresentation(
-                R, shifts, [r for _, r in kernel_rows], name=f"A>={n}")
+            hit = R.cache.truncations[(n, rel_bound)] = \
+                GradedModulePresentation._from_normal_rows(R, shifts, kernel_rows, f"A>={n}")
         return hit
 
     # -- graded slices ------------------------------------------------------
@@ -352,15 +361,19 @@ def minimal_resolution(module, p_max, N):
     R = module.ambient
     if N > R.cutoff:
         raise CutoffExceededError(f"internal degree bound {N} exceeds cutoff {R.cutoff}")
-    betti = [sorted(module.shifts)]
-    diffs = []
     shifts = list(module.shifts)
+    # betti[0] lists the summands of P^0 by shift, so the columns of the
+    # first differential are put in that order
+    order = sorted(range(len(shifts)), key=shifts.__getitem__)
+    betti = [[shifts[i] for i in order]]
+    diffs = []
     gens = _minimize_rows(module, N)
     # the image of each differential is the kernel found one step before
     rank = lambda d: module.submodule_span(d).dim()
     while gens and len(betti) <= p_max:
         betti.append(sorted(D for D, _ in gens))
-        diffs.append([row for _, row in gens])
+        rows = [row for _, row in gens]
+        diffs.append(rows if diffs else [[row[i] for i in order] for row in rows])
         new_shifts = [D for D, _ in gens]
         if len(betti) <= p_max:
             gens, spans = _kernel_generators(R, new_shifts, [r for _, r in gens],

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncproj.dsl import parse_upoly
 from ncproj.fields import (QQ, QQ_Q, FieldMismatchError, QuadExt, RatFunc,
@@ -72,15 +73,207 @@ def test_ratfunc_normalization():
     # denominator kept monic: 1/(2x) == (1/2)/x
     assert RatFunc(UPoly((Fraction(1),)), UPoly([Fraction(0), Fraction(2)])) == \
         RatFunc(UPoly((Fraction(1, 2),)), UPoly([Fraction(0), Fraction(1)]))
+    # integer coefficients are read as rationals, never divided as floats
+    r = RatFunc(UPoly((1, 3)), UPoly((2,)))
+    assert str(r) == "3/2*q + 1/2"
+    assert r == RatFunc(UPoly((Fraction(1, 2), Fraction(3, 2))))
 
 
 def gcd_normalized(num, den):
     """(num, den) divided by their gcd, the denominator made monic."""
-    g = num.gcd(den)
+    g = euclid_gcd(num, den)
     if g.degree() > 0:
         num, den = num.divmod(g)[0], den.divmod(g)[0]
     lead = den.coeffs[-1]
     return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def euclid_gcd(a, b):
+    """Euclid's remainder sequence over Q, made monic: the reference for the
+    remainder sequence over Z[q] in UPoly.gcd."""
+    while b.coeffs:
+        a, b = b, a.divmod(b)[1]
+    if not a.coeffs:
+        return a
+    lead = a.coeffs[-1]
+    return UPoly(tuple(c / lead for c in a.coeffs))
+
+
+class RefRatFunc:
+    """Q(q) as a reduced fraction num/den of dense polynomials with a monic
+    denominator, reduced by Euclid's gcd over Q: the representation that
+    q^e n/d replaced, kept as the reference for RatFunc."""
+
+    def __init__(self, num, den=None):
+        num = num if isinstance(num, UPoly) else UPoly.const(Fraction(num))
+        den = UPoly((Fraction(1),)) if den is None else den
+        if den.is_zero():
+            raise ZeroDivisionError
+        if num.is_zero():
+            den = UPoly((Fraction(1),))
+        else:
+            g = euclid_gcd(num, den)
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        lead = den.coeffs[-1]
+        self.num, self.den = num.scale(1 / lead), den.scale(1 / lead)
+
+    def _coerce(self, other):
+        return other if isinstance(other, RefRatFunc) else RefRatFunc(other)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return RefRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefRatFunc(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return RefRatFunc(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other.num.is_zero():
+            raise ZeroDivisionError
+        return RefRatFunc(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def inverse(self):
+        return RefRatFunc(self.den, self.num)
+
+    def is_composite(self):
+        return self.den.degree() > 0 or sum(1 for c in self.num.coeffs if c) > 1
+
+    def __str__(self):
+        if self.den.degree() == 0:
+            return self.num.render()
+        n, d = self.num.render(), self.den.render()
+        if sum(1 for c in self.num.coeffs if c) > 1:
+            n = f"({n})"
+        if sum(1 for c in self.den.coeffs if c) > 1:
+            d = f"({d})"
+        return f"{n}/{d}"
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+nonzero_small_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def qpolys(draw, max_degree=3, nonzero=False):
+    """Q[q] polynomials with some zero coefficients, low ones included."""
+    cs = draw(st.lists(st.one_of(st.just(Fraction(0)), small_rationals),
+                       max_size=max_degree + 1))
+    p = UPoly(cs)
+    if nonzero and p.is_zero():
+        p = UPoly([Fraction(0)] * draw(st.integers(0, max_degree))
+                  + [draw(nonzero_small_rationals)])
+    return p
+
+
+@st.composite
+def qq_pairs(draw):
+    """(num, den) of a Q(q) scalar: zero, c q^k (k in [-3, 3]), a polynomial
+    or a general fraction, whose sides may share a factor."""
+    kind = draw(st.sampled_from(["zero", "monomial", "monomial", "poly", "fraction"]))
+    one = UPoly((Fraction(1),))
+    if kind == "zero":
+        return UPoly(), one
+    if kind == "monomial":
+        c, k = draw(nonzero_small_rationals), draw(st.integers(-3, 3))
+        q_k = UPoly([Fraction(0)] * abs(k) + [Fraction(1)])
+        return (UPoly((c,)) * q_k, one) if k >= 0 else (UPoly((c,)), q_k)
+    num = draw(qpolys())
+    if kind == "poly":
+        return num, one
+    shared = draw(qpolys(max_degree=2, nonzero=True))
+    return num * shared, draw(qpolys(nonzero=True)) * shared
+
+
+def assert_same(new, ref):
+    """A RatFunc and a RefRatFunc agree on everything visible."""
+    assert (new.num, new.den) == (ref.num, ref.den)
+    assert new.den.coeffs[-1] == 1
+    assert str(new) == str(ref)
+    assert repr(new) == f"RatFunc({ref})"
+    assert hash(new) == hash(ref)
+    assert new.is_composite() == ref.is_composite()
+    assert bool(new) == bool(ref.num)
+    # q^e n/d with n(0) != 0 != d(0), d monic, zero only as e = 0, n = 0
+    if new.d is not None:
+        assert new.d.degree() > 0 and new.d.coeffs[0] and new.d.coeffs[-1] == 1
+    if isinstance(new.n, UPoly):
+        assert new.n.degree() > 0 and new.n.coeffs[0]
+    elif not new.n:
+        assert (new.e, new.d) == (0, None)
+    assert new == RatFunc(ref.num, ref.den)
+    assert hash(new) == hash(RatFunc(ref.num, ref.den))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(qq_pairs(), qq_pairs(), st.integers(-3, 3))
+def test_ratfunc_matches_reference(a, b, k):
+    """+, -, *, / (both orders, with ints as well), ==, hash, str,
+    is_composite, num and den of RatFunc against the dense reference."""
+    x, y = RatFunc(*a), RatFunc(*b)
+    rx, ry = RefRatFunc(*a), RefRatFunc(*b)
+    assert_same(x, rx)
+    assert_same(y, ry)
+    assert (x == y) == (rx == ry)
+    assert (x == k) == (rx == k)
+    for new, ref in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                     (-x, -rx), (x + k, rx + k), (k - x, k - rx), (x * k, rx * k),
+                     (x - x, rx - rx), (x + -x, rx + -rx), (x * y + -(y * x), rx * ry - ry * rx),
+                     (x + y - y, rx), (x * y - y * x, rx * ry - ry * rx)):
+        assert_same(new, ref)
+    if y:
+        assert_same(x / y, rx / ry)
+        assert_same(y.inverse(), ry.inverse())
+        assert_same(x / y * y, rx)
+    if k:
+        assert_same(x / k, rx / k)
+    if x:
+        assert_same(k / x, k / rx)
+
+
+def test_ratfunc_cancellation_is_zero():
+    """Sums that cancel are the zero of RatFunc(0), exponent and hash too."""
+    q, zero = RatFunc.q(), RatFunc(0)
+    for z in (q - q, 2 * q * q.inverse() - 2, q * q / q - q, (q + 1) / (q - 1) - (q + 1) / (q - 1),
+              -q + q, q / (q * q + 1) - q / (q * q + 1), RatFunc(UPoly()) * q):
+        assert z == zero and hash(z) == hash(zero) and not z
+        assert (z.e, z.n, z.d) == (0, 0, None)
+        assert str(z) == "0"
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(qpolys(max_degree=4), qpolys(max_degree=4), qpolys(max_degree=3, nonzero=True))
+def test_upoly_gcd_matches_euclid(f, g, h):
+    """The Z[q] remainder sequence and Euclid over Q give one monic gcd."""
+    for a, b in ((f, g), (f * h, g * h), (g * h, f * h)):
+        want = euclid_gcd(a, b)
+        assert a.gcd(b) == want
+        if not want.is_zero():
+            assert a.gcd(b).coeffs[-1] == 1
 
 
 def rand_nonzero_fraction():

@@ -7,7 +7,8 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate, chi_probe, ext_k_A,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
-                             proj_cohomology, _stabilize)
+                             proj_cohomology, _ext_dims_from_resolution,
+                             _stabilize)
 from ncproj.dsl import parse_presentation
 from ncproj.presentations import build
 from ncproj.rewriting import RewriteSystem, complete_truncated, normal_words
@@ -91,6 +92,23 @@ def test_graded_hom_dims():
     M = GradedModulePresentation(R, [0], [[x]], name="A/x")
     assert graded_hom_dim(M, M, 0) >= 1
     assert [M.dim(d) for d in range(4)] == [1, 1, 1, 1]
+
+
+def test_ext0_does_not_depend_on_the_order_of_summands():
+    """A/(x) + A(-1) over the plane, given with shifts [0, 1] and [1, 0]:
+    Ext^0 into A from the resolution is Hom into A, whose dims are those of
+    A_{d+1}, 2, 3, 4 in degrees 0-2; betti[0] and the columns of the first
+    differential list the summands in one order."""
+    R = plane()
+    A = GradedModulePresentation.algebra(R)
+    x, zero = NcPoly.gen(AB2, QQ, 0), NcPoly.zero(AB2, QQ)
+    for shifts, row in (([0, 1], [x, zero]), ([1, 0], [zero, x])):
+        M = GradedModulePresentation(R, shifts, [row])
+        rep = minimal_resolution(M, 2, 6)
+        assert rep.betti == [[0, 1], [1]] and rep.terminated
+        assert rep.differentials[0] == [[x, zero]]
+        assert [_ext_dims_from_resolution(rep, A, d, 0) for d in range(3)] == \
+            [graded_hom_dim(M, A, d) for d in range(3)] == [2, 3, 4]
 
 
 def test_ext_of_trivial_module():

@@ -1,6 +1,7 @@
 """Exact generic linear algebra over field tags."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -249,3 +250,41 @@ def test_rank_matches_sympy_over_Q(A):
     sympy = pytest.importorskip("sympy")
     M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in A])
     assert linalg.rank(A, QQ) == M.rank()
+
+
+def pinned_monomial_matrix():
+    """11 x 12 over Q(q): 50 cells c q^k, c = +-(1..9)/(1..6), k in [-2, 2]."""
+    pick = random.Random(1)
+    A = [[QQ_Q.zero] * 12 for _ in range(11)]
+    for i, j in pick.sample([(i, j) for i in range(11) for j in range(12)], 50):
+        c = Fraction(pick.choice([-1, 1]) * pick.randint(1, 9), pick.randint(1, 6))
+        k = pick.randint(-2, 2)
+        q_k = UPoly([Fraction(0)] * abs(k) + [Fraction(1)])
+        A[i][j] = RatFunc(UPoly((c,)) * q_k) if k >= 0 else RatFunc(UPoly((c,)), q_k)
+    return A
+
+
+def at(x, q0):
+    return x.num(Fraction(q0)) / x.den(Fraction(q0))
+
+
+def test_rref_over_qq_without_coefficient_swell():
+    """The rref of a pinned random monomial matrix over Q(q) takes general
+    gcds; with Euclid over Q they swelled past a minute.  At integers q0 where
+    the rref is defined and the rank does not drop, it specializes to the
+    rref over Q of the matrix at q0."""
+    A = pinned_monomial_matrix()
+    start = time.perf_counter()
+    red, pivots = linalg.rref(A, QQ_Q)
+    assert time.perf_counter() - start < 10
+    checked = 0
+    for q0 in range(2, 40):
+        if any(not x.den(Fraction(q0)) for row in red for x in row):
+            continue
+        A0 = [[at(x, q0) for x in row] for row in A]
+        red0, pivots0 = dense_rref(A0, QQ)
+        if len(pivots0) != len(pivots):
+            continue
+        assert ([[at(x, q0) for x in row] for row in red], pivots) == (red0, pivots0), q0
+        checked += 1
+    assert checked >= 3

@@ -2,8 +2,7 @@
 
 One command per process; reports go to standard output (JSON with sorted
 keys, or an aligned table), diagnostics to standard error.  Exit codes:
-0 ok, 1 domain error, 2 usage or parse error.  Setting NCPROJ_COLOR=0
-disables ANSI styling (none is emitted in any case).
+0 ok, 1 domain error, 2 usage or parse error.
 """
 
 from __future__ import annotations

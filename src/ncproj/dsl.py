@@ -6,13 +6,15 @@ The presentation grammar is
 
 whitespace-insensitive, weights defaulting to 1, expressions over
 ``+ - * / ^ ( )`` with integer and fraction literals (and the parameter q
-over Q(q)).  Parse errors carry a (line, column) span.  The same tokenizer
-backs the theta, charge, multiset and matrix literals used on the command
-line.
+over Q(q)).  Parse errors carry a (line, column) span.  The same expression
+grammar reads scalars (over the empty alphabet) and section polynomials
+(over the one-letter alphabet of their variable); the same tokenizer backs
+the theta, charge, multiset and matrix literals used on the command line.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import UPoly, QuadExt, field_by_name, RatFunc
@@ -123,13 +125,36 @@ class TokenStream:
         raise ParseError(message, t.line, t.col)
 
 
+def _parse_all(text, rule, what):
+    """rule(ts) over the tokens of text, which must end where rule stops.
+
+    Nesting deeper than the interpreter's recursion limit is a parse error
+    at the token where the descent stopped, not a traceback.
+    """
+    ts = TokenStream(tokenize(text))
+    try:
+        value = rule(ts)
+    except RecursionError:
+        t = ts.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col) from None
+    ts.expect("EOF", what)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # presentation DSL
 # ---------------------------------------------------------------------------
 
 def parse_presentation(text):
     """Parse the presentation DSL into an AlgebraPresentation."""
-    ts = TokenStream(tokenize(text))
+    name, field, alphabet, relations = _parse_all(text, _presentation, "end of input")
+    try:
+        return AlgebraPresentation(name, field, alphabet, relations)
+    except ValueError as e:
+        raise ParseError(str(e), 1, 1)
+
+
+def _presentation(ts):
     ts.expect_name("algebra")
     name = ts.expect("NAME", "an algebra name").text
     ts.expect_name("over")
@@ -161,11 +186,7 @@ def parse_presentation(text):
         ts.expect(";", "';' after a relation")
         relations.append(rel)
     ts.expect("}")
-    ts.expect("EOF", "end of input")
-    try:
-        return AlgebraPresentation(name, field, alphabet, relations)
-    except ValueError as e:
-        raise ParseError(str(e), 1, 1)
+    return name, field, alphabet, relations
 
 
 def _parse_field(ts):
@@ -204,11 +225,9 @@ def _parse_term(ts, alphabet, field):
 
 
 def _invert_constant(ts, p):
-    if list(p.terms.keys()) != [()]:
+    if list(p.terms) != [()]:
         ts.error("division is only defined by nonzero scalars")
-    c = p.terms[()]
-    inv = 1 / c if isinstance(c, Fraction) else c.inverse()
-    return NcPoly(p.alphabet, p.field, [((), inv)])
+    return NcPoly(p.alphabet, p.field, [((), p.field.one / p.terms[()])])
 
 
 def _parse_factor(ts, alphabet, field):
@@ -253,25 +272,35 @@ def _parse_atom(ts, alphabet, field):
 
 def parse_scalar(text, field):
     """A single coefficient (rational, or rational function of q over Q(q))."""
-    empty = Alphabet([])
-    ts = TokenStream(tokenize(text))
-    p = _parse_expr(ts, empty, field)
-    ts.expect("EOF", "end of the scalar")
-    if p.is_zero():
-        return field.zero
-    return p.terms[()]
+    p = _parse_all(text, lambda ts: _parse_expr(ts, Alphabet([]), field),
+                   "end of the scalar")
+    return p.terms.get((), field.zero)
+
+
+def parse_upoly(text, field, var="u"):
+    """Polynomial in one commuting variable, used for section literals.
+
+    One grammar reads algebras, scalars and sections: this is the
+    presentation's expression grammar over the one-letter alphabet {var}.
+    Its words var^k commute, so the coefficient of var^k is the coefficient
+    of the word of length k.
+    """
+    p = _parse_all(text, lambda ts: _parse_expr(ts, Alphabet([var]), field),
+                   "end of the polynomial")
+    coeffs = [field.zero] * (max(map(len, p.terms), default=-1) + 1)
+    for w, c in p.terms.items():
+        coeffs[len(w)] = c
+    return UPoly(coeffs)
 
 
 def parse_theta(text):
     """Exact theta literal: a rational, or an expression in sqrt(D).
 
     Examples: ``3/4``, ``sqrt(2)``, ``(-1+1*sqrt(5))/2``.  Returns a
-    Fraction for rational input and a QuadraticFieldElement otherwise.
+    Fraction for rational input and a QuadExt otherwise; a Fraction meets a
+    QuadExt through the QuadExt's reflected operators, which coerce it.
     """
-    ts = TokenStream(tokenize(text))
-    v = _theta_expr(ts)
-    ts.expect("EOF", "end of the theta literal")
-    return v
+    return _parse_all(text, _theta_expr, "end of the theta literal")
 
 
 def _theta_expr(ts):
@@ -279,7 +308,7 @@ def _theta_expr(ts):
     while ts.peek().kind in ("+", "-"):
         op = ts.next().kind
         rhs = _theta_term(ts)
-        acc = _theta_add(acc, rhs) if op == "+" else _theta_add(acc, _theta_neg(rhs))
+        acc = acc + rhs if op == "+" else acc - rhs
     return acc
 
 
@@ -288,7 +317,12 @@ def _theta_term(ts):
     while ts.peek().kind in ("*", "/"):
         op = ts.next().kind
         rhs = _theta_factor(ts)
-        acc = _theta_mul(acc, rhs) if op == "*" else _theta_div(ts, acc, rhs)
+        if op == "*":
+            acc = acc * rhs
+        elif not rhs:
+            ts.error("division by zero in theta literal")
+        else:
+            acc = acc / rhs
     return acc
 
 
@@ -296,7 +330,7 @@ def _theta_factor(ts):
     t = ts.peek()
     if t.kind == "-":
         ts.next()
-        return _theta_neg(_theta_factor(ts))
+        return -_theta_factor(ts)
     if t.kind == "INT":
         ts.next()
         return Fraction(int(t.text))
@@ -316,114 +350,13 @@ def _theta_factor(ts):
     ts.error("expected a number, sqrt(D), or a parenthesized expression")
 
 
-def _theta_pair(a, b):
-    """Coerce a Fraction/QuadExt pair into a common exact type."""
-    if isinstance(a, QuadExt) and not isinstance(b, QuadExt):
-        b = QuadExt.from_rational(b, a.D)
-    elif isinstance(b, QuadExt) and not isinstance(a, QuadExt):
-        a = QuadExt.from_rational(a, b.D)
-    return a, b
-
-
-def _theta_add(a, b):
-    a, b = _theta_pair(a, b)
-    return a + b
-
-
-def _theta_mul(a, b):
-    a, b = _theta_pair(a, b)
-    return a * b
-
-
-def _theta_neg(a):
-    return -a
-
-
-def _theta_div(ts, a, b):
-    a, b = _theta_pair(a, b)
-    if not b:
-        ts.error("division by zero in theta literal")
-    return a / b
-
-
-def parse_upoly(text, field, var="u"):
-    """Polynomial in one commuting variable, used for section literals."""
-    ts = TokenStream(tokenize(text))
-    p = _upoly_expr(ts, field, var)
-    ts.expect("EOF", "end of the polynomial")
-    return p
-
-
-def _upoly_expr(ts, field, var):
-    acc = _upoly_term(ts, field, var)
-    while ts.peek().kind in ("+", "-"):
-        op = ts.next().kind
-        rhs = _upoly_term(ts, field, var)
-        acc = acc + rhs if op == "+" else acc - rhs
-    return acc
-
-
-def _upoly_term(ts, field, var):
-    acc = _upoly_factor(ts, field, var)
-    while ts.peek().kind in ("*", "/"):
-        op = ts.next().kind
-        rhs = _upoly_factor(ts, field, var)
-        if op == "*":
-            acc = acc * rhs
-        else:
-            if rhs.degree() > 0 or rhs.is_zero():
-                ts.error("division is only defined by nonzero scalars")
-            acc = acc.scale(rhs.coeffs[0].inverse() if hasattr(rhs.coeffs[0], "inverse")
-                            else 1 / rhs.coeffs[0])
-    return acc
-
-
-def _upoly_factor(ts, field, var):
-    t = ts.peek()
-    if t.kind == "-":
-        ts.next()
-        return -_upoly_factor(ts, field, var)
-    if t.kind == "INT":
-        ts.next()
-        return UPoly((field.coerce(int(t.text)),))
-    if t.kind == "NAME":
-        ts.next()
-        if t.text == var:
-            base = UPoly((field.zero, field.one))
-        elif t.text == "q" and field.name == "Q(q)":
-            base = UPoly((RatFunc.q(),))
-        else:
-            raise ParseError(f"unknown symbol {t.text!r}", t.line, t.col)
-        return _upoly_maybe_power(ts, base, field)
-    if t.kind == "(":
-        ts.next()
-        inner = _upoly_expr(ts, field, var)
-        ts.expect(")")
-        return _upoly_maybe_power(ts, inner, field)
-    ts.error("expected a polynomial term")
-
-
-def _upoly_maybe_power(ts, base, field):
-    if ts.peek().kind == "^":
-        ts.next()
-        e = int(ts.expect("INT", "an exponent").text)
-        acc = UPoly((field.one,))
-        for _ in range(e):
-            acc = acc * base
-        return acc
-    return base
-
-
 # ---------------------------------------------------------------------------
 # charge / multiset / matrix literals
 # ---------------------------------------------------------------------------
 
 def parse_charge(text):
     """Charge literal ``r:d`` (rank:degree)."""
-    ts = TokenStream(tokenize(text))
-    z = _parse_charge_at(ts)
-    ts.expect("EOF", "end of the charge")
-    return z
+    return _parse_all(text, _parse_charge_at, "end of the charge")
 
 
 def _signed_int(ts, what):
@@ -474,23 +407,17 @@ def parse_multiset(text):
 
 def parse_int_matrix(text):
     """Comma-separated row-major integer entries; must form a square matrix."""
-    parts = [p.strip() for p in text.split(",")]
-    ts_entries = []
-    for p in parts:
-        ts = TokenStream(tokenize(p))
-        ts_entries.append(_signed_int(ts, "an integer entry"))
-        ts.expect("EOF", "end of the entry")
-    n = int(len(ts_entries) ** 0.5)
-    if n * n != len(ts_entries):
-        raise ParseError(f"{len(ts_entries)} entries do not form a square matrix", 1, 1)
-    return [ts_entries[i * n:(i + 1) * n] for i in range(n)]
+    return _square([_parse_all(p.strip(), lambda ts: _signed_int(ts, "an integer entry"),
+                               "end of the entry") for p in text.split(",")])
 
 
 def parse_scalar_matrix(text, field):
     """Comma-separated row-major scalar entries over the given field."""
-    parts = [p.strip() for p in text.split(",")]
-    entries = [parse_scalar(p, field) for p in parts]
-    n = int(len(entries) ** 0.5)
+    return _square([parse_scalar(p.strip(), field) for p in text.split(",")])
+
+
+def _square(entries):
+    n = math.isqrt(len(entries))
     if n * n != len(entries):
         raise ParseError(f"{len(entries)} entries do not form a square matrix", 1, 1)
     return [entries[i * n:(i + 1) * n] for i in range(n)]

@@ -100,12 +100,9 @@ class GradedModulePresentation:
     submodule those rows generate.
     """
 
-    def __init__(self, ambient, shifts, rows, side="left", name=""):
-        if side != "left":
-            raise ValueError("only left modules are implemented")
+    def __init__(self, ambient, shifts, rows, name=""):
         self.ambient = ambient
         self.shifts = tuple(shifts)
-        self.side = side
         self.name = name
         self.rows = []
         for row in rows:
@@ -118,6 +115,7 @@ class GradedModulePresentation:
                 self.rows.append((degs.pop(), row))
         self._slice_cache = {}
         self._span_cache = {}
+        self._free_cache = {}
         self._letter_cache = {}
 
     @staticmethod
@@ -251,15 +249,23 @@ class GradedModulePresentation:
         return len(self.free_basis(d)) - self.submodule_span(d).dim()
 
     def _free_columns(self, d):
-        """The free-cover columns of degree d that are not relation pivots."""
-        rows = self.submodule_span(d).rows
-        return [c for c in range(len(self.free_basis(d))) if c not in rows]
+        """The free-cover columns of degree d that are not relation pivots,
+        in order, each mapped to its position among them: the basis of the
+        quotient module slice."""
+        hit = self._free_cache.get(d)
+        if hit is None:
+            rows = self.submodule_span(d).rows
+            free = (c for c in range(len(self.free_basis(d))) if c not in rows)
+            hit = {c: k for k, c in enumerate(free)}
+            self._free_cache[d] = hit
+        return hit
 
     def quotient_coords(self, vec, d):
-        """Coordinates of a sparse free-cover vector in the quotient module slice."""
-        res = self.submodule_span(d).residue(vec)
-        zero = self.ambient.field.zero
-        return [res.get(c, zero) for c in self._free_columns(d)]
+        """Sparse coordinates {position: scalar} of a sparse free-cover
+        vector in the quotient module slice."""
+        position = self._free_columns(d)
+        # the residue is zero at every pivot, so each of its columns is free
+        return {position[c]: x for c, x in self.submodule_span(d).residue(vec).items()}
 
     def _times(self, poly, v, d):
         """poly . v for a sparse degree-d cover vector v: each word of poly
@@ -438,7 +444,7 @@ def _hom_rank(P, shifts, rows, d):
             for offset, (D, row) in zip(offsets, rows):
                 if row[i]:
                     image = P.quotient_coords(P._times(row[i], {c: one}, l + d), D + d)
-                    v.update((offset + t, x) for t, x in enumerate(image) if x)
+                    v.update((offset + t, x) for t, x in image.items())
             span.add(v)
     return span.dim()
 

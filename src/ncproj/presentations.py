@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .homology import _evaluation_kernel, _minimal_generators
-from .rewriting import RewriteSystem, complete_truncated_over, normal_form, normal_words
+from .rewriting import (RewriteSystem, complete_truncated_over, hilbert_function,
+                        normal_form, normal_words)
 from .words import Alphabet, MonomialOrder, NcPoly
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -254,9 +255,7 @@ def _det_nonzero(Q, fld):
 
 def resolution_shape_check(p, r, s, N):
     """Euler-characteristic test H(t) (1 - r t + r t^s - t^(s+1)) = 1 mod t^(N+1)."""
-    from .rewriting import RewriteSystem, hilbert_function
-    R = build(p, N) if p.relations else RewriteSystem([], N, p.order, p.field)
-    dims = hilbert_function(R, N)
+    dims = hilbert_function(build(p, N), N)
     factor = [0] * (N + 1)
     factor[0] = 1
     if 1 <= N:

@@ -2,7 +2,9 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ncproj.cli import main
 from ncproj.dsl import parse_upoly
@@ -246,3 +248,65 @@ def test_exit_code_field_mismatch_and_failed_fixing_matrix(monkeypatch):
     assert res.exit_code == 1
     assert res.stderr == "error: fixing-matrix construction failed to fix theta\n"
     assert "Traceback" not in res.output
+
+
+_DEEP = "(" * 3000 + "1" + ")" * 3000
+
+
+@pytest.mark.parametrize("args", [
+    ["algebra", "hilbert", "--input", "algebra A over Q { gens: x; rels: %s*x; }" % _DEEP],
+    ["thcr", "multiply", "--sigma", "1,1,0,1", "-f", "1:" + _DEEP, "-g", "1:u"],
+    ["heart", "split", "--factors", "[1:0]", "--theta", "-" * 5000 + "1"],
+])
+def test_deep_nesting_exits_2(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.stderr.count("\n") == 1 and "nested too deeply" in res.stderr
+
+
+# Each literal is a few tokens of the shared alphabet, or long runs of an
+# opening token, joined by spaces: so every integer, and so every exponent,
+# is one digit, and a literal holds at most one ^.  (x+y)^e has 2^e words
+# and nested powers multiply their exponents: an answer that large is the
+# size of the value asked for, not a fault.
+_LITERAL_TOKENS = ["x", "y", "u", "q", "sqrt", "0", "1", "2", "3", "5", "9",
+                   "+", "-", "*", "/", "^", "(", ")", ",", ":", "[", "]", ";"]
+_RUNS = st.builds(lambda t, k: " ".join([t] * k), st.sampled_from(["(", "-"]),
+                  st.integers(1, 3000))
+_LITERALS = (st.lists(st.one_of(st.sampled_from(_LITERAL_TOKENS), _RUNS), max_size=12)
+             .map(" ".join).filter(lambda t: t.count("^") <= 1))
+
+# "@" marks where the generated literal goes
+_FUZZED_COMMANDS = [
+    ["algebra", "hilbert", "-N", "4", "--input", "@"],
+    ["algebra", "hilbert", "-N", "4", "--input", "algebra A over Q { gens: x, y; rels: @; }"],
+    ["algebra", "hilbert", "-N", "4", "--input",
+     "algebra A over Q(q) { gens: x, y:2; rels: @; }"],
+    ["algebra", "twist", "-N", "4", "--input", PLANE, "--sigma", "@"],
+    ["algebra", "twist", "-N", "4", "--input", QP, "--sigma", "1,@,0,q"],
+    ["thcr", "present", "--dmax", "3", "--sigma", "@"],
+    ["thcr", "multiply", "--sigma", "@", "-f", "1:u", "-g", "0:1"],
+    ["thcr", "multiply", "--sigma", "q,1,0,1", "-f", "1:@", "-g", "@"],
+    ["thcr", "multiply", "--sigma", "1,1,0,1", "-f", "@", "-g", "2:@", "--rule", "gamma"],
+    ["heart", "hom", "-f", "[@]", "-g", "@"],
+    ["heart", "hn", "--factors", "[@]"],
+    ["heart", "split", "--factors", "@", "--theta", "1/3"],
+    ["heart", "split", "--factors", "[1:0, 2:1*3]", "--theta", "@"],
+    ["heart", "euler", "--z1", "@", "--z2", "1:@"],
+    ["rm", "cf", "--theta", "@"],
+    ["rm", "fix", "--theta", "@"],
+    ["rm", "reduce", "--theta", "@"],
+    ["rm", "hilbert", "-F", "@", "-G", "@", "--theta", "sqrt(2)"],
+    ["rm", "hilbert", "-F", "2,1,1,1", "-G", "1:@", "--theta", "@"],
+]
+
+
+@pytest.mark.parametrize("template", _FUZZED_COMMANDS, ids=lambda t: " ".join(t[:2]))
+# derandomized: the same examples on every run, so the suite's time is stable
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(literal=_LITERALS)
+def test_literal_grammar_fuzz(template, literal):
+    res = run(*[a.replace("@", literal) for a in template])
+    assert res.exit_code in (0, 1, 2), (literal, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (literal, repr(res.exception))

@@ -1,4 +1,4 @@
-"""Byte-identity of the homology, twist and presentation commands.
+"""Byte-identity of the homology, twist, presentation and literal commands.
 
 Each case runs one command through the click entry point and compares its
 exit code and standard output with tests/golden_cli.json.  To rewrite that
@@ -85,6 +85,24 @@ CASES = [
     ["thcr", "present", "--sigma", "2,0,0,1", "--dmax", "3", "--format", "table"],
     ["thcr", "present", "--sigma", "0,1,1,0", "--dmax", "4"],
     ["thcr", "present", "--sigma", "1,0,0,0"],
+    # literal commands: section polynomials, thetas and Q(q) matrix entries
+    ["thcr", "multiply", "--sigma", "1,1,0,1", "-f", "1:(1+u)/2", "-g", "2:u^2 - 3*u"],
+    ["thcr", "multiply", "--sigma", "q,1,0,1", "-f", "1:(1+u)/2", "-g", "2:u^2 - q*u",
+     "--rule", "gamma"],
+    ["thcr", "multiply", "--sigma", "q,0,0,1", "-f", "2:q^2/(1+q)*u - -1",
+     "-g", "2:(u - q)*(u + 1/q)"],
+    ["thcr", "multiply", "--sigma", "2,0,0,1", "-f", "0:-(3/4)", "-g", "1:u-1/2*u",
+     "--rule", "gamma", "--format", "table"],
+    ["heart", "split", "--factors", "[1:0, 2:1*3, 1:-1]", "--theta", "1/3"],
+    ["heart", "split", "--factors", "[1:0, 2:1*3, 1:-1]", "--theta", "(-1+1*sqrt(5))/2"],
+    ["heart", "split", "--factors", "[1:0, 2:1*3, 3:2]", "--theta", "1/sqrt(2)"],
+    ["heart", "split", "--factors", "[1:0, 2:1*3, 3:-1]", "--theta", "2 - sqrt(8)"],
+    ["rm", "cf", "--theta", "(1+sqrt(5))/2"],
+    ["rm", "fix", "--theta", "sqrt(2)/3 + 1/7"],
+    ["rm", "reduce", "--theta", "-7/2 + 2*sqrt(3)*-1"],
+    ["algebra", "twist", "--input", QP, "--sigma", "1,0,0,q^2/(1+q)"],
+    ["thcr", "multiply", "--sigma", "1,1,0,1", "-f", "1:u/u", "-g", "1:u"],
+    ["heart", "split", "--factors", "[1:0]", "--theta", "1/0"],
 ]
 
 

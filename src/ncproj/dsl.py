@@ -236,8 +236,12 @@ def _parse_factor(ts, alphabet, field):
         ts.next()
         e = int(ts.expect("INT", "an exponent").text)
         acc = NcPoly.one(alphabet, field)
-        for _ in range(e):
-            acc = acc * base
+        while e:                        # square and multiply
+            if e & 1:
+                acc = acc * base
+            e >>= 1
+            if e:
+                base = base * base
         return acc
     return base
 

@@ -44,33 +44,36 @@ class RewriteRule:
 class NormalWordAutomaton:
     """Aho-Corasick automaton over the rule leads: Ufnarovski's graph.
 
-    State 0 is the empty word and every other state a proper prefix of a
-    lead.  For the state s of a normal word w, step[s][a] is the state of
-    wa, the longest suffix of wa that is a state, or None when wa ends in a
-    lead and so is not normal.
+    State 0 is the empty word and every other state a prefix of a lead.
+    For the state s of a word w, goto[s][a] is the state of wa, the longest
+    suffix of wa that is a state, and rule[s] is the index of the first
+    rule in list order whose lead ends w (len(rules) if none does).  step
+    is goto on normal words: step[s][a] is None when wa is not normal.
     """
 
-    def __init__(self, leads, nletters):
+    def __init__(self, rules, nletters):
+        self.rules = rules = tuple(rules)
         children = [{}]
-        ends_in_lead = [False]
-        for lead in leads:
+        rule = [len(rules)]
+        for i, r in enumerate(rules):
             s = 0
-            for a in lead:
+            for a in r.lead:
                 if a not in children[s]:
                     children[s][a] = len(children)
                     children.append({})
-                    ends_in_lead.append(False)
+                    rule.append(len(rules))
                 s = children[s][a]
-            ends_in_lead[s] = True
+            rule[s] = min(rule[s], i)
         goto = [None] * len(children)
         goto[0] = [children[0].get(a, 0) for a in range(nletters)]
         queue = deque((t, 0) for t in children[0].values())
         while queue:
             s, fail = queue.popleft()
-            ends_in_lead[s] = ends_in_lead[s] or ends_in_lead[fail]
+            rule[s] = min(rule[s], rule[fail])
             goto[s] = [children[s].get(a, goto[fail][a]) for a in range(nletters)]
             queue.extend((t, goto[fail][a]) for a, t in children[s].items())
-        self.step = [[None if ends_in_lead[t] else t for t in row] for row in goto]
+        self.goto, self.rule = goto, rule
+        self.step = [[None if rule[t] < len(rules) else t for t in row] for row in goto]
 
 
 class RewriteCache:
@@ -86,7 +89,7 @@ class RewriteCache:
     """
 
     def __init__(self, rules, nletters):
-        self.automaton = NormalWordAutomaton([r.lead for r in rules], nletters)
+        self.automaton = NormalWordAutomaton(rules, nletters)
         self.words = [[()]]
         self.states = [[0]]
         self.position = {}
@@ -114,31 +117,26 @@ class RewriteSystem:
         return f"RewriteSystem({len(self.rules)} rules, cutoff={self.cutoff})"
 
 
-def _find_subword(word, sub):
-    n, m = len(word), len(sub)
-    for i in range(n - m + 1):
-        if word[i:i + m] == sub:
-            return i
-    return None
+def _reduce(p, automaton, order):
+    """Full normal form of p by the automaton's rules, in one top-down pass.
 
-
-def _reduce(p, rules, order):
-    """Full normal form of p with respect to a rule list, in one top-down pass.
-
-    Pending words are settled from the largest down.  A word that contains
-    a rule lead is rewritten once, by the first such rule in list order at
-    its leftmost occurrence, into words that are strictly smaller, because
-    every rhs word is smaller than its lead and the order is compatible
-    with concatenation.  So when a word is popped, every contribution to
-    its coefficient has already arrived, and each word is settled once.
+    Pending words are settled from the largest down.  A popped word is
+    walked once through the automaton, which names the first rule ending at
+    each position.  A word that meets no lead is settled; any other is
+    rewritten once, by the first rule in list order at its leftmost
+    occurrence, into words that are strictly smaller, because every rhs
+    word is smaller than its lead and the order is compatible with
+    concatenation.  So when a word is popped, every contribution to its
+    coefficient has already arrived, and each word is settled once.
     """
+    rules, goto, first = automaton.rules, automaton.goto, automaton.rule
+    weight, rank = [-a for a in order.alphabet.weights], [-r for r in order._rank]
+
     def entry(w):
-        # order.key reversed, then w itself.  Two words of equal weighted
-        # degree are never prefixes of one another (weights are positive),
-        # so negating each rank reverses the lexicographic part, and two
+        # order.key negated, then w itself.  Words of equal weighted degree
+        # are never prefixes of one another (weights are positive), so two
         # entries differ before either runs out of ranks: w is never compared.
-        d, ranks = order.key(w)
-        return (-d, *[-r for r in ranks], w)
+        return (sum(map(weight.__getitem__, w)), *map(rank.__getitem__, w), w)
 
     pending = dict(p.terms)
     heap = [entry(w) for w in pending]
@@ -149,21 +147,22 @@ def _reduce(p, rules, order):
         c = pending.pop(w)
         if not c:
             continue
-        for rule in rules:
-            pos = _find_subword(w, rule.lead)
-            if pos is not None:
-                break
-        else:
+        s, best, end = 0, first[0], 0
+        for i, a in enumerate(w, 1):
+            s = goto[s][a]
+            if first[s] < best:
+                best, end = first[s], i
+        if best == len(rules):
             terms[w] = c
             continue
-        pre, post = w[:pos], w[pos + len(rule.lead):]
+        rule = rules[best]
+        pre, post = w[:end - len(rule.lead)], w[end:]
         for u, a in rule.rhs.terms.items():
             v = pre + u + post
-            if v in pending:
-                pending[v] = pending[v] + c * a
-            else:
-                pending[v] = c * a
+            old = pending.get(v)
+            if old is None:
                 heapq.heappush(heap, entry(v))
+            pending[v] = c * a if old is None else old + c * a
     out = NcPoly.zero(p.alphabet, p.field)
     out.terms = terms
     return out
@@ -245,7 +244,8 @@ def complete_truncated_over(relations, cutoff, order, field):
 
     rules = []
     while pending:
-        residues = [_reduce(p, rules, order) for p in pending.pop(min(pending))]
+        automaton = NormalWordAutomaton(rules, len(alphabet))
+        residues = [_reduce(p, automaton, order) for p in pending.pop(min(pending))]
         words = sorted({w for p in residues for w in p.terms}, key=order.key, reverse=True)
         column = {w: j for j, w in enumerate(words)}
         span = SpanTracker(len(words), field)
@@ -267,9 +267,9 @@ def complete_truncated_over(relations, cutoff, order, field):
 
 def confluence_audit(R):
     """All overlap ambiguities of degree <= cutoff must reduce to zero."""
-    rules = list(R.rules)
-    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), rules, R.order).is_zero()
-               for r1, r2 in _pairs(rules, [])
+    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), R.cache.automaton,
+                       R.order).is_zero()
+               for r1, r2 in _pairs(R.rules, [])
                for w, a, c in _overlaps(r1, r2, R.alphabet, R.cutoff))
 
 
@@ -277,7 +277,7 @@ def normal_form(p, R):
     if p.max_degree() > R.cutoff:
         raise CutoffExceededError(
             f"degree {p.max_degree()} exceeds cutoff {R.cutoff}")
-    return _reduce(p, list(R.rules), R.order)
+    return _reduce(p, R.cache.automaton, R.order)
 
 
 def ideal_member_truncated(p, R):

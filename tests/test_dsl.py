@@ -10,6 +10,7 @@ from ncproj.dsl import (ParseError, TokenStream, parse_charge, parse_int_matrix,
                         parse_scalar_matrix, parse_theta, parse_upoly, tokenize)
 from ncproj.fields import QQ, QQ_Q, QuadExt, RatFunc, UPoly
 from ncproj.heart import Charge, SheafClass
+from ncproj.words import NcPoly
 
 QP = "algebra QP over Q(q) { gens: x:1, y:1; rels: y*x - q*x*y; }"
 
@@ -75,6 +76,34 @@ def test_parentheses_and_powers():
     p = parse_presentation("algebra A over Q { gens: x, y; rels: (x + y)^2 - x^2 - y^2; }")
     r = p.relations[0]
     assert set(r.terms) == {(0, 1), (1, 0)}
+
+
+def _power(one, base, e):
+    """base^e as e successive products."""
+    acc = one
+    for _ in range(e):
+        acc = acc * base
+    return acc
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 8, 13, 40])
+def test_scalar_powers_match_repeated_products(e):
+    base = QQ_Q.coerce(Fraction(2, 3)) - RatFunc.q()
+    assert parse_scalar(f"(2/3 - q)^{e}", QQ_Q) == _power(QQ_Q.one, base, e)
+    assert parse_scalar(f"(-5/7)^{e}", QQ) == _power(QQ.one, Fraction(-5, 7), e)
+    one, u = UPoly((Fraction(1),)), UPoly((Fraction(0), Fraction(1)))
+    assert parse_upoly(f"(1 + u)^{e}", QQ) == _power(one, one + u, e)
+
+
+@pytest.mark.parametrize("field", [QQ, QQ_Q])
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 8])
+def test_noncommutative_powers_match_repeated_products(e, field):
+    c = "q" if field is QQ_Q else "3"
+    p = parse_presentation("algebra A over %s { gens: x, y; rels: (x - %s*y)^%d; }"
+                           % (field.name, c, e))
+    x, y = (NcPoly.gen(p.alphabet, field, i) for i in range(2))
+    base = x - y.scale(parse_scalar(c, field))
+    assert p.relations[0] == _power(NcPoly.one(p.alphabet, field), base, e)
 
 
 def test_parse_scalar():

@@ -1,5 +1,6 @@
 """Truncated completion, normal forms, Hilbert functions, growth."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 
 from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
 from ncproj import rewriting
-from ncproj.rewriting import (INFINITE, CutoffExceededError, RewriteRule,
-                              RewriteSystem, _overlaps, _reduce, _spoly,
+from ncproj.rewriting import (INFINITE, CutoffExceededError, NormalWordAutomaton,
+                              RewriteRule, RewriteSystem, _overlaps, _reduce, _spoly,
                               complete_truncated, complete_truncated_over,
                               confluence_audit, gk_estimate, hilbert_function,
                               ideal_member_truncated, normal_form,
@@ -215,6 +216,12 @@ def _relations():
         # y and x*x have equal weighted degree and different lengths
         "weighted x:1 y:2": (MonomialOrder(heavy), [hy * hx - hx * hy - 2 * hx * hx * hx,
                                                     hy * hy - hx * hy * hx + hx * hx * hy]),
+        # the raw lists below keep the leads as they are, so the first rule
+        # in list order and its leftmost occurrence decide between them
+        "lead inside a lead": (ORD, [x * y * y * x - x * y * x * y + 2 * x * x * y * y,
+                                     y * y - x * y]),
+        "lead ends a lead": (ORD, [y * x * y - y * x * x + x * y * x, x * y - x * x]),
+        "duplicated lead": (ORD, [y * x - x * y, y * x - 2 * x * x, 3 * y * x + x * y]),
     }
 
 
@@ -250,7 +257,8 @@ def test_reduce_matches_restarting_reference(name):
     for kind, rules in _rule_lists(order, rels):
         for _ in range(25):
             p = _random_poly(order.alphabet, rels[0].field, rnd, 7)
-            assert _reduce(p, rules, order) == _reduce_restarting(p, rules, order), kind
+            assert _reduce(p, NormalWordAutomaton(rules, len(order.alphabet)), order) == \
+                _reduce_restarting(p, rules, order), kind
 
 
 def _gaussian_binomials(n):
@@ -286,7 +294,7 @@ def _interreduce(rules, order):
         changed = False
         for i in range(len(rules)):
             others = rules[:i] + rules[i + 1:]
-            p = _reduce(rules[i].poly(), others, order)
+            p = _reduce(rules[i].poly(), NormalWordAutomaton(others, len(order.alphabet)), order)
             if p.is_zero():
                 rules = others
                 changed = True
@@ -314,7 +322,8 @@ def _complete_restarting(relations, cutoff, order, field):
         pending.sort(key=lambda t: (t[0], t[1]))
         new_rule = None
         for _, _, r1, r2, a, c in pending:
-            s = _reduce(_spoly(r1, r2, a, c, alphabet, field), rules, order)
+            s = _reduce(_spoly(r1, r2, a, c, alphabet, field),
+                        NormalWordAutomaton(rules, len(alphabet)), order)
             if not s.is_zero():
                 new_rule = _make_rule(s, order)
                 break
@@ -391,3 +400,37 @@ def test_sklyanin_reduces_each_overlap_once(monkeypatch):
                    for _ in _overlaps(r1, r2, xyz, 9))
     assert len(R.rules) == 26
     assert len(calls) == overlaps == 126
+
+
+def _benchmark_systems():
+    """name -> (order, relations, cutoff, field, rule count, sha256 of the
+    serialized rules joined by newlines), for the three completions of the
+    rewrite-cold benchmark workload.  The digests were recorded before the
+    automaton took over rule finding in _reduce; Sklyanin's rules carry
+    denominators of about 130 digits, so the text is pinned by its hash."""
+    x, y = gens(QQ)
+    q = RatFunc.q()
+    xyz = Alphabet(["x", "y", "z"])
+    X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
+    qX, qY, qZ = (NcPoly.gen(xyz, QQ_Q, i) for i in range(3))
+    return {
+        "Sklyanin": (MonomialOrder(xyz), [Y * Z + 2 * Z * Y + 3 * X * X,
+                                          Z * X + 2 * X * Z + 3 * Y * Y,
+                                          X * Y + 2 * Y * X + 3 * Z * Z], 9, QQ, 26,
+                     "121c333d954f390e13de166353a9e73e61b2194d2e0dac473d75d289325c696b"),
+        "cyclic": (MonomialOrder(xyz), [qY * qZ - (qZ * qY).scale(q) + qX * qX,
+                                        qZ * qX - (qX * qZ).scale(q) + qY * qY,
+                                        qX * qY - (qY * qX).scale(q) + qZ * qZ], 7, QQ_Q, 18,
+                   "5e3c7938bed83288d7c9efeba474ba853eb4c8db61d2a4884a1957702ad92eb9"),
+        "braid": (ORD, [x * y * x - y * x * y], 40, QQ, 37,
+                  "68f2dc4a1122f0318e5ff32571ca434e7d0f2ff21a1cefa91466b4e7386222b2"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_benchmark_systems()))
+def test_benchmark_systems_pinned(name):
+    order, rels, cutoff, field, count, digest = _benchmark_systems()[name]
+    R = complete_truncated_over(rels, cutoff, order, field)
+    text = "\n".join(R.serialize())
+    assert (len(R.rules), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+    assert confluence_audit(R)

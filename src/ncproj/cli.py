@@ -141,9 +141,11 @@ def algebra_twist(inline, path, sigma, cutoff, smax, fmt):
     if len(m) != len(p.alphabet):
         raise click.UsageError("sigma must be square of size = generator count")
     endo = GradedEndomorphism(p.alphabet, p.field, m)
+    if smax is None:
+        smax = p.max_relation_degree() + 1
     q = twist(p, endo, cutoff, smax)
     _emit({"N": cutoff, "presentation": q.render(),
-           "relations": [r.render(q.order) for r in q.relations]}, fmt)
+           "relations": [r.render(q.order) for r in q.relations], "s_max": smax}, fmt)
 
 
 @algebra.command("gorenstein")

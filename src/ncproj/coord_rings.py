@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import UPoly
-from .homology import _evaluation_kernel
-from .presentations import AlgebraPresentation
-from .words import Alphabet, MonomialOrder, NcPoly
+from .presentations import AlgebraPresentation, present
+from .words import Alphabet, MonomialOrder
 
 
 class P1Automorphism:
@@ -65,6 +64,8 @@ class Section:
     bundle: int = 1
 
     def __post_init__(self):
+        if self.level < 0:
+            raise ValueError(f"section level {self.level} is negative")
         if self.poly.degree() > self.level * self.bundle:
             raise ValueError("polynomial degree exceeds the section level bound")
 
@@ -126,14 +127,9 @@ def thcr_presentation(sigma, d_max, bundle=1, name="B"):
     """Presentation of the twisted homogeneous coordinate ring of the triple.
 
     Generators are the level-1 section basis (x = 1, y = u when bundle = 1);
-    relations in each degree d <= d_max are the minimal generators of the
-    kernel of the evaluation of free words through thcr_multiply.  Words
-    already reducible by lower-degree relations are factored out by working
-    on the normal-word basis of the current quotient, so each kernel vector
-    found is a genuinely new minimal generator.
+    relations in degrees 2..d_max are those ``present`` finds for the
+    evaluation of words through thcr_multiply, as polynomial coefficients.
     """
-    from .rewriting import RewriteSystem, complete_truncated_over, normal_words
-
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     field = sigma.field
@@ -145,22 +141,13 @@ def thcr_presentation(sigma, d_max, bundle=1, name="B"):
     alphabet = Alphabet(symbols)
     order = MonomialOrder(alphabet)
 
-    relations = []
-    R = RewriteSystem([], d_max, order, field)
-    for d in range(2, d_max + 1):
-        words = normal_words(R, d)
-        images = []
-        for w in words:
-            acc = gens[w[0]]
-            for i in w[1:]:
-                acc = thcr_multiply(acc, gens[i], sigma)
-            images.append({t: c for t, c in enumerate(acc.poly.coeffs) if c})
-        kernel = _evaluation_kernel(images, field)
-        if kernel:
-            for v in kernel:
-                relations.append(NcPoly(alphabet, field,
-                                        [(words[i], c) for i, c in sorted(v.items())]))
-            R = complete_truncated_over(relations, d_max, order, field)
+    def evaluate(word):
+        acc = gens[word[0]]
+        for i in word[1:]:
+            acc = thcr_multiply(acc, gens[i], sigma)
+        return {t: c for t, c in enumerate(acc.poly.coeffs) if c}
+
+    relations = present(order, field, evaluate, d_max)
     return AlgebraPresentation(name, field, alphabet, relations, order)
 
 

@@ -550,11 +550,6 @@ class QuadExt:
     def is_rational(self):
         return self.s == 0
 
-    def to_fraction(self):
-        if self.s:
-            raise ValueError("not a rational number")
-        return Fraction(self.p, self.q)
-
     def _coerce(self, other):
         if isinstance(other, QuadExt):
             if other.s and self.s and other.D != self.D:

@@ -43,22 +43,6 @@ def _apply(images, v, one):
     return {t: y for t, y in out.items() if y}
 
 
-def _evaluation_kernel(images, field):
-    """Kernel of the linear map sending the k-th basis vector to images[k].
-
-    images are sparse {coordinate: scalar} vectors; the kernel basis is a
-    list of sparse {k: scalar} vectors, one per free column, ascending.
-    """
-    rows = {}
-    for k, image in enumerate(images):
-        for t, x in image.items():
-            rows.setdefault(t, {})[k] = x
-    span = linalg.SpanTracker(len(images), field)
-    for row in rows.values():
-        span.add(row)
-    return span.kernel()
-
-
 def _minimal_generators(degrees, field, candidates, grow):
     """Minimal generators, degree by degree, over a range of degrees.
 
@@ -327,7 +311,7 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
         images.pop(d - max(weights), None)
 
         def find():
-            kernel = _evaluation_kernel(out, R.field)
+            kernel = linalg.evaluation_kernel(out, R.field)
             return kernel, lambda k: _vector_to_row(
                 kernel[k], domain.free_basis(d), dom_shifts, R)
 
@@ -599,7 +583,8 @@ def _quotient_resolution(R, n, p_max):
     """Minimal resolution of A/A_{>=n}, cached on the rewrite system.
 
     Computed over the full degree window of R so one resolution serves
-    every twist; deepened in place when a larger p_max is requested.
+    every twist; a request for a larger p_max than the cached one computes
+    the whole resolution again and replaces it.
     """
     cache = R.cache.resolutions
     hit = cache.get(n)

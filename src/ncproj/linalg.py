@@ -10,7 +10,8 @@ changes no result.
 
 ``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``invert_matrix`` take
 and return dense matrices (lists of lists of scalars) and are thin adapters
-over that one core; callers that hold sparse vectors use ``SpanTracker``
+over that one core; ``evaluation_kernel`` takes the sparse images of a
+basis, and other callers that hold sparse vectors use ``SpanTracker``
 directly.
 """
 
@@ -120,6 +121,20 @@ class SpanTracker:
                 v[f] = one
                 basis.append(v)
         return basis
+
+
+def evaluation_kernel(images, field):
+    """Kernel of the linear map sending the k-th basis vector to images[k].
+
+    images are sparse {coordinate: scalar} vectors, with any hashable
+    coordinates; the kernel basis is a list of sparse {k: scalar} vectors,
+    one per free column, ascending, as from SpanTracker.kernel.
+    """
+    rows = {}
+    for k, image in enumerate(images):
+        for t, x in image.items():
+            rows.setdefault(t, {})[k] = x
+    return _tracker(rows.values(), len(images), field).kernel()
 
 
 def _tracker(rows, ncols, field):

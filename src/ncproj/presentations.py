@@ -1,8 +1,9 @@
 """Graded algebra presentations, twists, and the dimension-3 regularity shapes.
 
-A presentation is generators-with-weights plus homogeneous relations.  The
-twist of a presentation by a graded automorphism is recovered by exact
-kernel computation against the twisted product, degree by degree.
+A presentation is generators-with-weights plus homogeneous relations.  An
+algebra known only through an evaluation of its words (the twist of a
+presentation by a graded automorphism, a twisted coordinate ring) is
+presented by ``present``: exact kernels of the evaluation, degree by degree.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .homology import _evaluation_kernel, _minimal_generators
 from .rewriting import (RewriteSystem, complete_truncated_over, hilbert_function,
                         normal_form, normal_words)
 from .words import Alphabet, MonomialOrder, NcPoly
@@ -111,45 +111,46 @@ def _coeff_vector(p, basis_words, fld):
     return v
 
 
+def present(order, field, evaluate, d_max):
+    """Minimal relations, in degrees 2..d_max, of the algebra the words evaluate in.
+
+    evaluate(word) is the image of a word as a sparse {coordinate: scalar}
+    dict, the images of one degree in one space.  The normal words of the
+    relations found below degree d span a complement of what those relations
+    generate in degree d, so the kernel of evaluate on those words is a basis
+    of the new minimal relations of degree d.  After each degree that adds
+    relations, the system is completed again up to d_max.
+    """
+    relations = []
+    R = RewriteSystem([], d_max, order, field)
+    for d in range(2, d_max + 1):
+        words = normal_words(R, d)
+        kernel = linalg.evaluation_kernel([evaluate(w) for w in words], field)
+        if kernel:
+            relations.extend(NcPoly(order.alphabet, field,
+                                    [(words[k], c) for k, c in sorted(v.items())])
+                             for v in kernel)
+            R = complete_truncated_over(relations, d_max, order, field)
+    return relations
+
+
 def twist(p, sigma, N, s_max=None):
     """Presentation of the twisted algebra A^sigma on the same generators.
 
-    Relations are minimal generators of the kernel of the twisted evaluation
-    map in each degree <= s_max: kernel elements already generated by
-    lower-degree twisted relations are dropped.
+    Relations are the minimal relations, in degrees <= s_max (default: one
+    more than the highest relation degree of p), that ``present`` finds for
+    the twisted evaluation of words in A, whose normal forms are taken in
+    the completion of p up to N.
     """
     if s_max is None:
         s_max = p.max_relation_degree() + 1
     descends, R = _descends(p, sigma, N)
     if not descends:
         raise ValueError("matrix does not define an automorphism of the algebra")
-    fld = p.field
     sigma_powers = [sigma.power(k) for k in range(s_max)]
-    free = _free_system(p, s_max)
-
-    def candidates(s):
-        words = normal_words(free, s)
-        index = {w: i for i, w in enumerate(normal_words(R, s))}
-        kernel = _evaluation_kernel(
-            [{index[u]: c for u, c in _twisted_eval(w, R, sigma_powers).terms.items()}
-             for w in words], fld)
-        # the kernel is an ideal: it contains all that lower relations generate
-        return len(words), len(kernel), lambda: (kernel, lambda k: NcPoly(
-            p.alphabet, fld, [(words[j], c) for j, c in sorted(kernel[k].items())]))
-
-    def grow(spans, s):
-        # the ideal is two-sided: x * row and row * x for the rows below
-        index = {w: i for i, w in enumerate(normal_words(free, s))}
-        for x, wx in enumerate(p.alphabet.weights):
-            if s - wx in spans:
-                words = normal_words(free, s - wx)
-                for row in spans[s - wx].rows.values():
-                    yield {index[(x,) + words[k]]: c for k, c in row.items()}
-                    yield {index[words[k] + (x,)]: c for k, c in row.items()}
-
-    relations = [g for _, g in _minimal_generators(range(2, s_max + 1), fld,
-                                                   candidates, grow)[0]]
-    return AlgebraPresentation(f"{p.name}_twist", fld, p.alphabet, relations, p.order)
+    relations = present(p.order, p.field,
+                        lambda w: _twisted_eval(w, R, sigma_powers).terms, s_max)
+    return AlgebraPresentation(f"{p.name}_twist", p.field, p.alphabet, relations, p.order)
 
 
 @dataclass

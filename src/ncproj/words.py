@@ -153,12 +153,6 @@ class NcPoly:
     def is_homogeneous(self):
         return len({self.alphabet.degree(w) for w in self.terms}) <= 1
 
-    def homogeneous_components(self):
-        comps = {}
-        for w, c in self.terms.items():
-            comps.setdefault(self.alphabet.degree(w), []).append((w, c))
-        return {d: NcPoly(self.alphabet, self.field, ts) for d, ts in sorted(comps.items())}
-
     def max_degree(self):
         return max((self.alphabet.degree(w) for w in self.terms), default=0)
 

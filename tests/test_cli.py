@@ -67,6 +67,12 @@ def test_algebra_twist():
                  "algebra C over Q(q) { gens: x, y; rels: y*x - x*y; }",
                  "--sigma", "q,0,0,1")
     assert d["relations"] == ["y*x - q*x*y"]
+    assert d["s_max"] == 3
+    # a search depth below the relation degree finds nothing, and says how deep it looked
+    d = run_json("algebra", "twist", "--input",
+                 "algebra Cu over Q { gens: x, y; rels: y*x*x - x*x*y; y*y*x - x*y*y; }",
+                 "--sigma", "2,0,0,1", "--smax", "2")
+    assert d["relations"] == [] and d["s_max"] == 2
 
 
 def test_algebra_gorenstein():
@@ -200,6 +206,14 @@ def test_exit_code_bad_section_level():
         res = run("thcr", "multiply", "--sigma", "1,1,0,1", "-f", bad, "-g", "1:u")
         assert res.exit_code == 2, bad
         assert res.stderr.count("\n") == 1 and "section level" in res.stderr
+
+
+def test_exit_code_negative_section_level():
+    for rule, f, g in (("thcr", "-1:0", "1:u"), ("gamma", "-3:0", "1:u"),
+                       ("thcr", "1:1", "-2:u")):
+        res = run("thcr", "multiply", "--sigma", "2,0,0,1", "-f", f, "-g", g, "--rule", rule)
+        assert res.exit_code == 1, (rule, f, g)
+        assert res.stderr.count("\n") == 1 and "negative" in res.stderr
 
 
 def test_rm_fix_long_period():

@@ -4,7 +4,7 @@ Each case runs one command through the click entry point and compares its
 exit code and standard output with tests/golden_cli.json.  To rewrite that
 file after an intended change of output, run
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_cli.json
 
 and review the diff of the JSON file.
 """

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from ncproj import linalg
 from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
-from ncproj.homology import _evaluation_kernel
 
 rng = random.Random(7011)
 
@@ -226,8 +225,8 @@ def check_against_dense(A, field):
         assert span.pivots == pivots
         assert [dense(span.rows[c], n, field) for c in span.pivots] == red[:len(pivots)]
         assert all(span.contains(r) for r in rows)
-    # the kernel of the transpose, through the sparse homology entry
-    assert [dense(v, m, field) for v in _evaluation_kernel(sparse_rows, field)] == \
+    # the kernel of the transpose, through the sparse evaluation entry
+    assert [dense(v, m, field) for v in linalg.evaluation_kernel(sparse_rows, field)] == \
         dense_kernel_basis(transpose, m, field)
 
 

@@ -1,9 +1,12 @@
 """Presentations, automorphisms, twists, the standard-algebra check."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncproj import linalg
 from ncproj.dsl import parse_presentation
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.presentations import (AMBIGUOUS, NOT_APPLICABLE, ABSENT,
@@ -12,7 +15,7 @@ from ncproj.presentations import (AMBIGUOUS, NOT_APPLICABLE, ABSENT,
                                   resolution_shape_check,
                                   right_generator_decomposition,
                                   standard_check, twist)
-from ncproj.rewriting import hilbert_function
+from ncproj.rewriting import hilbert_function, normal_form
 from ncproj.words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
 
 AB = Alphabet(["x", "y"])
@@ -106,6 +109,70 @@ def test_twist_rejects_non_automorphism():
     bad = GradedEndomorphism(AB, QQ, [[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         twist(p, bad, 8)
+
+
+def reference_twist(p, sigma, N, s_max):
+    """Relations of A^sigma by the former route: the kernel of the twisted
+    evaluation on every free word of each degree, a kernel vector kept when
+    it lies outside the two-sided ideal of the relations kept below it."""
+    R = build(p, N)
+    n = len(p.alphabet)
+    powers = [sigma.power(k) for k in range(s_max)]
+    relations, spans = [], {}
+    for s in range(2, s_max + 1):
+        words = list(itertools.product(range(n), repeat=s))
+        index = {w: i for i, w in enumerate(words)}
+        span = linalg.SpanTracker(len(words), QQ)
+        below = list(itertools.product(range(n), repeat=s - 1))
+        for row in spans[s - 1].rows.values() if s - 1 in spans else ():
+            for x in range(n):
+                span.add({index[(x,) + below[k]]: c for k, c in row.items()})
+                span.add({index[below[k] + (x,)]: c for k, c in row.items()})
+        # x_{i1} * ... * x_{is} = x_{i1} sigma(x_{i2}) ... sigma^(s-1)(x_{is}) in A
+        images = []
+        for w in words:
+            acc = NcPoly.one(p.alphabet, QQ)
+            for k, letter in enumerate(w):
+                acc = acc * powers[k].image_of_gen(letter)
+            images.append(normal_form(acc, R).terms)
+        for v in linalg.evaluation_kernel(images, QQ):
+            if span.add(v):
+                relations.append(NcPoly(p.alphabet, QQ,
+                                        [(words[k], c) for k, c in sorted(v.items())]))
+        spans[s] = span
+    return relations
+
+
+@st.composite
+def multihomogeneous_twists(draw):
+    """A presentation whose relations are homogeneous in each generator, with
+    degrees 2..4, and a diagonal sigma, which therefore descends."""
+    n = draw(st.integers(2, 3))
+    alphabet = ABC if n == 3 else AB
+    scalars = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4))
+        shuffles = sorted(set(itertools.permutations(word)))
+        terms = draw(st.lists(st.sampled_from(shuffles), min_size=1, max_size=3, unique=True))
+        relations.append(NcPoly(alphabet, QQ, [(w, Fraction(draw(scalars))) for w in terms]))
+    diagonal = [Fraction(draw(scalars)) for _ in range(n)]
+    sigma = GradedEndomorphism(alphabet, QQ, [[diagonal[i] if i == j else 0 for j in range(n)]
+                                              for i in range(n)])
+    return AlgebraPresentation("M", QQ, alphabet, relations), sigma
+
+
+# derandomized: the same examples on every run, so the suite's time is stable
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(multihomogeneous_twists())
+def test_twist_matches_free_word_reference(case):
+    p, sigma = case
+    s_max, cutoff = p.max_relation_degree() + 1, 6
+    t = twist(p, sigma, cutoff, s_max)
+    assert [r.render(p.order) for r in t.relations] == \
+        [r.render(p.order) for r in reference_twist(p, sigma, cutoff, s_max)]
+    # twisting preserves the Hilbert series
+    assert hilbert_function(build(t, cutoff), cutoff) == hilbert_function(build(p, cutoff), cutoff)
 
 
 def test_right_generator_decomposition():

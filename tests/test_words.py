@@ -75,8 +75,6 @@ def test_homogeneity():
     assert not g.is_homogeneous()
     with pytest.raises(ValueError):
         g.degree()
-    comps = g.homogeneous_components()
-    assert sorted(comps) == [1, 2] and comps[1] == x
 
 
 def test_render_canonical():

@@ -23,7 +23,7 @@ from .fields import QQ, QQ_Q, FieldMismatchError
 from .heart import (EMPTY, Slope, euler_pairing, hn, hom_vanishes, mu_max,
                     mu_min, torsion_split)
 from .homology import (GradedModulePresentation, cd_estimate, gorenstein_check,
-                       proj_cohomology)
+                       proj_cohomology, proj_cutoff)
 from .presentations import build, resolution_shape_check, standard_check, twist
 from .real_mult import (SL2Matrix, cf_expand, fixing_matrix, morita_reduce,
                         rm_hilbert)
@@ -214,7 +214,7 @@ def proj():
 def proj_cohomology_cmd(inline, path, j, d, nmax, fmt):
     """Stabilized dimension of H^j(R[d])."""
     p = _load_presentation(inline, path)
-    cutoff = max(12, nmax + j + 2 + max(0, -d))
+    cutoff = max(12, proj_cutoff(nmax, j, d))
     R = build(p, cutoff)
     M = GradedModulePresentation.algebra(R)
     report = proj_cohomology(R, M, j, d, nmax).to_dict()
@@ -235,7 +235,7 @@ def proj_cohomology_cmd(inline, path, j, d, nmax, fmt):
 def proj_cd(inline, path, jmax, dmin, dmax, nmax, fmt):
     """Cohomological-dimension estimate over a window of twists."""
     p = _load_presentation(inline, path)
-    cutoff = max(12, nmax + jmax + 2 + max(0, -dmin))
+    cutoff = max(12, proj_cutoff(nmax, jmax, dmin, dmax))
     R = build(p, cutoff)
     cd = cd_estimate(R, jmax, range(dmin, dmax + 1), nmax)
     _emit({"algebra": p.name, "cd": cd, "d_range": [dmin, dmax],

@@ -14,7 +14,7 @@ SpanTracker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import linalg
 from .rewriting import CutoffExceededError, letter_table, normal_form, normal_words
@@ -102,15 +102,6 @@ class GradedModulePresentation:
         self._free_cache = {}
         self._letter_cache = {}
 
-    @staticmethod
-    def _from_normal_rows(R, shifts, rows, name):
-        """A presentation whose rows are given as (degree, row) pairs that are
-        already homogeneous and in normal form, as rows built from normal
-        words are: no normal form is taken again."""
-        module = GradedModulePresentation(R, shifts, [], name=name)
-        module.rows = rows
-        return module
-
     # -- canonical constructors --------------------------------------------
 
     @staticmethod
@@ -130,36 +121,11 @@ class GradedModulePresentation:
 
     @staticmethod
     def quotient_truncation(R, n):
-        """A/A_{>=n}, presented by the degree-n normal words."""
-        alphabet, fld = R.alphabet, R.field
-        rows = [(n, [NcPoly.word(alphabet, fld, w)]) for w in normal_words(R, n)]
-        return GradedModulePresentation._from_normal_rows(R, [0], rows, f"A/A>={n}")
-
-    @staticmethod
-    def truncation(R, n, rel_bound=None):
-        """A_{>=n}: generated by the degree-n normal words.
-
-        Relations are the minimal generators of the kernel of the evaluation
-        onto the ideal, computed up to rel_bound (a truncation surrogate;
-        defaults to n + 3).  Cached on the rewrite system.
-        """
-        if rel_bound is None:
-            rel_bound = n + 3
-        hit = R.cache.truncations.get((n, rel_bound))
-        if hit is None:
-            shifts = [n] * len(normal_words(R, n))
-            ev_rows = [[NcPoly.word(R.alphabet, R.field, w)] for w in normal_words(R, n)]
-            # the image A_{d-n}.A_n is all of A_d when every word of degree
-            # d >= n has a suffix of degree n: for n = 0, or when the letters
-            # share one weight dividing n; otherwise its rank is not known
-            weights = set(R.alphabet.weights)
-            onto = n == 0 or (len(weights) == 1 and n % weights.pop() == 0)
-            kernel_rows, _ = _kernel_generators(
-                R, shifts, ev_rows, GradedModulePresentation.free(R, [0]), rel_bound,
-                lambda d: 0 if d < n else len(normal_words(R, d)) if onto else None)
-            hit = R.cache.truncations[(n, rel_bound)] = \
-                GradedModulePresentation._from_normal_rows(R, shifts, kernel_rows, f"A>={n}")
-        return hit
+        """A/A_{>=n}, presented by the degree-n normal words, whose rows
+        are already in normal form: no normal form is taken again."""
+        module = GradedModulePresentation.free(R, [0], f"A/A>={n}")
+        module.rows = [(n, [NcPoly.word(R.alphabet, R.field, w)]) for w in normal_words(R, n)]
+        return module
 
     # -- graded slices ------------------------------------------------------
 
@@ -282,17 +248,21 @@ def _vector_to_row(vec, dom_basis, dom_shifts, R):
     return [NcPoly(R.alphabet, R.field, t) for t in terms]
 
 
-def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
-    """Minimal generators (degree, row) of ker(free(dom_shifts) -> codomain cover).
+def _next_syzygy(R, shifts, gens, ranks, N):
+    """The next step of a minimal resolution, from the last one.
 
-    The map sends e_j to rows[j] in the codomain free cover, and rank(d) is
-    the dimension of its image in degree d, or None when not known.
-    Generators are collected degree by degree up to N and returned with the
-    spans of the kernel.  The image
-    of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x) degrees below;
-    a kernel basis is computed only where the lower generators fall short.
+    gens lists the generators (degree, row) of P^i, each row its image in
+    P^{i-1} = free(shifts), and ranks[d] is the dimension of that image in
+    degree d (0 when absent).  Returns the minimal generators (degree, row)
+    of the kernel, collected degree by degree up to N, and the dimensions
+    of their image in P^i, as ints by degree: the ranks of the step after.
+    The image of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x)
+    degrees below; a kernel basis is computed only where the lower
+    generators fall short.
     """
+    dom_shifts = [D for D, _ in gens]
     domain = GradedModulePresentation.free(R, dom_shifts)
+    codomain = GradedModulePresentation.free(R, shifts)
     weights = R.alphabet.weights
     images = {}                # degree -> the images of the domain basis
 
@@ -301,7 +271,7 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
         out = []
         for j, l in enumerate(dom_shifts):
             if l == d:
-                out.append(codomain._expand(rows[j], d))
+                out.append(codomain._expand(gens[j][1], d))
             elif l < d:
                 for a in normal_words(R, d - l):
                     e = d - weights[a[0]]
@@ -315,11 +285,11 @@ def _kernel_generators(R, dom_shifts, rows, codomain, N, rank):
             return kernel, lambda k: _vector_to_row(
                 kernel[k], domain.free_basis(d), dom_shifts, R)
 
-        r = rank(d)
-        return len(out), None if r is None else len(out) - r, find
+        return len(out), len(out) - ranks.get(d, 0), find
 
-    return _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
-                               candidates, domain._grow)
+    kernel, spans = _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
+                                        candidates, domain._grow)
+    return kernel, {d: span.dim() for d, span in spans.items()}
 
 
 @dataclass
@@ -342,6 +312,52 @@ class ResolutionReport:
         }
 
 
+@dataclass
+class _Syzygies:
+    """A minimal free resolution as far as it is built, as plain data.
+
+    shifts are those of P^0; levels[i] lists the generators (degree, row)
+    of P^{i+1}, each row its image in P^i; ranks[d] is the dimension in
+    degree d of the image of the last level.  An empty last level ends the
+    resolution.  Kernels are scanned in internal degrees <= N.  Nothing
+    here refers to the rewrite system, so it can be cached on one.
+    """
+    shifts: list
+    levels: list
+    ranks: dict
+    N: int
+
+    @staticmethod
+    def start(module, N):
+        """P^1: the minimal generators of the module's relation rows."""
+        gens = _minimize_rows(module, N)
+        low = min((D for D, _ in gens), default=N + 1)
+        ranks = {d: module.submodule_span(d).dim() for d in range(low, N + 1)}
+        return _Syzygies(list(module.shifts), [gens], ranks, N)
+
+    def report(self, R, p_max):
+        """The resolution to homological degree p_max, built on from the
+        last level when fewer levels are built."""
+        levels = self.levels
+        while levels[-1] and len(levels) < p_max:
+            shifts = [D for D, _ in levels[-2]] if len(levels) > 1 else self.shifts
+            gens, self.ranks = _next_syzygy(R, shifts, levels[-1], self.ranks, self.N)
+            levels.append(gens)
+        # an empty level up to p_max ends the resolution; P^1 is always built
+        levels = levels[:max(p_max, 1)]
+        terminated = not levels[-1]
+        levels = levels[:-1] if terminated else levels[:p_max]
+        # betti[0] lists the summands of P^0 by shift, so the columns of the
+        # first differential are put in that order
+        order = sorted(range(len(self.shifts)), key=self.shifts.__getitem__)
+        betti = [[self.shifts[i] for i in order]] + [sorted(D for D, _ in g) for g in levels]
+        diffs = [[row for _, row in g] for g in levels]
+        if diffs:
+            diffs[0] = [[row[i] for i in order] for row in diffs[0]]
+        return ResolutionReport(betti, diffs, (p_max, self.N), _minimality_audit(diffs),
+                                terminated, len(levels) if terminated else AtLeast(p_max))
+
+
 def minimal_resolution(module, p_max, N):
     """Minimal free resolution of the module, to homological degree p_max.
 
@@ -351,30 +367,7 @@ def minimal_resolution(module, p_max, N):
     R = module.ambient
     if N > R.cutoff:
         raise CutoffExceededError(f"internal degree bound {N} exceeds cutoff {R.cutoff}")
-    shifts = list(module.shifts)
-    # betti[0] lists the summands of P^0 by shift, so the columns of the
-    # first differential are put in that order
-    order = sorted(range(len(shifts)), key=shifts.__getitem__)
-    betti = [[shifts[i] for i in order]]
-    diffs = []
-    gens = _minimize_rows(module, N)
-    # the image of each differential is the kernel found one step before
-    rank = lambda d: module.submodule_span(d).dim()
-    while gens and len(betti) <= p_max:
-        betti.append(sorted(D for D, _ in gens))
-        rows = [row for _, row in gens]
-        diffs.append(rows if diffs else [[row[i] for i in order] for row in rows])
-        new_shifts = [D for D, _ in gens]
-        if len(betti) <= p_max:
-            gens, spans = _kernel_generators(R, new_shifts, [r for _, r in gens],
-                                             GradedModulePresentation.free(R, shifts), N, rank)
-            rank = lambda d, spans=spans: spans[d].dim() if d in spans else 0
-        else:
-            gens = None
-        shifts = new_shifts
-    terminated = gens == []
-    return ResolutionReport(betti, diffs, (p_max, N), _minimality_audit(diffs), terminated,
-                            len(betti) - 1 if terminated else AtLeast(p_max))
+    return _Syzygies.start(module, N).report(R, p_max)
 
 
 def _minimize_rows(module, N):
@@ -580,44 +573,45 @@ def _stabilize(values):
 
 
 def _quotient_resolution(R, n, p_max):
-    """Minimal resolution of A/A_{>=n}, cached on the rewrite system.
+    """Minimal resolution of A/A_{>=n} to homological degree p_max.
 
     Computed over the full degree window of R so one resolution serves
-    every twist; a request for a larger p_max than the cached one computes
-    the whole resolution again and replaces it.
+    every twist, and cached on the rewrite system as plain data: a request
+    for a larger p_max than any before builds on from the cached levels.
     """
     cache = R.cache.resolutions
-    hit = cache.get(n)
-    if hit is not None and hit[0] >= p_max:
-        return hit[1]
-    Q = GradedModulePresentation.quotient_truncation(R, n)
-    rep = minimal_resolution(Q, p_max, R.cutoff)
-    cache[n] = (p_max, rep)
-    return rep
+    if n not in cache:
+        Q = GradedModulePresentation.quotient_truncation(R, n)
+        cache[n] = _Syzygies.start(Q, R.cutoff)
+    return cache[n].report(R, p_max)
+
+
+def proj_cutoff(n_max, j, *twists):
+    """The degree cutoff proj_cohomology needs for H^j up to truncation
+    n_max, over the given twists d: n_max + j + 2 + the largest |d|."""
+    return n_max + j + 2 + max(map(abs, twists), default=0)
 
 
 def proj_cohomology(R, M, j, d, n_max):
     """Stabilized dim of H^j(M[d]) over the truncation filtration.
 
-    j = 0 uses Hom(R_{>=n}, M[d]); j >= 1 uses the degree shift
-    Ext^j(R_{>=n}, -) = Ext^{j+1}(R/R_{>=n}, -).
+    H^j(M[d]) is read as Ext^j(A_{>=n}, M[d]) for n <= n_max, from the tail
+    P^1 <- P^2 <- ... of the minimal resolution of A/A_{>=n}, which is a
+    minimal resolution of A_{>=n}; for j >= 1 these are the groups
+    Ext^{j+1}(A/A_{>=n}, M[d]).
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
+    needed = proj_cutoff(n_max, j, d)
+    if needed > R.cutoff:
+        raise CutoffExceededError(
+            f"cutoff {R.cutoff} insufficient for (j={j}, d={d}, n_max={n_max}); "
+            f"need {needed}")
     values = []
-    if j == 0:
-        for n in range(n_max + 1):
-            T = GradedModulePresentation.truncation(R, n)
-            values.append(graded_hom_dim(T, M, d))
-    else:
-        needed = n_max + j + 2 + max(0, -d)
-        if needed > R.cutoff:
-            raise CutoffExceededError(
-                f"cutoff {R.cutoff} insufficient for (j={j}, d={d}, n_max={n_max}); "
-                f"need about {needed}")
-        for n in range(n_max + 1):
-            rep = _quotient_resolution(R, n, j + 2)
-            values.append(_ext_dims_from_resolution(rep, M, d, j + 1))
+    for n in range(n_max + 1):
+        rep = _quotient_resolution(R, n, j + 2)
+        tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
+        values.append(_ext_dims_from_resolution(tail, M, d, j))
     dim, at = _stabilize(values)
     return CohomologyReport(j, d, dim, at, values)
 

@@ -139,12 +139,13 @@ def twist(p, sigma, N, s_max=None):
 
     Relations are the minimal relations, in degrees <= s_max (default: one
     more than the highest relation degree of p), that ``present`` finds for
-    the twisted evaluation of words in A, whose normal forms are taken in
-    the completion of p up to N.
+    the twisted evaluation of words in A.  The descent check and the
+    evaluation take normal forms only in degrees <= max(s_max, the highest
+    relation degree), so p is completed up to that degree or N, the lower.
     """
     if s_max is None:
         s_max = p.max_relation_degree() + 1
-    descends, R = _descends(p, sigma, N)
+    descends, R = _descends(p, sigma, min(N, max(s_max, p.max_relation_degree())))
     if not descends:
         raise ValueError("matrix does not define an automorphism of the algebra")
     sigma_powers = [sigma.power(k) for k in range(s_max)]

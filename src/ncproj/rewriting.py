@@ -83,9 +83,8 @@ class RewriteCache:
     state each one ends in; position[d]: normal word -> its index in
     words[d]; dims: the longest Hilbert function computed; letters[(x, d)]:
     the letter table of x in degree d (see letter_table), the structure
-    constants of A in the normal-word basis.  resolutions: n -> (p_max,
-    minimal resolution of A/A_{>=n}) and truncations: (n, rel_bound) ->
-    the presentation of A_{>=n} are kept by the homology layer.
+    constants of A in the normal-word basis.  resolutions: n -> the minimal
+    resolution of A/A_{>=n} built so far is kept by the homology layer.
     """
 
     def __init__(self, rules, nletters):
@@ -96,7 +95,6 @@ class RewriteCache:
         self.dims = []
         self.letters = {}
         self.resolutions = {}
-        self.truncations = {}
 
 
 class RewriteSystem:

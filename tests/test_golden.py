@@ -103,6 +103,9 @@ CASES = [
     ["algebra", "twist", "--input", QP, "--sigma", "1,0,0,q^2/(1+q)"],
     ["thcr", "multiply", "--sigma", "1,1,0,1", "-f", "1:u/u", "-g", "1:u"],
     ["heart", "split", "--factors", "[1:0]", "--theta", "1/0"],
+    # H^0 at the default --nmax, and at a positive twist that the cutoff covers
+    ["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "1"],
+    ["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "3", "--nmax", "9"],
 ]
 
 

@@ -8,7 +8,7 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
                              proj_cohomology, _ext_dims_from_resolution,
-                             _stabilize)
+                             _quotient_resolution, _stabilize)
 from ncproj.dsl import parse_presentation
 from ncproj.presentations import build
 from ncproj.rewriting import RewriteSystem, complete_truncated, normal_words
@@ -56,7 +56,9 @@ def test_module_dims():
     assert F.dim(2) == 3 + 1
     Q = GradedModulePresentation.quotient_truncation(R, 3)
     assert [Q.dim(d) for d in range(5)] == [1, 2, 3, 0, 0]
-    T = GradedModulePresentation.truncation(R, 2)
+    # A_{>=2}, presented by the tail P^1 <- P^2 of the resolution of A/A_{>=2}
+    rep = _quotient_resolution(R, 2, 2)
+    T = GradedModulePresentation(R, rep.betti[1], rep.differentials[1])
     assert [T.dim(d) for d in range(2, 6)] == [3, 4, 5, 6]
     assert T.dim(1) == 0
 
@@ -182,6 +184,22 @@ def test_proj_cohomology_reports():
     assert d["dim"] == 1 and d["j"] == 1 and len(d["values"]) == 7
     short = proj_cohomology(R, A, 0, 0, 1)
     assert short.stabilized_dim == UNSTABLE
+
+
+@pytest.mark.parametrize("system, cutoff", [(plane, 8), (quantum_plane, 8), (space, 7)],
+                         ids=["plane", "QP", "C3"])
+def test_a_resumed_resolution_equals_a_fresh_one(system, cutoff):
+    """The cached resolution of A/A_{>=n}, built on from p_max 2 to 3 to 4
+    and then asked for p_max 2 again, reports what a fresh one does."""
+    R = system(cutoff)
+    for n in range(5):
+        Q = GradedModulePresentation.quotient_truncation(R, n)
+        for p in (2, 3, 4, 2):
+            got = _quotient_resolution(R, n, p)
+            want = minimal_resolution(Q, p, R.cutoff)
+            assert got.betti == want.betti, (n, p)
+            assert got.differentials == want.differentials, (n, p)
+            assert (got.terminated, got.length) == (want.terminated, want.length), (n, p)
 
 
 def test_cd_estimate_plane():

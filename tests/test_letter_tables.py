@@ -13,7 +13,8 @@ import random
 import pytest
 
 from ncproj.dsl import parse_presentation
-from ncproj.homology import GradedModulePresentation
+from ncproj.homology import (GradedModulePresentation, _quotient_resolution,
+                             graded_hom_dim, proj_cohomology, proj_cutoff)
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
 from ncproj.rewriting import letter_table, normal_form, normal_words
@@ -90,12 +91,21 @@ def span_word_by_word(M, d):
     return span
 
 
+def truncation(R, n):
+    """A_{>=n}, presented by the tail P^1 <- P^2 of the minimal resolution
+    of A/A_{>=n}: the degree-n normal words and their relations, none when
+    P^2 = 0 (over the weighted plane, A.x for n = 1)."""
+    rep = _quotient_resolution(R, n, 2)
+    rows = rep.differentials[1] if len(rep.differentials) > 1 else []
+    return GradedModulePresentation(R, rep.betti[1], rows, name=f"A>={n}")
+
+
 def modules(R):
     a, f = R.alphabet, R.field
     x, y = NcPoly.gen(a, f, 0), NcPoly.gen(a, f, 1)
     yield GradedModulePresentation.trivial(R)
     yield GradedModulePresentation.quotient_truncation(R, 3)
-    yield GradedModulePresentation.truncation(R, 2)
+    yield truncation(R, 2)
     # two summands, A and A(-w(x)), and relations in two degrees
     wx, wy = a.weights[0], a.weights[1]
     yield GradedModulePresentation(R, [0, wx], [[y * x, NcPoly.zero(a, f) - y],
@@ -114,21 +124,26 @@ def test_spans_degree_by_degree_match_word_by_word(name):
             assert got.rows == want.rows, (M, d)
 
 
+def truncation_cover(R, n):
+    """The free module A(-n)^{A_n} that evaluates onto A_{>=n}."""
+    return GradedModulePresentation.free(R, [n] * len(normal_words(R, n)))
+
+
 def kernel_span_word_by_word(R, n, d):
     """The degree-d kernel of the evaluation of A(-n)^{A_n} onto A_{>=n},
     every image a.w expanded through normal_form."""
-    T = GradedModulePresentation.truncation(R, n)
+    basis = truncation_cover(R, n).free_basis(d)
     gens = normal_words(R, n)
     index = {w: k for k, w in enumerate(normal_words(R, d))}
     rows = {}
-    for k, (j, a) in enumerate(T.free_basis(d)):
+    for k, (j, a) in enumerate(basis):
         image = normal_form(NcPoly.word(R.alphabet, R.field, a + gens[j]), R)
         for w, c in image.terms.items():
             rows.setdefault(index[w], {})[k] = c
-    image_span = SpanTracker(len(T.free_basis(d)), R.field)
+    image_span = SpanTracker(len(basis), R.field)
     for row in rows.values():
         image_span.add(row)
-    span = SpanTracker(len(T.free_basis(d)), R.field)
+    span = SpanTracker(len(basis), R.field)
     for v in image_span.kernel():
         span.add(v)
     return span
@@ -146,8 +161,42 @@ TRUNCATED = dict(ALGEBRAS, **{
 def test_truncation_relations_span_the_evaluation_kernel(name):
     R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
     for n in (1, 2):
-        T = GradedModulePresentation.truncation(R, n)
-        for d in range(n, n + 4):           # the relations reach degree n + 3
+        T = truncation(R, n)
+        for d in range(n, CUTOFF + 1):
             got, want = T.submodule_span(d), kernel_span_word_by_word(R, n, d)
             assert got.pivots == want.pivots, (n, d)
             assert got.rows == want.rows, (n, d)
+
+
+def kernel_presentation(R, n, top):
+    """A_{>=n} on A(-n)^{A_n}, its rows the evaluation-kernel vectors of
+    degree <= top, each found word by word, that the rows of lower degree
+    do not generate: no letter table, no resolution."""
+    cover = truncation_cover(R, n)
+    rows = []
+    for e in range(n, top + 1):
+        basis = cover.free_basis(e)
+        below = span_word_by_word(GradedModulePresentation(R, cover.shifts, rows), e)
+        for v in kernel_span_word_by_word(R, n, e).rows.values():
+            if below.add(v):
+                terms = [{} for _ in cover.shifts]
+                for k, c in v.items():
+                    j, a = basis[k]
+                    terms[j][a] = c
+                rows.append([NcPoly(R.alphabet, R.field, t) for t in terms])
+    return GradedModulePresentation(R, cover.shifts, rows)
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED))
+def test_proj_h0_matches_hom_from_the_evaluation_kernel(name):
+    """Each H^0 value Hom(A_{>=n}, A[d]), read off the resolution of
+    A/A_{>=n}, against graded_hom_dim on the kernel rows found word by
+    word; Hom into A[d] reads the rows of degree <= cutoff - d."""
+    cutoff = proj_cutoff(3, 0, 2)
+    R = build(parse_presentation(TRUNCATED[name]), cutoff)
+    A = GradedModulePresentation.algebra(R)
+    for d in range(3):
+        values = proj_cohomology(R, A, 0, d, 3).values
+        for n in range(4):
+            T = kernel_presentation(R, n, cutoff - d)
+            assert values[n] == graded_hom_dim(T, A, d), (n, d)

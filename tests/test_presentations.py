@@ -15,7 +15,7 @@ from ncproj.presentations import (AMBIGUOUS, NOT_APPLICABLE, ABSENT,
                                   resolution_shape_check,
                                   right_generator_decomposition,
                                   standard_check, twist)
-from ncproj.rewriting import hilbert_function, normal_form
+from ncproj.rewriting import CutoffExceededError, hilbert_function, normal_form
 from ncproj.words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
 
 AB = Alphabet(["x", "y"])
@@ -101,6 +101,18 @@ def test_twist_by_identity_is_identity():
     p = poly_plane()
     t = twist(p, GradedEndomorphism.identity(AB, QQ), 10)
     assert t.relations == p.relations
+
+
+def test_twist_completes_only_the_degrees_it_reads():
+    """The twist of the Sklyanin algebra by the cyclic permutation reads
+    normal forms up to s_max = 3, so -N 12 and -N 3 give one presentation;
+    below s_max the cutoff is still too low."""
+    p = parse_presentation("algebra S over Q { gens: x, y, z; rels: y*z + 2*z*y + 3*x*x; "
+                           "z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }")
+    sigma = GradedEndomorphism(p.alphabet, QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert twist(p, sigma, 12).relations == twist(p, sigma, 3).relations
+    with pytest.raises(CutoffExceededError):
+        twist(p, sigma, 2)
 
 
 def test_twist_rejects_non_automorphism():

@@ -128,7 +128,8 @@ def thcr_presentation(sigma, d_max, bundle=1, name="B"):
 
     Generators are the level-1 section basis (x = 1, y = u when bundle = 1);
     relations in degrees 2..d_max are those ``present`` finds for the
-    evaluation of words through thcr_multiply, as polynomial coefficients.
+    evaluation of words as thcr_multiply products, as polynomial coefficients.
+    Each word is evaluated once, from the section of its prefix.
     """
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
@@ -141,11 +142,22 @@ def thcr_presentation(sigma, d_max, bundle=1, name="B"):
     alphabet = Alphabet(symbols)
     order = MonomialOrder(alphabet)
 
+    # the section of a word is that of its prefix times its last generator
+    # twisted by sigma^level(prefix); twisted[k][i] is gens[i] twisted by sigma^k
+    twisted, tau = [], P1Automorphism.identity(field)
+    for _ in range(d_max):
+        twisted.append([section_twist(g, tau).poly for g in gens])
+        tau = tau.compose(sigma)
+    sections = {(i,): g.poly for i, g in enumerate(gens)}
+
+    def section(word):
+        poly = sections.get(word)
+        if poly is None:
+            poly = sections[word] = section(word[:-1]) * twisted[len(word) - 1][word[-1]]
+        return poly
+
     def evaluate(word):
-        acc = gens[word[0]]
-        for i in word[1:]:
-            acc = thcr_multiply(acc, gens[i], sigma)
-        return {t: c for t, c in enumerate(acc.poly.coeffs) if c}
+        return {t: c for t, c in enumerate(section(word).coeffs) if c}
 
     relations = present(order, field, evaluate, d_max)
     return AlgebraPresentation(name, field, alphabet, relations, order)

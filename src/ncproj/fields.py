@@ -10,7 +10,10 @@ Every scalar used anywhere in the package is one of
 
 All three support ``+ - * /``, equality and ``bool`` (nonzero test), so the
 generic linear algebra in :mod:`ncproj.linalg` works over any of them.
-No floating point enters any computation.
+No floating point enters any computation.  Python ints stand for elements
+of Q only inside ``rewriting._reduce``, which works fraction-free on integer
+numerators over one denominator; they never leave it, and every Q scalar
+it returns is a ``Fraction``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 from . import linalg
-from .rewriting import CutoffExceededError, letter_table, normal_form, normal_words
+from .rewriting import (CutoffExceededError, hilbert_function, letter_table, normal_form,
+                        normal_words)
 from .words import NcPoly
 
 UNSTABLE = "UNSTABLE"
@@ -258,9 +259,18 @@ def _next_syzygy(R, shifts, gens, ranks, N):
     of their image in P^i, as ints by degree: the ranks of the step after.
     The image of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x)
     degrees below; a kernel basis is computed only where the lower
-    generators fall short.
+    generators fall short.  The kernel in degree d has dimension
+    sum_j dim A_{d - D_j} - ranks[d], so degrees are scanned only up to the
+    last one where that is positive, and an empty level is found at once.
     """
     dom_shifts = [D for D, _ in gens]
+    low = min(dom_shifts, default=0)
+    dims = hilbert_function(R, max(N - low, 0))
+    top = max((d for d in range(low, N + 1)
+               if sum(dims[d - l] for l in dom_shifts if l <= d) > ranks.get(d, 0)),
+              default=None)
+    if top is None:
+        return [], {}
     domain = GradedModulePresentation.free(R, dom_shifts)
     codomain = GradedModulePresentation.free(R, shifts)
     weights = R.alphabet.weights
@@ -287,8 +297,7 @@ def _next_syzygy(R, shifts, gens, ranks, N):
 
         return len(out), len(out) - ranks.get(d, 0), find
 
-    kernel, spans = _minimal_generators(range(min(dom_shifts, default=0), N + 1), R.field,
-                                        candidates, domain._grow)
+    kernel, spans = _minimal_generators(range(low, top + 1), R.field, candidates, domain._grow)
     return kernel, {d: span.dim() for d, span in spans.items()}
 
 

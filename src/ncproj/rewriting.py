@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .fields import QQ
 from .linalg import SpanTracker
 from .words import NcPoly
 
@@ -49,10 +50,16 @@ class NormalWordAutomaton:
     suffix of wa that is a state, and rule[s] is the index of the first
     rule in list order whose lead ends w (len(rules) if none does).  step
     is goto on normal words: step[s][a] is None when wa is not normal.
+
+    forms[i] is the rhs of rules[i] as _reduce uses it: over Q, (D, N) with
+    D the least common denominator of its coefficients and N its (word,
+    integer numerator) pairs, so that rhs = N / D; over other fields,
+    (None, its (word, coefficient) pairs).
     """
 
     def __init__(self, rules, nletters):
         self.rules = rules = tuple(rules)
+        self.forms = [_integer_form(r.rhs) for r in rules]
         children = [{}]
         rule = [len(rules)]
         for i, r in enumerate(rules):
@@ -74,6 +81,13 @@ class NormalWordAutomaton:
             queue.extend((t, goto[fail][a]) for a, t in children[s].items())
         self.goto, self.rule = goto, rule
         self.step = [[None if rule[t] < len(rules) else t for t in row] for row in goto]
+
+
+def _integer_form(rhs):
+    if rhs.field != QQ:
+        return None, tuple(rhs.terms.items())
+    D = math.lcm(*(c.denominator for c in rhs.terms.values()))
+    return D, tuple((u, c.numerator * (D // c.denominator)) for u, c in rhs.terms.items())
 
 
 class RewriteCache:
@@ -126,8 +140,15 @@ def _reduce(p, automaton, order):
     word is smaller than its lead and the order is compatible with
     concatenation.  So when a word is popped, every contribution to its
     coefficient has already arrived, and each word is settled once.
+
+    Over Q the pending and settled coefficients are Python ints over one
+    common denominator S, fraction-free in the manner of Bareiss: a word
+    with numerator c rewritten by a rule rhs N / D adds (c / g) N, with
+    g = gcd(c, D), after every numerator and S are multiplied by D / g.
+    One gcd is paid per rewrite and none per product.  The ints never
+    leave: the result's coefficients are the Fractions c / S.
     """
-    rules, goto, first = automaton.rules, automaton.goto, automaton.rule
+    rules, forms, goto, first = automaton.rules, automaton.forms, automaton.goto, automaton.rule
     weight, rank = [-a for a in order.alphabet.weights], [-r for r in order._rank]
 
     def entry(w):
@@ -137,6 +158,10 @@ def _reduce(p, automaton, order):
         return (sum(map(weight.__getitem__, w)), *map(rank.__getitem__, w), w)
 
     pending = dict(p.terms)
+    S = None
+    if p.field == QQ:
+        S = math.lcm(*(c.denominator for c in pending.values()))
+        pending = {w: c.numerator * (S // c.denominator) for w, c in pending.items()}
     heap = [entry(w) for w in pending]
     heapq.heapify(heap)
     terms = {}
@@ -153,14 +178,24 @@ def _reduce(p, automaton, order):
         if best == len(rules):
             terms[w] = c
             continue
-        rule = rules[best]
-        pre, post = w[:end - len(rule.lead)], w[end:]
-        for u, a in rule.rhs.terms.items():
+        D, rhs = forms[best]
+        if D is not None:
+            g = math.gcd(c, D)
+            if g != D:
+                k = D // g
+                S *= k
+                pending = {v: x * k for v, x in pending.items()}
+                terms = {v: x * k for v, x in terms.items()}
+            c //= g
+        pre, post = w[:end - len(rules[best].lead)], w[end:]
+        for u, a in rhs:
             v = pre + u + post
             old = pending.get(v)
             if old is None:
                 heapq.heappush(heap, entry(v))
             pending[v] = c * a if old is None else old + c * a
+    if S is not None:
+        terms = {w: Fraction(c, S) for w, c in terms.items()}
     out = NcPoly.zero(p.alphabet, p.field)
     out.terms = terms
     return out

@@ -14,10 +14,11 @@ import pytest
 
 from ncproj.dsl import parse_presentation
 from ncproj.homology import (GradedModulePresentation, _quotient_resolution,
-                             graded_hom_dim, proj_cohomology, proj_cutoff)
+                             graded_hom_dim, minimal_resolution, proj_cohomology,
+                             proj_cutoff)
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
-from ncproj.rewriting import letter_table, normal_form, normal_words
+from ncproj.rewriting import hilbert_function, letter_table, normal_form, normal_words
 from ncproj.words import NcPoly
 
 CUTOFF = 8
@@ -200,3 +201,23 @@ def test_proj_h0_matches_hom_from_the_evaluation_kernel(name):
         for n in range(4):
             T = kernel_presentation(R, n, cutoff - d)
             assert values[n] == graded_hom_dim(T, A, d), (n, d)
+
+
+@pytest.mark.parametrize("name", ["plane", "QP", "C3", "Sklyanin", "weighted C3",
+                                  "weighted x, z, y:2"])
+def test_resolutions_satisfy_the_euler_characteristic(name):
+    """An exact resolution P of M has sum_i (-1)^i dim P^i_d = dim M_d, and
+    dim P^i_d = sum of dim A_{d-l} over the shifts l of betti[i]: an oracle
+    that reads only the Betti numbers, the Hilbert function and the module."""
+    R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
+    dims = hilbert_function(R, CUTOFF)
+    modules = [(GradedModulePresentation.quotient_truncation(R, n), _quotient_resolution(R, n, 6))
+               for n in range(5)]
+    k = GradedModulePresentation.trivial(R)
+    modules.append((k, minimal_resolution(k, 6, CUTOFF)))
+    for M, rep in modules:
+        assert rep.terminated, M
+        for d in range(CUTOFF + 1):
+            chi = sum((-1) ** i * sum(dims[d - l] for l in shifts if l <= d)
+                      for i, shifts in enumerate(rep.betti))
+            assert chi == M.dim(d), (M, d)

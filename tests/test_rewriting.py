@@ -13,7 +13,7 @@ from ncproj.rewriting import (INFINITE, CutoffExceededError, NormalWordAutomaton
                               RewriteRule, RewriteSystem, _overlaps, _reduce, _spoly,
                               complete_truncated, complete_truncated_over,
                               confluence_audit, gk_estimate, hilbert_function,
-                              ideal_member_truncated, normal_form,
+                              ideal_member_truncated, letter_table, normal_form,
                               normal_words)
 from ncproj.words import Alphabet, MonomialOrder, NcPoly
 
@@ -225,13 +225,14 @@ def _relations():
     }
 
 
-def _random_poly(alphabet, field, rnd, max_degree):
+def _random_poly(alphabet, field, rnd, max_degree, num=5, den=3):
+    """Up to 6 random words with coefficients a / b, |a| <= num, 1 <= b <= den."""
     terms = []
     for _ in range(rnd.randint(1, 6)):
         w, degree = (), rnd.randint(0, max_degree)
         while alphabet.degree(w) < degree:
             w += (rnd.randrange(len(alphabet)),)
-        terms.append((w, Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))))
+        terms.append((w, Fraction(rnd.randint(-num, num), rnd.randint(1, den))))
     return NcPoly(alphabet, field, terms)
 
 
@@ -259,6 +260,40 @@ def test_reduce_matches_restarting_reference(name):
             p = _random_poly(order.alphabet, rels[0].field, rnd, 7)
             assert _reduce(p, NormalWordAutomaton(rules, len(order.alphabet)), order) == \
                 _reduce_restarting(p, rules, order), kind
+    if name == "Sklyanin":
+        # rule denominators D of about 244 bits and inputs with 40-digit
+        # numerators and denominators: gcd(c, D) != D, so _reduce rescales
+        rules = list(complete_truncated(rels, 8, order).rules)
+        automaton = NormalWordAutomaton(rules, len(order.alphabet))
+        assert max(D for D, _ in automaton.forms).bit_length() > 200
+        for _ in range(10):
+            p = _random_poly(order.alphabet, QQ, rnd, 8, 10 ** 40, 10 ** 40)
+            assert _reduce(p, automaton, order) == _reduce_restarting(p, rules, order)
+
+
+def _coefficients(R):
+    """The coefficients _reduce, normal_form, letter_table and the rules of
+    R hand out, on seeded random inputs."""
+    rnd = random.Random(f"coefficients {R}")
+    yield from (c for r in R.rules for c in r.rhs.terms.values())
+    for _ in range(20):
+        p = _random_poly(R.alphabet, QQ, rnd, R.cutoff, 10 ** 6, 10 ** 6)
+        p = NcPoly(R.alphabet, R.field, [(w, R.field.coerce(c)) for w, c in p.terms.items()])
+        yield from _reduce(p, R.cache.automaton, R.order).terms.values()
+        yield from normal_form(p, R).terms.values()
+    for x in range(len(R.alphabet)):
+        for d in range(R.cutoff):
+            yield from (c for entry in letter_table(R, x, d) for _, c in entry)
+
+
+@pytest.mark.parametrize("name, cutoff, kind", [("plane", 8, Fraction),
+                                                ("Sklyanin", 6, Fraction),
+                                                ("QP", 8, RatFunc)])
+def test_coefficients_stay_in_their_field(name, cutoff, kind):
+    """Over Q, _reduce works on ints; none of them may leave it."""
+    order, rels = _relations()[name]
+    R = complete_truncated(rels, cutoff, order)
+    assert {type(c) for c in _coefficients(R)} == {kind}
 
 
 def _gaussian_binomials(n):

@@ -59,8 +59,10 @@ def _guard(fn):
 def _load_presentation(inline, path):
     if (inline is None) == (path is None):
         raise click.UsageError("provide exactly one of --input or --file")
-    text = inline if inline is not None else open(path).read()
-    return parse_presentation(text)
+    if inline is not None:
+        return parse_presentation(inline)
+    with open(path) as f:
+        return parse_presentation(f.read())
 
 
 _format_opt = click.option("--format", "fmt", type=click.Choice(["json", "table"]),
@@ -68,7 +70,8 @@ _format_opt = click.option("--format", "fmt", type=click.Choice(["json", "table"
 _input_opts = [
     click.option("--input", "inline", default=None,
                  help="Inline presentation in the DSL."),
-    click.option("--file", "path", type=click.Path(exists=True), default=None,
+    click.option("--file", "path", default=None,
+                 type=click.Path(exists=True, dir_okay=False, readable=True),
                  help="File containing a presentation."),
 ]
 

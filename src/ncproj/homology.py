@@ -44,7 +44,7 @@ def _apply(images, v, one):
     return {t: y for t, y in out.items() if y}
 
 
-def _minimal_generators(degrees, field, candidates, grow):
+def _minimal_generators(degrees, field, candidates, grow, spans):
     """Minimal generators, degree by degree, over a range of degrees.
 
     candidates(d) returns (ncols, total, find): the length of the degree-d
@@ -55,10 +55,9 @@ def _minimal_generators(degrees, field, candidates, grow):
     degrees done so far generate in degree d.  A candidate is kept when it
     is outside that and the candidates kept before it.  A span of dimension
     total is the whole degree-d part: growing stops, and find is not called.
-    Returns the kept (degree, generator) pairs and the spans.
+    Fills spans[d] for each degree d; returns the kept (degree, generator) pairs.
     """
     gens = []
-    spans = {}
     for d in degrees:
         ncols, total, find = candidates(d)
         span = linalg.SpanTracker(ncols, field)
@@ -74,7 +73,7 @@ def _minimal_generators(degrees, field, candidates, grow):
                     if span.dim() == total:
                         break
         spans[d] = span
-    return gens, spans
+    return gens
 
 
 class GradedModulePresentation:
@@ -100,6 +99,7 @@ class GradedModulePresentation:
                 self.rows.append((degs.pop(), row))
         self._slice_cache = {}
         self._span_cache = {}
+        self._generators = []
         self._free_cache = {}
         self._letter_cache = {}
 
@@ -115,17 +115,21 @@ class GradedModulePresentation:
 
     @staticmethod
     def trivial(R):
-        """The trivial module k = A/A_+."""
-        alphabet, fld = R.alphabet, R.field
-        rows = [[NcPoly.gen(alphabet, fld, i)] for i in range(len(alphabet))]
-        return GradedModulePresentation(R, [0], rows, name="k")
+        """The trivial module k = A/A_{>=1}."""
+        module = GradedModulePresentation.quotient_truncation(R, 1)
+        module.name = "k"
+        return module
 
     @staticmethod
     def quotient_truncation(R, n):
-        """A/A_{>=n}, presented by the degree-n normal words, whose rows
-        are already in normal form: no normal form is taken again."""
+        """A/A_{>=n}, presented by the normal words of degrees n .. n + w - 1
+        (at most the cutoff), w the largest letter weight: every longer normal
+        word ends in one of them, so they generate A_{>=n}.  The rows are
+        already in normal form: no normal form is taken again."""
         module = GradedModulePresentation.free(R, [0], f"A/A>={n}")
-        module.rows = [(n, [NcPoly.word(R.alphabet, R.field, w)]) for w in normal_words(R, n)]
+        top = min(n + max(R.alphabet.weights) - 1, R.cutoff)
+        module.rows = [(d, [NcPoly.word(R.alphabet, R.field, w)])
+                       for d in range(n, top + 1) for w in normal_words(R, d)]
         return module
 
     # -- graded slices ------------------------------------------------------
@@ -180,18 +184,19 @@ class GradedModulePresentation:
 
     def submodule_span(self, d):
         """Row space of the relation submodule in internal degree d, filled
-        degree by degree: the letters times the spans below, plus the rows."""
+        degree by degree: the letters times the spans below, plus the rows.
+        The rows that enlarge a span, kept in _generators, generate minimally."""
         spans = self._span_cache
         if d not in spans:
-            for e in range(min([D for D, _ in self.rows if D < d], default=d), d + 1):
-                if e not in spans:
-                    span = linalg.SpanTracker(len(self.free_basis(e)), self.ambient.field)
-                    for v in self._grow(spans, e):
-                        span.add(v)
-                    for D, row in self.rows:
-                        if D == e:
-                            span.add(self._expand(row, e))
-                    spans[e] = span
+            def candidates(e):
+                rows = [row for D, row in self.rows if D == e]
+                return len(self.free_basis(e)), None, lambda: (
+                    [self._expand(row, e) for row in rows], rows.__getitem__)
+
+            low = min([D for D, _ in self.rows if D < d], default=d)
+            self._generators += _minimal_generators(
+                [e for e in range(low, d + 1) if e not in spans], self.ambient.field,
+                candidates, self._grow, spans)
         return spans[d]
 
     def dim(self, d):
@@ -297,7 +302,8 @@ def _next_syzygy(R, shifts, gens, ranks, N):
 
         return len(out), len(out) - ranks.get(d, 0), find
 
-    kernel, spans = _minimal_generators(range(low, top + 1), R.field, candidates, domain._grow)
+    spans = {}
+    kernel = _minimal_generators(range(low, top + 1), R.field, candidates, domain._grow, spans)
     return kernel, {d: span.dim() for d, span in spans.items()}
 
 
@@ -338,8 +344,12 @@ class _Syzygies:
 
     @staticmethod
     def start(module, N):
-        """P^1: the minimal generators of the module's relation rows."""
-        gens = _minimize_rows(module, N)
+        """P^1 and its ranks, read off the module's relation spans up to N."""
+        R = module.ambient
+        if N > R.cutoff:
+            raise CutoffExceededError(f"internal degree bound {N} exceeds cutoff {R.cutoff}")
+        module.submodule_span(N)
+        gens = [(D, row) for D, row in module._generators if D <= N]
         low = min((D for D, _ in gens), default=N + 1)
         ranks = {d: module.submodule_span(d).dim() for d in range(low, N + 1)}
         return _Syzygies(list(module.shifts), [gens], ranks, N)
@@ -371,28 +381,9 @@ def minimal_resolution(module, p_max, N):
     """Minimal free resolution of the module, to homological degree p_max.
 
     Kernels are scanned in internal degrees <= N; an empty kernel across the
-    whole degree window is reported as termination.
+    whole degree window is reported as termination.  Not cached on R.
     """
-    R = module.ambient
-    if N > R.cutoff:
-        raise CutoffExceededError(f"internal degree bound {N} exceeds cutoff {R.cutoff}")
-    return _Syzygies.start(module, N).report(R, p_max)
-
-
-def _minimize_rows(module, N):
-    """Minimal generators of the relation submodule of a presentation."""
-    by_degree = {}
-    for D, row in module.rows:
-        if D <= N:
-            by_degree.setdefault(D, []).append(row)
-
-    def candidates(d):
-        rows = by_degree.get(d, [])
-        return len(module.free_basis(d)), None, lambda: (
-            [module._expand(row, d) for row in rows], rows.__getitem__)
-
-    return _minimal_generators(range(min(by_degree, default=0), max(by_degree, default=-1) + 1),
-                               module.ambient.field, candidates, module._grow)[0]
+    return _Syzygies.start(module, N).report(module.ambient, p_max)
 
 
 def _minimality_audit(diffs):
@@ -402,7 +393,7 @@ def _minimality_audit(diffs):
 
 def global_dimension(R, p_max, N):
     """Projective dimension of the trivial module, or AT_LEAST(p_max)."""
-    rep = minimal_resolution(GradedModulePresentation.trivial(R), p_max, N)
+    rep = _quotient_resolution(R, 1, p_max, N)
     return rep.length if rep.terminated else AtLeast(p_max)
 
 
@@ -470,7 +461,7 @@ def ext_k_A(R, i, N, p_max=None):
     """Graded dims of Ext^i(k, A) over the exactly computable degree window."""
     if p_max is None:
         p_max = i + 2
-    rep = minimal_resolution(GradedModulePresentation.trivial(R), p_max, N)
+    rep = _quotient_resolution(R, 1, p_max, N)
     return _ext_k_A_dims(R, rep, i, N)
 
 
@@ -495,7 +486,7 @@ def _ext_k_A_dims(R, rep, i, N):
 
 def gorenstein_check(R, N, p_max=8):
     """AS-Gorenstein test: Ext^i(k, A) vanishes except in degree d, where it is k."""
-    rep = minimal_resolution(GradedModulePresentation.trivial(R), p_max, N)
+    rep = _quotient_resolution(R, 1, p_max, N)
     if not rep.terminated:
         return {"passes": False, "d": None,
                 "reason": f"global dimension not finite within p_max={p_max}"}
@@ -534,7 +525,7 @@ def chi_probe(R, M, j_max, N):
     The right-boundedness flag refers only to the computed window: it is set
     when the top quarter of the window carries no nonzero entry.
     """
-    rep = minimal_resolution(GradedModulePresentation.trivial(R), j_max + 1, N)
+    rep = _quotient_resolution(R, 1, j_max + 1, N)
     table = {}
     max_shift = max((max(b) for b in rep.betti if b), default=0)
     lo = -max_shift
@@ -581,18 +572,18 @@ def _stabilize(values):
     return UNSTABLE, -1
 
 
-def _quotient_resolution(R, n, p_max):
-    """Minimal resolution of A/A_{>=n} to homological degree p_max.
+def _quotient_resolution(R, n, p_max, N):
+    """Minimal resolution of A/A_{>=n} (for n = 1, of k) to homological
+    degree p_max, kernels scanned in internal degrees <= N.
 
-    Computed over the full degree window of R so one resolution serves
-    every twist, and cached on the rewrite system as plain data: a request
-    for a larger p_max than any before builds on from the cached levels.
+    Cached on the rewrite system as plain data, one per (n, N), so at
+    N = cutoff one resolution serves every twist; a request for a larger
+    p_max than any before builds on from the cached levels.
     """
     cache = R.cache.resolutions
-    if n not in cache:
-        Q = GradedModulePresentation.quotient_truncation(R, n)
-        cache[n] = _Syzygies.start(Q, R.cutoff)
-    return cache[n].report(R, p_max)
+    if (n, N) not in cache:
+        cache[n, N] = _Syzygies.start(GradedModulePresentation.quotient_truncation(R, n), N)
+    return cache[n, N].report(R, p_max)
 
 
 def proj_cutoff(n_max, j, *twists):
@@ -618,7 +609,7 @@ def proj_cohomology(R, M, j, d, n_max):
             f"need {needed}")
     values = []
     for n in range(n_max + 1):
-        rep = _quotient_resolution(R, n, j + 2)
+        rep = _quotient_resolution(R, n, j + 2, R.cutoff)
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
         values.append(_ext_dims_from_resolution(tail, M, d, j))
     dim, at = _stabilize(values)

@@ -236,6 +236,12 @@ def test_exit_code_usage_error():
     assert res3.exit_code == 2
 
 
+def test_file_naming_a_directory_is_a_usage_error(tmp_path):
+    res = run("algebra", "hilbert", "--file", str(tmp_path))
+    assert res.exit_code == 2 and "is a directory" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_json_keys_sorted():
     res = run("rm", "fix", "--theta", "(-1+1*sqrt(5))/2")
     d = json.loads(res.output)

@@ -57,7 +57,7 @@ def test_module_dims():
     Q = GradedModulePresentation.quotient_truncation(R, 3)
     assert [Q.dim(d) for d in range(5)] == [1, 2, 3, 0, 0]
     # A_{>=2}, presented by the tail P^1 <- P^2 of the resolution of A/A_{>=2}
-    rep = _quotient_resolution(R, 2, 2)
+    rep = _quotient_resolution(R, 2, 2, R.cutoff)
     T = GradedModulePresentation(R, rep.betti[1], rep.differentials[1])
     assert [T.dim(d) for d in range(2, 6)] == [3, 4, 5, 6]
     assert T.dim(1) == 0
@@ -195,7 +195,7 @@ def test_a_resumed_resolution_equals_a_fresh_one(system, cutoff):
     for n in range(5):
         Q = GradedModulePresentation.quotient_truncation(R, n)
         for p in (2, 3, 4, 2):
-            got = _quotient_resolution(R, n, p)
+            got = _quotient_resolution(R, n, p, R.cutoff)
             want = minimal_resolution(Q, p, R.cutoff)
             assert got.betti == want.betti, (n, p)
             assert got.differentials == want.differentials, (n, p)

@@ -13,9 +13,9 @@ import random
 import pytest
 
 from ncproj.dsl import parse_presentation
-from ncproj.homology import (GradedModulePresentation, _quotient_resolution,
-                             graded_hom_dim, minimal_resolution, proj_cohomology,
-                             proj_cutoff)
+from ncproj.homology import (GradedModulePresentation, _quotient_resolution, chi_probe,
+                             ext_k_A, global_dimension, gorenstein_check, graded_hom_dim,
+                             minimal_resolution, proj_cohomology, proj_cutoff)
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
 from ncproj.rewriting import hilbert_function, letter_table, normal_form, normal_words
@@ -94,11 +94,24 @@ def span_word_by_word(M, d):
 
 def truncation(R, n):
     """A_{>=n}, presented by the tail P^1 <- P^2 of the minimal resolution
-    of A/A_{>=n}: the degree-n normal words and their relations, none when
-    P^2 = 0 (over the weighted plane, A.x for n = 1)."""
-    rep = _quotient_resolution(R, n, 2)
+    of A/A_{>=n}: its minimal generators and their relations, none when
+    P^2 = 0."""
+    rep = _quotient_resolution(R, n, 2, R.cutoff)
     rows = rep.differentials[1] if len(rep.differentials) > 1 else []
     return GradedModulePresentation(R, rep.betti[1], rows, name=f"A>={n}")
+
+
+def generator_words(R, n):
+    """The normal words P^1 of the resolution of A/A_{>=n} lists, in the
+    order of its summands."""
+    rep = _quotient_resolution(R, n, 2, R.cutoff)
+    return [next(iter(row[0].terms)) for row in rep.differentials[0]]
+
+
+def truncation_words(R, n):
+    """The normal words of degrees n .. n + w - 1, w the largest letter
+    weight: every normal word of degree >= n ends in one of them."""
+    return [u for d in range(n, n + max(R.alphabet.weights)) for u in normal_words(R, d)]
 
 
 def modules(R):
@@ -125,16 +138,16 @@ def test_spans_degree_by_degree_match_word_by_word(name):
             assert got.rows == want.rows, (M, d)
 
 
-def truncation_cover(R, n):
-    """The free module A(-n)^{A_n} that evaluates onto A_{>=n}."""
-    return GradedModulePresentation.free(R, [n] * len(normal_words(R, n)))
+def truncation_cover(R, gens):
+    """The free module with one summand A(-|g|) for each word g of gens,
+    which evaluates onto A_{>=n} when gens generate it."""
+    return GradedModulePresentation.free(R, [R.alphabet.degree(g) for g in gens])
 
 
-def kernel_span_word_by_word(R, n, d):
-    """The degree-d kernel of the evaluation of A(-n)^{A_n} onto A_{>=n},
-    every image a.w expanded through normal_form."""
-    basis = truncation_cover(R, n).free_basis(d)
-    gens = normal_words(R, n)
+def kernel_span_word_by_word(R, gens, d):
+    """The degree-d kernel of the evaluation of truncation_cover(R, gens)
+    onto A_{>=n}, every image a.g expanded through normal_form."""
+    basis = truncation_cover(R, gens).free_basis(d)
     index = {w: k for k, w in enumerate(normal_words(R, d))}
     rows = {}
     for k, (j, a) in enumerate(basis):
@@ -162,23 +175,25 @@ TRUNCATED = dict(ALGEBRAS, **{
 def test_truncation_relations_span_the_evaluation_kernel(name):
     R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
     for n in (1, 2):
-        T = truncation(R, n)
+        T, gens = truncation(R, n), generator_words(R, n)
         for d in range(n, CUTOFF + 1):
-            got, want = T.submodule_span(d), kernel_span_word_by_word(R, n, d)
+            got, want = T.submodule_span(d), kernel_span_word_by_word(R, gens, d)
             assert got.pivots == want.pivots, (n, d)
             assert got.rows == want.rows, (n, d)
 
 
 def kernel_presentation(R, n, top):
-    """A_{>=n} on A(-n)^{A_n}, its rows the evaluation-kernel vectors of
-    degree <= top, each found word by word, that the rows of lower degree
-    do not generate: no letter table, no resolution."""
-    cover = truncation_cover(R, n)
+    """A_{>=n} on the cover by truncation_words(R, n), its rows the
+    evaluation-kernel vectors of degree <= top, each found word by word,
+    that the rows of lower degree do not generate: no letter table, no
+    resolution.  Hom out of it does not depend on the choice of cover."""
+    gens = truncation_words(R, n)
+    cover = truncation_cover(R, gens)
     rows = []
     for e in range(n, top + 1):
         basis = cover.free_basis(e)
         below = span_word_by_word(GradedModulePresentation(R, cover.shifts, rows), e)
-        for v in kernel_span_word_by_word(R, n, e).rows.values():
+        for v in kernel_span_word_by_word(R, gens, e).rows.values():
             if below.add(v):
                 terms = [{} for _ in cover.shifts]
                 for k, c in v.items():
@@ -211,7 +226,8 @@ def test_resolutions_satisfy_the_euler_characteristic(name):
     that reads only the Betti numbers, the Hilbert function and the module."""
     R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
     dims = hilbert_function(R, CUTOFF)
-    modules = [(GradedModulePresentation.quotient_truncation(R, n), _quotient_resolution(R, n, 6))
+    modules = [(GradedModulePresentation.quotient_truncation(R, n),
+                _quotient_resolution(R, n, 6, CUTOFF))
                for n in range(5)]
     k = GradedModulePresentation.trivial(R)
     modules.append((k, minimal_resolution(k, 6, CUTOFF)))
@@ -221,3 +237,72 @@ def test_resolutions_satisfy_the_euler_characteristic(name):
             chi = sum((-1) ** i * sum(dims[d - l] for l in shifts if l <= d)
                       for i, shifts in enumerate(rep.betti))
             assert chi == M.dim(d), (M, d)
+
+
+@pytest.mark.parametrize("name", ["weighted plane", "weighted C3", "weighted x, z, y:2"])
+def test_quotient_truncation_is_a_mod_a_at_least_n(name):
+    """A/A_{>=n} has the dims of A below n and none from n on; presenting
+    it by the degree-n words alone gives A/A.A_n, which is larger when a
+    letter has weight above 1."""
+    R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
+    dims = hilbert_function(R, CUTOFF)
+    for n in range(4):
+        Q = GradedModulePresentation.quotient_truncation(R, n)
+        assert [Q.dim(d) for d in range(CUTOFF + 1)] == \
+            [dims[d] if d < n else 0 for d in range(CUTOFF + 1)], n
+
+
+def test_weighted_projective_line_serre_duality():
+    """On P(1, 2), the Proj of the weighted plane, H^0(O(d)) = dim A_d for
+    d >= 0 and, by Serre duality with omega = O(-3), H^1(O(-3 - d)) =
+    dim A_d: an oracle that reads only the Hilbert function."""
+    n_max = 5
+    R = build(parse_presentation(TRUNCATED["weighted plane"]), proj_cutoff(n_max, 1, 5))
+    A = GradedModulePresentation.algebra(R)
+    dims = hilbert_function(R, 3)
+    for d in range(4):
+        assert proj_cohomology(R, A, 0, d, n_max).stabilized_dim == dims[d], d
+    for d in range(3):
+        assert proj_cohomology(R, A, 1, -3 - d, n_max).stabilized_dim == dims[d], d
+
+
+def plain(rep):
+    return (rep.betti, [[[p.terms for p in row] for row in rows] for rows in rep.differentials],
+            rep.length)
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED))
+def test_trivial_module_is_the_first_truncation(name):
+    """k presented by one relation row per letter and k = A/A_{>=1} have
+    one and the same minimal resolution."""
+    R = build(parse_presentation(TRUNCATED[name]), CUTOFF)
+    letters = [[NcPoly.gen(R.alphabet, R.field, i)] for i in range(len(R.alphabet))]
+    explicit = GradedModulePresentation(R, [0], letters)
+    for p in (2, 4):
+        for N in (6, 8):
+            want = plain(minimal_resolution(explicit, p, N))
+            assert plain(minimal_resolution(GradedModulePresentation.trivial(R), p, N)) == want
+
+
+K_FUNCTIONS = [
+    lambda R, N: global_dimension(R, 4, N),
+    lambda R, N: gorenstein_check(R, N, 5),
+    lambda R, N: ext_k_A(R, 2, N),
+    lambda R, N: chi_probe(R, GradedModulePresentation.algebra(R), 2, N).to_dict(),
+]
+
+
+@pytest.mark.parametrize("name", ["plane", "QP", "cubic", "weighted plane",
+                                  "weighted x, z, y:2"])
+def test_resolution_of_k_is_shared_with_proj_cohomology(name):
+    """After proj_cohomology has filled the resolution cache of a rewrite
+    system, each function reading the resolution of k returns what it
+    returns on a fresh system, at the cutoff and below it."""
+    def fresh():
+        return build(parse_presentation(TRUNCATED[name]), CUTOFF)
+
+    R = fresh()
+    proj_cohomology(R, GradedModulePresentation.algebra(R), 1, -1, 3)
+    for N in (CUTOFF, CUTOFF - 2):
+        for k, f in enumerate(K_FUNCTIONS):
+            assert f(R, N) == f(fresh(), N), (N, k)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncproj.fields import QuadExt
-from ncproj.heart import Charge
+from ncproj.heart import Charge, euler_pairing
 from ncproj.real_mult import (CFExpansion, SL2Matrix, apply_word, cf_expand,
                               cf_value, fixing_matrix, minus_inverse,
                               mobius_act, morita_reduce, rm_hilbert)
@@ -140,6 +140,22 @@ def test_rm_hilbert_golden():
     assert rep.recurrence_checked
     d = rep.to_dict()
     assert d["dims"] == [1, 3, 8, 21] and d["F"] == [[1, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("theta, G", [(QuadExt.sqrt(2), Charge(1, 0)),
+                                      (QuadExt.sqrt(3), Charge(2, 1)),
+                                      (QuadExt(1, 1, 2, 13), Charge(1, -1))])
+def test_rm_hilbert_trace_recurrence(theta, G):
+    """d_n = chi(G, F^n.G), and Cayley-Hamilton F^2 = tr(F) F - 1 gives
+    d_{n+1} = tr(F) d_n - d_{n-1}, with d_0 = chi(G, G) = 0."""
+    F = fixing_matrix(theta)
+    rep = rm_hilbert(F, G, theta, 9)
+    d = [euler_pairing(G, G)] + rep.dims
+    for n in range(1, 10):
+        assert d[n] == euler_pairing(G, (F ** n).charge_action(G)), n
+    for n in range(1, 9):
+        assert d[n + 1] == F.trace() * d[n] - d[n - 1], n
+    assert rep.recurrence_checked
 
 
 def test_rm_hilbert_validation():

@@ -36,59 +36,64 @@ class Charge:
 
 
 class Slope:
-    """deg/rank as an exact rational, or +infinity for torsion classes."""
+    """deg/rank, or +infinity for torsion classes (rank 0, deg > 0).
 
-    __slots__ = ("value",)
+    The pair (deg, rank) is kept as it is and compared by cross-multiplying,
+    as hom_dim_stable compares charges: rank >= 0 and deg > 0 when rank is 0,
+    so deg1 * rank2 < deg2 * rank1 is the order of the slopes, infinity
+    included, and no Fraction is built to compare two slopes.
+    """
+
+    __slots__ = ("deg", "rank")
     INF = object()
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, deg, rank):
+        self.deg = deg
+        self.rank = rank
 
     @staticmethod
     def infinite():
-        return Slope(Slope.INF)
+        return Slope(1, 0)
 
     @staticmethod
     def of(z):
-        if z.rank == 0:
-            return Slope.infinite()
-        return Slope(Fraction(z.deg, z.rank))
+        return Slope(z.deg, z.rank)
+
+    @property
+    def value(self):
+        """The slope as a Fraction, or INF."""
+        return Slope.INF if self.is_infinite() else Fraction(self.deg, self.rank)
 
     def is_infinite(self):
-        return self.value is Slope.INF
+        return self.rank == 0
 
     def __eq__(self, other):
         if not isinstance(other, Slope):
             return NotImplemented
-        return self.value is other.value if self.is_infinite() or other.is_infinite() \
-            else self.value == other.value
+        return self.deg * other.rank == other.deg * self.rank
 
     def __hash__(self):
-        return hash("inf") if self.is_infinite() else hash(self.value)
+        g = gcd(self.deg, self.rank)
+        return hash((self.deg // g, self.rank // g))
 
     def __lt__(self, other):
-        if self.is_infinite():
-            return False
-        if other.is_infinite():
-            return True
-        return self.value < other.value
+        return self.deg * other.rank < other.deg * self.rank
 
     def __le__(self, other):
-        return self == other or self < other
+        return not other < self
 
     def __gt__(self, other):
-        return not self <= other
+        return other < self
 
     def __ge__(self, other):
         return not self < other
 
     def exceeds(self, theta):
         """Exact comparison slope > theta; theta rational or quadratic."""
-        if self.is_infinite():
-            return True
         if isinstance(theta, QuadExt):
-            return theta < self.value
-        return self.value > Fraction(theta)
+            return theta * self.rank < self.deg
+        theta = Fraction(theta)
+        return self.deg * theta.denominator > theta.numerator * self.rank
 
     def render(self):
         return "inf" if self.is_infinite() else str(self.value)
@@ -160,8 +165,7 @@ def hn(F):
     for z, m in F.items():
         s = Slope.of(z)
         buckets.setdefault(s, []).append((z, m))
-    layers = sorted(buckets.items(), key=lambda kv: (kv[0].is_infinite(), kv[0].value
-                                                     if not kv[0].is_infinite() else 0))
+    layers = sorted(buckets.items(), key=lambda kv: kv[0])
     return HNFiltration([(s, sorted(f, key=lambda zm: (zm[0].rank, zm[0].deg)))
                          for s, f in layers])
 

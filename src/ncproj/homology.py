@@ -219,22 +219,29 @@ class GradedModulePresentation:
     def quotient_coords(self, vec, d):
         """Sparse coordinates {position: scalar} of a sparse free-cover
         vector in the quotient module slice."""
+        span = self.submodule_span(d)
+        if not span.rows:
+            # no relations in degree d: the slice is the free cover's
+            return {c: x for c, x in vec.items() if x}
         position = self._free_columns(d)
         # the residue is zero at every pivot, so each of its columns is free
-        return {position[c]: x for c, x in self.submodule_span(d).residue(vec).items()}
+        return {position[c]: x for c, x in span.residue(vec).items()}
 
     def _times(self, poly, v, d):
         """poly . v for a sparse degree-d cover vector v: each word of poly
         acts through the letter maps, one letter at a time from the right."""
         R = self.ambient
+        one = R.field.one
         out = {}
         for w, c in poly.terms.items():
             u, e = v, d
             for x in reversed(w):
-                u = _apply(self._letter_map(x, e), u, R.field.one)
+                u = _apply(self._letter_map(x, e), u, one)
                 e += R.alphabet.weights[x]
+            if c is not one and c != one:
+                u = {t: y * c for t, y in u.items()}
             for t, y in u.items():
-                out[t] = out[t] + y * c if t in out else y * c
+                out[t] = out[t] + y if t in out else y
         return out
 
     def __repr__(self):

@@ -4,9 +4,14 @@ There is one eliminator, :class:`SpanTracker`: an incrementally maintained
 reduced row echelon form whose rows are sparse, each a dict from column to
 nonzero scalar, kept in a dict keyed by pivot column.  The matrices met in
 practice are about 95% zero, so nothing ever scans or multiplies a zero.
-Scalars divide exactly, so plain row reduction stays exact, and the reduced
-row echelon form of a matrix is unique, so the order in which rows arrive
-changes no result.
+Beside the rows, a column index lists, for each non-pivot column, the
+pivots whose rows hold an entry there: a new pivot is cleared from exactly
+the rows listed under it, so an insertion touches only those rows, and the
+kernel is read off the index.  A residue whose pivot entry is already the
+field's one is stored as it is, never multiplied by one.  Scalars divide
+exactly, so plain row reduction stays exact, and the reduced row echelon
+form of a matrix is unique, so the order in which rows arrive changes no
+result.
 
 ``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``invert_matrix`` take
 and return dense matrices (lists of lists of scalars) and are thin adapters
@@ -31,28 +36,40 @@ def _dense(vec, ncols, field):
     return [vec.get(j, field.zero) for j in range(ncols)]
 
 
-def _subtract(v, f, row, skip):
-    """v -= f * row in place, over the columns of row other than skip."""
+def _subtract(v, f, row, skip, index=None, owner=None):
+    """v -= f * row in place, over the columns of row other than skip.
+
+    With an index, v is the row of pivot owner: owner is listed under each
+    column where v gains an entry and unlisted where an entry cancels.
+    """
     for j, x in row.items():
         if j != skip:
             y = v.get(j)
             if y is None:
                 v[j] = -(f * x)
+                if index is not None:
+                    index[j].add(owner)
             else:
                 y = y - f * x
                 if y:
                     v[j] = y
                 else:
                     del v[j]
+                    if index is not None:
+                        index[j].discard(owner)
 
 
 class SpanTracker:
     """Incrementally maintained row space with exact membership queries.
 
     rows maps each pivot column to its rref row, a sparse dict that holds
-    one at the pivot and zero (no entry) at every other pivot; pivots lists
-    the pivot columns in ascending order.  Vectors may be dense lists of
-    length ncols or sparse {column: scalar} dicts.
+    the field's one object at the pivot and zero (no entry) at every other
+    pivot; pivots lists the pivot columns in ascending order.  The column
+    index maps each non-pivot column j that some row has touched to the set
+    of pivots c with j in rows[c], so an insertion touches only the rows
+    listed under its pivot.  A residue whose pivot entry already equals one
+    becomes a row unscaled.  Vectors may be dense lists of length ncols or
+    sparse {column: scalar} dicts.
     """
 
     def __init__(self, ncols, field):
@@ -60,12 +77,13 @@ class SpanTracker:
         self.field = field
         self.rows = {}
         self.pivots = []
+        self.index = {}
 
     def dim(self):
         return len(self.rows)
 
     def _reduce(self, vec):
-        """Sparse residue of vec against the rref rows.
+        """Sparse residue of vec against the rref rows, a fresh dict.
 
         An rref row is zero at every other pivot, so subtracting one never
         changes the entry of vec at another pivot: each pivot entry of vec
@@ -86,19 +104,32 @@ class SpanTracker:
         return not self._reduce(vec)
 
     def add(self, vec):
-        """Insert vec; returns True if it enlarged the span."""
-        v = self._reduce(vec)
-        if not v:
+        """Insert vec; returns True if it enlarged the span.
+
+        The residue becomes the new row, scaled unless its pivot entry is
+        already one, and is subtracted from the rows the index lists under
+        its pivot, the only rows with an entry there.
+        """
+        row = self._reduce(vec)
+        if not row:
             return False
-        pivot = min(v)
-        inv = self.field.one / v[pivot]
-        row = {j: x * inv for j, x in v.items() if j != pivot}
-        row[pivot] = self.field.one
-        for other in self.rows.values():
-            f = other.pop(pivot, None)
-            if f is not None:
-                _subtract(other, f, row, pivot)
-        self.rows[pivot] = row
+        pivot = min(row)
+        one, lead = self.field.one, row[pivot]
+        if lead is not one and lead != one:
+            inv = one / lead
+            for j, x in row.items():
+                if j != pivot:
+                    row[j] = x * inv
+        row[pivot] = one
+        index = self.index
+        for j in row:
+            if j != pivot:
+                index.setdefault(j, set()).add(pivot)
+        rows = self.rows
+        for c in index.pop(pivot, ()):
+            other = rows[c]
+            _subtract(other, other.pop(pivot), row, pivot, index, c)
+        rows[pivot] = row
         insort(self.pivots, pivot)
         return True
 
@@ -106,18 +137,15 @@ class SpanTracker:
         """Sparse basis of {v : row . v = 0 for every row}.
 
         One vector per free (non-pivot) column f, in ascending f: one at f,
-        minus the rref entries of column f at the pivots, zero elsewhere.
+        minus the rref entries of column f at the pivots the index lists
+        under f, zero elsewhere.
         """
         one = self.field.one
-        columns = {}
-        for c, row in self.rows.items():
-            for j, x in row.items():
-                if j != c:
-                    columns.setdefault(j, []).append((c, x))
+        rows, index = self.rows, self.index
         basis = []
         for f in range(self.ncols):
-            if f not in self.rows:
-                v = {c: -x for c, x in columns.get(f, ())}
+            if f not in rows:
+                v = {c: -rows[c][f] for c in index.get(f, ())}
                 v[f] = one
                 basis.append(v)
         return basis

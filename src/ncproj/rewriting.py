@@ -355,8 +355,9 @@ def letter_table(R, x, d):
     Entry k is the normal form of x.u, u = normal_words(R, d)[k], as a tuple
     of (index in normal_words(R, d + w(x)), coefficient) pairs.  As u is
     normal, a rule lead in x.u can only start at x: either x.u is a normal
-    word, with the field's one as its coefficient, or one normal_form call
-    reduces it.  The normal form of any word a.u is then a chain of table
+    word, or one normal_form call reduces it.  Every coefficient equal to
+    one is the field's one object itself, so a product can skip it by
+    identity.  The normal form of any word a.u is then a chain of table
     lookups, one letter of a at a time from the right.
     """
     cache = R.cache
@@ -374,7 +375,8 @@ def letter_table(R, x, d):
                 table.append(((k, one),))
             else:
                 nf = normal_form(NcPoly.word(R.alphabet, R.field, (x,) + u), R)
-                table.append(tuple((position[v], c) for v, c in nf.terms.items()))
+                table.append(tuple((position[v], one if c == one else c)
+                                   for v, c in nf.terms.items()))
         cache.letters[(x, d)] = table
     return table
 

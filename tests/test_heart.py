@@ -81,6 +81,23 @@ def test_slope_order_and_exceeds():
     assert Slope.of(Charge(0, 1)).exceeds(phi)
 
 
+def test_slope_comparisons_match_fractions():
+    """Cross-multiplied comparisons agree with the Fraction values, torsion
+    read as +infinity, and equal slopes hash alike."""
+    def key(z):
+        return (1, 0) if z.rank == 0 else (0, Fraction(z.deg, z.rank))
+
+    charges = all_charges(4, 6)
+    for a, b in itertools.product(charges, repeat=2):
+        sa, sb, ka, kb = Slope.of(a), Slope.of(b), key(a), key(b)
+        assert (sa < sb, sa <= sb, sa == sb, sa >= sb, sa > sb) == \
+            (ka < kb, ka <= kb, ka == kb, ka >= kb, ka > kb), (a, b)
+        assert hash(sa) == hash(sb) or sa != sb
+    for theta in (Fraction(-3, 2), Fraction(0), Fraction(2, 3), 1, QuadExt(-1, 1, 2, 5)):
+        for z in charges:
+            assert Slope.of(z).exceeds(theta) == (z.rank == 0 or theta < Fraction(z.deg, z.rank))
+
+
 def test_hn_against_brute_force_oracle():
     """hn() is the unique valid filtration on all multisets of <= 3 factors."""
     charges = all_charges(3, 3)

@@ -73,6 +73,46 @@ def test_letter_tables_match_normal_form(name):
             assert table_normal_form(R, w) == want, w
 
 
+@pytest.mark.parametrize("name", ["plane", "QP", "C3", "Sklyanin"])
+def test_unit_table_coefficients_are_the_fields_one(name):
+    """A coefficient equal to one is the field's one object, so products skip
+    it by identity; some of them come from normal_form, not from normal words."""
+    R = system(name)
+    one = R.field.one
+    reduced = 0
+    for d in range(CUTOFF):
+        for x in range(len(R.alphabet.weights)):
+            normal = set(normal_words(R, d + R.alphabet.weights[x]))
+            for u, entry in zip(normal_words(R, d), letter_table(R, x, d)):
+                assert all(c is one for _, c in entry if c == one), (x, u)
+                reduced += (x,) + u not in normal and any(c == one for _, c in entry)
+    # in QP every reduced product y.x^a.y^b carries a power of q
+    assert reduced or name == "QP"
+
+
+def residue_route(P, vec, d):
+    """Quotient coordinates through the residue and the free-column positions."""
+    position = P._free_columns(d)
+    return {position[c]: x for c, x in P.submodule_span(d).residue(vec).items()}
+
+
+@pytest.mark.parametrize("name", ["plane", "QP"])
+def test_quotient_coords_match_the_residue_route(name):
+    R = system(name)
+    rng = random.Random(3)
+    zero, one = R.field.zero, R.field.one
+    for P in (GradedModulePresentation.free(R, [0]), GradedModulePresentation.free(R, [0, 1]),
+              GradedModulePresentation.quotient_truncation(R, 2)):
+        for d in range(7):
+            n = len(P.free_basis(d))
+            vectors = [{c: one} for c in range(n)]
+            vectors += [{c: one * rng.randint(-3, 3) for c in rng.sample(range(n), min(n, 3))}
+                        for _ in range(5)]
+            vectors.append({c: zero for c in range(n)})
+            for vec in vectors:
+                assert P.quotient_coords(vec, d) == residue_route(P, vec, d), (d, vec)
+
+
 def span_word_by_word(M, d):
     """The degree-d relation span of M from a.row for every relation row and
     every normal word a, each product expanded through normal_form."""

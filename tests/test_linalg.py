@@ -208,6 +208,39 @@ def sparse_matrices(draw, entries, field, general=()):
     return A
 
 
+def assert_index_exact(span):
+    """The column index lists pivot c under column j exactly when row c
+    holds an entry at j and j is not c."""
+    listed = {(j, c) for j, pivots in span.index.items() for c in pivots}
+    held = {(j, c) for c, row in span.rows.items() for j in row if j != c}
+    assert listed == held
+
+
+def test_index_drops_an_entry_that_back_substitution_cancels():
+    span = linalg.SpanTracker(3, QQ)
+    span.add([Fraction(1), Fraction(1), Fraction(1)])
+    assert span.index == {1: {0}, 2: {0}}
+    # pivot 1 is cleared from row 0, and with it the entry at column 2
+    span.add({1: Fraction(2), 2: Fraction(2)})
+    assert span.rows == {0: {0: Fraction(1)}, 1: {1: Fraction(1), 2: Fraction(1)}}
+    assert_index_exact(span)
+    assert span.kernel() == [{1: Fraction(-1), 2: Fraction(1)}]
+
+
+def test_unit_pivot_rows_are_stored_unscaled():
+    """A residue whose pivot entry is one keeps its entries as they are; any
+    other is scaled to one at its pivot."""
+    for field in (QQ, QQ_Q):
+        two = field.one + field.one
+        span = linalg.SpanTracker(3, field)
+        span.add({1: field.coerce(1), 2: two})
+        assert span.rows[1][1] is field.one and span.rows[1][2] is two
+        span.add({0: two, 2: two})
+        assert span.rows[0] == {0: field.one, 2: field.one}
+        assert span.rows[0][0] is field.one
+        assert_index_exact(span)
+
+
 def check_against_dense(A, field):
     m, n = len(A), len(A[0])
     red, pivots = dense_rref(A, field)
@@ -221,7 +254,11 @@ def check_against_dense(A, field):
     sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in A]
     for rows in (A, sparse_rows):
         span = linalg.SpanTracker(n, field)
-        assert [span.add(r) for r in rows] == [i in t_pivots for i in range(m)]
+        added = []
+        for r in rows:
+            added.append(span.add(r))
+            assert_index_exact(span)
+        assert added == [i in t_pivots for i in range(m)]
         assert span.pivots == pivots
         assert [dense(span.rows[c], n, field) for c in span.pivots] == red[:len(pivots)]
         assert all(span.contains(r) for r in rows)

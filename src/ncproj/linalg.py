@@ -13,11 +13,10 @@ exactly, so plain row reduction stays exact, and the reduced row echelon
 form of a matrix is unique, so the order in which rows arrive changes no
 result.
 
-``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``invert_matrix`` take
-and return dense matrices (lists of lists of scalars) and are thin adapters
-over that one core; ``evaluation_kernel`` takes the sparse images of a
-basis, and other callers that hold sparse vectors use ``SpanTracker``
-directly.
+The module holds only that eliminator and two entry points over it:
+``evaluation_kernel``, the kernel of a map given by the sparse images of a
+basis, and ``rank``, the rank of a dense matrix (a list of lists of
+scalars).
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ def _sparse(vec):
     if isinstance(vec, dict):
         return {j: x for j, x in vec.items() if x}
     return {j: x for j, x in enumerate(vec) if x}
-
-
-def _dense(vec, ncols, field):
-    return [vec.get(j, field.zero) for j in range(ncols)]
 
 
 def _subtract(v, f, row, skip, index=None, owner=None):
@@ -96,9 +91,8 @@ class SpanTracker:
         return v
 
     def residue(self, vec):
-        """vec minus its part in the span, dense or sparse like vec."""
-        v = self._reduce(vec)
-        return v if isinstance(vec, dict) else _dense(v, self.ncols, self.field)
+        """vec minus its part in the span, as a fresh sparse dict."""
+        return self._reduce(vec)
 
     def contains(self, vec):
         return not self._reduce(vec)
@@ -172,52 +166,7 @@ def _tracker(rows, ncols, field):
     return span
 
 
-def rref(rows, field):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
-
-    The pivot rows come first, in ascending pivot order, then one zero row
-    for each row that was dependent on the others.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    span = _tracker(rows, ncols, field)
-    out = [_dense(span.rows[c], ncols, field) for c in span.pivots]
-    out.extend([field.zero] * ncols for _ in range(len(rows) - len(out)))
-    return out, list(span.pivots)
-
-
 def rank(rows, field):
     if not rows:
         return 0
     return _tracker(rows, len(rows[0]), field).dim()
-
-
-def kernel_basis(rows, ncols, field):
-    """Basis of the right kernel {v : A v = 0} of the matrix with given rows."""
-    return [_dense(v, ncols, field) for v in _tracker(rows, ncols, field).kernel()]
-
-
-def solve(rows, rhs, field):
-    """One solution x of A x = b, or None.  rows: m x n, rhs: length m."""
-    if not rows:
-        return [] if not any(rhs) else None
-    n = len(rows[0])
-    span = _tracker((list(r) + [b] for r, b in zip(rows, rhs)), n + 1, field)
-    if n in span.rows:
-        return None
-    x = [field.zero] * n
-    for c, row in span.rows.items():
-        x[c] = row.get(n, field.zero)
-    return x
-
-
-def invert_matrix(rows, field):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    span = _tracker((list(rows[i]) + [field.one if j == i else field.zero
-                                      for j in range(n)] for i in range(n)),
-                    2 * n, field)
-    if span.pivots[:n] != list(range(n)):
-        return None
-    return [[span.rows[i].get(n + j, field.zero) for j in range(n)] for i in range(n)]

@@ -81,12 +81,6 @@ def _descends(p, sigma, N):
     return all(normal_form(sigma.apply(rel), R).is_zero() for rel in p.relations), R
 
 
-def _free_system(p, cutoff):
-    """The rule-free system on p's generators: every word is normal, and the
-    normal words of a degree come in generator-index order."""
-    return RewriteSystem([], cutoff, MonomialOrder(p.alphabet), p.field)
-
-
 def _twisted_eval(word, R, sigma_powers):
     """Evaluate a free word in the twisted algebra, left to right.
 
@@ -101,14 +95,6 @@ def _twisted_eval(word, R, sigma_powers):
         acc = normal_form(acc * factor, R)
         deg += 1
     return acc
-
-
-def _coeff_vector(p, basis_words, fld):
-    index = {w: i for i, w in enumerate(basis_words)}
-    v = [fld.zero] * len(basis_words)
-    for w, c in p.terms.items():
-        v[index[w]] = c
-    return v
 
 
 def present(order, field, evaluate, d_max):
@@ -189,7 +175,19 @@ def right_generator_decomposition(f, alphabet, fld):
 
 
 def standard_check(p):
-    """Solve (x^t M)^t = Q f exactly; decide the standard-algebra condition."""
+    """Solve (x^t M)^t = Q f exactly; decide the standard-algebra condition.
+
+    Q is read off one kernel: that of the map sending column l to f_{l+1}
+    for l < r and column r+j to g_{j+1}, with the words as coordinates.  A
+    kernel vector's free column is its largest key, and a column is free
+    exactly when its image is a combination of the images before it.  So
+    the first g_{j+1} that is not a combination of the relations is the
+    first column from r on that is not free, and the relations are
+    dependent when a column below r is free.  Row j of Q is minus the
+    entries at columns 0..r-1 of the vector of free column r+j: the
+    solution that is zero at every free relation column, unique as the
+    rref is.
+    """
     fld = p.field
     r = len(p.alphabet)
     if not p.alphabet.all_unit_weight():
@@ -216,43 +214,29 @@ def standard_check(p):
             acc = acc + gens[i] * M[i][j]
         g.append(acc)
 
-    words = normal_words(_free_system(p, s), s)
-    fvecs = [_coeff_vector(f, words, fld) for f in p.relations]
-    fmat = list(zip(*fvecs))               # columns are the f_l
-    frank = linalg.rank(fvecs, fld)
+    kernel = linalg.evaluation_kernel([f.terms for f in p.relations + g], fld)
+    free = {max(v): v for v in kernel}
     report = StandardCheckReport(
         "OK", r=r, s=s, M=M,
         relation_order=[rel.render(p.order) for rel in p.relations])
-
-    Q = []
     for j in range(r):
-        gv = _coeff_vector(g[j], words, fld)
-        sol = linalg.solve(fmat, gv, fld)
-        if sol is None:
-            report.is_standard = False
+        if r + j not in free:
             report.reason = f"g_{j + 1} is not a combination of the relations"
             return report
-        Q.append(sol)
 
-    if frank < r:
-        # solution space is positive-dimensional; sample for invertible points
+    if any(c < r for c in free):
+        # every Q_j is zero at a free relation column: Q has a zero column and is singular
         report.status = AMBIGUOUS
         report.reason = "Q is underdetermined (relations linearly dependent)"
-        report.is_standard = _det_nonzero(Q, fld)
-        if report.is_standard:
-            report.Q = Q
         return report
 
-    if _det_nonzero(Q, fld):
+    Q = [[-free[r + j].get(i, fld.zero) for i in range(r)] for j in range(r)]
+    if linalg.rank(Q, fld) == r:
         report.is_standard = True
         report.Q = Q
     else:
         report.reason = "unique Q exists but is singular"
     return report
-
-
-def _det_nonzero(Q, fld):
-    return linalg.invert_matrix(Q, fld) is not None
 
 
 def resolution_shape_check(p, r, s, N):

@@ -147,12 +147,19 @@ def cf_value(preperiod, period, D):
     return x
 
 
+def _mul(m, n):
+    """Product of 2x2 integer matrices given as (a, b, c, d) row by row."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def _word_matrix(quotients):
     """Product of [[a_i, 1], [1, 0]]; returns (a, b, c, d)."""
-    a, b, c, d = 1, 0, 0, 1
+    m = (1, 0, 0, 1)
     for q in quotients:
-        a, b, c, d = a * q + b, a, c * q + d, c
-    return a, b, c, d
+        m = _mul(m, (q, 1, 1, 0))
+    return m
 
 
 def morita_reduce(theta):
@@ -192,25 +199,15 @@ def fixing_matrix(theta):
     if theta.is_rational():
         raise ValueError("theta must be a quadratic irrational")
     cf = cf_expand(theta, math.inf)
-    pa, pb, pc, pd = _word_matrix(cf.period)
-    det = pa * pd - pb * pc
-    ma, mb, mc, md = (pa, pb, pc, pd)
-    if det == -1:
-        ma, mb, mc, md = (pa * pa + pb * pc, pa * pb + pb * pd,
-                          pc * pa + pd * pc, pc * pb + pd * pd)
+    pa, pb, pc, pd = m = _word_matrix(cf.period)
+    if pa * pd - pb * pc == -1:
+        m = _mul(m, m)
     # conjugate by the preperiod word: theta = W(tail) => g = W M W^{-1}
-    wa, wb, wc, wd = _word_matrix(cf.preperiod)
+    wa, wb, wc, wd = w = _word_matrix(cf.preperiod)
     wdet = wa * wd - wb * wc
     # W^{-1} = adj(W)/det(W); det is +-1 so entries stay integral
-    ia, ib, ic, id_ = wd * wdet, -wb * wdet, -wc * wdet, wa * wdet
-    fa = wa * ma + wb * mc
-    fb = wa * mb + wb * md
-    fc = wc * ma + wd * mc
-    fd = wc * mb + wd * md
-    ga = fa * ia + fb * ic
-    gb = fa * ib + fb * id_
-    gc = fc * ia + fd * ic
-    gd = fc * ib + fd * id_
+    w_inv = (wd * wdet, -wb * wdet, -wc * wdet, wa * wdet)
+    ga, gb, gc, gd = _mul(_mul(w, m), w_inv)
     if ga + gd < 0:
         ga, gb, gc, gd = -ga, -gb, -gc, -gd
     g = SL2Matrix(ga, gb, gc, gd)

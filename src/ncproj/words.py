@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import render_terms
-from .linalg import invert_matrix, rank
+from .linalg import rank
 
 
 class Alphabet:
@@ -304,10 +304,3 @@ class GradedEndomorphism:
 
     def is_invertible(self):
         return rank(self.matrix, self.field) == len(self.alphabet)
-
-    def inverse(self):
-        inv = invert_matrix([list(r) for r in self.matrix], self.field)
-        if inv is None:
-            raise ValueError("matrix is singular")
-        return GradedEndomorphism(self.alphabet, self.field, inv)
-

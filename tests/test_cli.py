@@ -284,6 +284,32 @@ def test_deep_nesting_exits_2(args):
     assert res.stderr.count("\n") == 1 and "nested too deeply" in res.stderr
 
 
+# Zero and singular sigmas, degenerate radicands, 1/0, an out-of-range
+# option and a missing input: each exits cleanly with one message line,
+# "error: ..." from the program or click's one "Error: ..." usage line.
+@pytest.mark.parametrize("args, code, usage", [
+    (["algebra", "twist", "--input", PLANE, "--sigma", "0,0,0,0"], 1, False),
+    (["algebra", "twist", "--input", PLANE, "--sigma", "1,1,1,1"], 1, False),
+    (["thcr", "present", "--sigma", "0,0,0,0"], 1, False),
+    (["thcr", "present", "--sigma", "1,1,1,1"], 1, False),
+    (["rm", "cf", "--theta", "sqrt(0)"], 2, False),
+    (["rm", "cf", "--theta", "sqrt(4)"], 1, False),
+    (["rm", "fix", "--theta", "1/0"], 2, False),
+    (["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "0", "--nmax", "2"], 2, True),
+    (["proj", "cohomology", "-j", "0", "-d", "0"], 2, True),
+], ids=["twist-zero", "twist-singular", "thcr-zero", "thcr-singular", "cf-sqrt0",
+        "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input"])
+def test_cli_edge_exits_cleanly(args, code, usage):
+    res = run(*args)
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and not res.stdout
+    if usage:
+        assert sum(line.startswith("Error:") for line in res.stderr.splitlines()) == 1
+    else:
+        assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+
+
 # Each literal is a few tokens of the shared alphabet, or long runs of an
 # opening token, joined by spaces: so every integer, and so every exponent,
 # is one digit, and a literal holds at most one ^.  (x+y)^e has 2^e words

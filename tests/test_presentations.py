@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ncproj import linalg
 from ncproj.dsl import parse_presentation
 from ncproj.fields import QQ, QQ_Q, RatFunc
-from ncproj.presentations import (AMBIGUOUS, NOT_APPLICABLE, ABSENT,
+from ncproj.presentations import (NOT_APPLICABLE, ABSENT,
                                   AlgebraPresentation, build,
                                   check_automorphism,
                                   resolution_shape_check,
@@ -229,15 +229,194 @@ def test_standard_check_degenerate_relations_flagged():
     f = x * y - y * x
     p = AlgebraPresentation("dep", QQ, ABC, [f, f.scale(Fraction(2)), y * z - z * y])
     rep = standard_check(p)
-    assert rep.status in (AMBIGUOUS, "OK", NOT_APPLICABLE)
-    if rep.status == AMBIGUOUS:
-        assert rep.reason
+    # g_1 = x*(-y) + y*(-2*y) + z*0 is checked, and fails, before the dependence
+    assert (rep.status, rep.is_standard, rep.Q) == ("OK", False, ABSENT)
+    assert rep.reason == "g_1 is not a combination of the relations"
 
 
 def test_standard_check_report_serializes():
     d = standard_check(commutative_three()).to_dict(MonomialOrder(ABC))
     assert d["is_standard"] is True and d["status"] == "OK"
     assert d["Q"] != ABSENT and len(d["M"]) == 3
+
+
+# standard_check(p).to_dict(p.order), pinned: the standard shapes C3, Sklyanin
+# and the cubic, skew C3 over Q(q), Q a signed permutation, the AMBIGUOUS
+# dependent relations, a first failing g_j after g_1, and each NOT_APPLICABLE
+# reason
+STANDARD_CHECK_PINS = {
+    "C3 cyclic": (
+        "algebra C3 over Q { gens: x, y, z; rels: y*z - z*y; z*x - x*z; x*y - y*x; }",
+        {"status": "OK",
+         "is_standard": True,
+         "r": 3,
+         "s": 2,
+         "reason": "",
+         "M": [["0", "-z", "y"], ["z", "0", "-x"], ["-y", "x", "0"]],
+         "Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "relation_order": ["-z*y + y*z", "z*x - x*z", "-y*x + x*y"]}),
+    "C3 reordered": (
+        "algebra C3 over Q { gens: x, y, z; rels: x*y - y*x; y*z - z*y; z*x - x*z; }",
+        {"status": "OK",
+         "is_standard": False,
+         "r": 3,
+         "s": 2,
+         "reason": "g_1 is not a combination of the relations",
+         "M": [["-y", "x", "0"], ["0", "-z", "y"], ["z", "0", "-x"]],
+         "Q": "ABSENT",
+         "relation_order": ["-y*x + x*y", "-z*y + y*z", "z*x - x*z"]}),
+    "Sklyanin": (
+        ("algebra S over Q { gens: x, y, z; "
+         "rels: y*z + 2*z*y + 3*x*x; z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }"),
+        {"status": "OK",
+         "is_standard": True,
+         "r": 3,
+         "s": 2,
+         "reason": "",
+         "M": [["3*x", "2*z", "y"], ["z", "3*y", "2*x"], ["2*y", "x", "3*z"]],
+         "Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "relation_order": ["2*z*y + y*z + 3*x^2", "z*x + 3*y^2 + 2*x*z",
+                            "3*z^2 + 2*y*x + x*y"]}),
+    "cubic": (
+        "algebra Cu over Q { gens: x, y; rels: y*x*x - x*x*y; y*y*x - x*y*y; }",
+        {"status": "OK",
+         "is_standard": False,
+         "r": 2,
+         "s": 3,
+         "reason": "g_1 is not a combination of the relations",
+         "M": [["y*x", "-x^2"], ["y^2", "-x*y"]],
+         "Q": "ABSENT",
+         "relation_order": ["y*x^2 - x^2*y", "y^2*x - x*y^2"]}),
+    "skew C3": (
+        "algebra S over Q(q) { gens: x, y, z; rels: y*z - q*z*y; z*x - q*x*z; x*y - q*y*x; }",
+        {"status": "OK",
+         "is_standard": True,
+         "r": 3,
+         "s": 2,
+         "reason": "",
+         "M": [["0", "-q*z", "y"], ["z", "0", "-q*x"], ["-q*y", "x", "0"]],
+         "Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "relation_order": ["-q*z*y + y*z", "z*x - q*x*z", "-q*y*x + x*y"]}),
+    "permuted Q": (
+        "algebra T over Q { gens: x, y, z; rels: x*z - z*y; z*x + y*z; x*x + y*y; }",
+        {"status": "OK",
+         "is_standard": True,
+         "r": 3,
+         "s": 2,
+         "reason": "",
+         "M": [["0", "-z", "x"], ["z", "0", "y"], ["x", "y", "0"]],
+         "Q": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]],
+         "relation_order": ["-z*y + x*z", "z*x + y*z", "y^2 + x^2"]}),
+    "permuted Q over Q(q)": (
+        "algebra T over Q(q) { gens: x, y, z; rels: x*y - y*z; z*z + x*x; z*y + y*x; }",
+        {"status": "OK",
+         "is_standard": True,
+         "r": 3,
+         "s": 2,
+         "reason": "",
+         "M": [["0", "x", "-y"], ["x", "0", "z"], ["y", "z", "0"]],
+         "Q": [["0", "0", "1"], ["0", "1", "0"], ["-1", "0", "0"]],
+         "relation_order": ["-y*z + x*y", "z^2 + x^2", "z*y + y*x"]}),
+    "diagonal Q": (
+        "algebra T over Q { gens: x, y; rels: x*y*y - y*y*x; y*x*x + x*x*y; }",
+        {"status": "OK",
+         "is_standard": True,
+         "r": 2,
+         "s": 3,
+         "reason": "",
+         "M": [["-y^2", "x*y"], ["y*x", "x^2"]],
+         "Q": [["-1", "0"], ["0", "1"]],
+         "relation_order": ["-y^2*x + x*y^2", "y*x^2 + x^2*y"]}),
+    "square thrice": (
+        "algebra A over Q { gens: x, y, z; rels: (x+y+z)^2; (x+y+z)^2; (x+y+z)^2; }",
+        {"status": "AMBIGUOUS",
+         "is_standard": False,
+         "r": 3,
+         "s": 2,
+         "reason": "Q is underdetermined (relations linearly dependent)",
+         "M": [["z + y + x", "z + y + x", "z + y + x"], ["z + y + x", "z + y + x", "z + y + x"],
+               ["z + y + x", "z + y + x", "z + y + x"]],
+         "Q": "ABSENT",
+         "relation_order": ["z^2 + z*y + z*x + y*z + y^2 + y*x + x*z + x*y + x^2",
+                            "z^2 + z*y + z*x + y*z + y^2 + y*x + x*z + x*y + x^2",
+                            "z^2 + z*y + z*x + y*z + y^2 + y*x + x*z + x*y + x^2"]}),
+    "cube twice": (
+        "algebra A over Q { gens: x, y; rels: (x+y)^3; (x+y)^3; }",
+        {"status": "AMBIGUOUS",
+         "is_standard": False,
+         "r": 2,
+         "s": 3,
+         "reason": "Q is underdetermined (relations linearly dependent)",
+         "M": [["y^2 + y*x + x*y + x^2", "y^2 + y*x + x*y + x^2"],
+               ["y^2 + y*x + x*y + x^2", "y^2 + y*x + x*y + x^2"]],
+         "Q": "ABSENT",
+         "relation_order": ["y^3 + y^2*x + y*x*y + y*x^2 + x*y^2 + x*y*x + x^2*y + x^3",
+                            "y^3 + y^2*x + y*x*y + y*x^2 + x*y^2 + x*y*x + x^2*y + x^3"]}),
+    "q cube twice": (
+        "algebra A over Q(q) { gens: x, y; rels: (x+q*y)^3; q*(x+q*y)^3; }",
+        {"status": "AMBIGUOUS",
+         "is_standard": False,
+         "r": 2,
+         "s": 3,
+         "reason": "Q is underdetermined (relations linearly dependent)",
+         "M": [["q^2*y^2 + q*y*x + q*x*y + x^2", "q^3*y^2 + q^2*y*x + q^2*x*y + q*x^2"],
+               ["q^3*y^2 + q^2*y*x + q^2*x*y + q*x^2",
+                "q^4*y^2 + q^3*y*x + q^3*x*y + q^2*x^2"]],
+         "Q": "ABSENT",
+         "relation_order": ["q^3*y^3 + q^2*y^2*x + q^2*y*x*y + q*y*x^2 + q^2*x*y^2 + q*x*y*x + "
+                            "q*x^2*y + x^3",
+                            "q^4*y^3 + q^3*y^2*x + q^3*y*x*y + q^2*y*x^2 + q^3*x*y^2 + "
+                            "q^2*x*y*x + q^2*x^2*y + q*x^3"]}),
+    "g2 not a combination": (
+        "algebra N over Q { gens: x, y, z; rels: (x+y)*(y+z); (x+2*y)*y; (x+z)*y; }",
+        {"status": "OK",
+         "is_standard": False,
+         "r": 3,
+         "s": 2,
+         "reason": "g_2 is not a combination of the relations",
+         "M": [["0", "y + x", "y + x"], ["0", "2*y + x", "0"], ["0", "z + x", "0"]],
+         "Q": "ABSENT",
+         "relation_order": ["y*z + y^2 + x*z + x*y", "2*y^2 + x*y", "z*y + x*y"]}),
+    "weights": (
+        "algebra W over Q { gens: x, y:2; rels: y*x - x*y; }",
+        {"status": "NOT_APPLICABLE",
+         "is_standard": False,
+         "r": 0,
+         "s": 0,
+         "reason": "generators must have weight 1",
+         "Q": "ABSENT"}),
+    "count": (
+        "algebra P over Q { gens: x, y; rels: y*x - x*y; }",
+        {"status": "NOT_APPLICABLE",
+         "is_standard": False,
+         "r": 0,
+         "s": 0,
+         "reason": "2 generators but 1 relations",
+         "Q": "ABSENT"}),
+    "mixed": (
+        "algebra M over Q { gens: x, y; rels: y*x - x*y; x*x*y; }",
+        {"status": "NOT_APPLICABLE",
+         "is_standard": False,
+         "r": 0,
+         "s": 0,
+         "reason": "relations of mixed degree",
+         "Q": "ABSENT"}),
+    "shape": (
+        "algebra D over Q { gens: x, y; rels: x*x; y*y; }",
+        {"status": "NOT_APPLICABLE",
+         "is_standard": False,
+         "r": 2,
+         "s": 2,
+         "reason": "(r, s) = (2, 2) not in {(2,3), (3,2)}",
+         "Q": "ABSENT"}),
+}
+
+
+@pytest.mark.parametrize("name", list(STANDARD_CHECK_PINS))
+def test_standard_check_pinned(name):
+    text, want = STANDARD_CHECK_PINS[name]
+    p = parse_presentation(text)
+    assert standard_check(p).to_dict(p.order) == want
 
 
 def test_resolution_shape_check():

@@ -237,6 +237,8 @@ def proj_cohomology_cmd(inline, path, j, d, nmax, fmt):
 @_guard
 def proj_cd(inline, path, jmax, dmin, dmax, nmax, fmt):
     """Cohomological-dimension estimate over a window of twists."""
+    if dmin > dmax:
+        raise click.UsageError(f"--dmin {dmin} exceeds --dmax {dmax}: no twist to scan")
     p = _load_presentation(inline, path)
     cutoff = max(12, proj_cutoff(nmax, jmax, dmin, dmax))
     R = build(p, cutoff)

@@ -1,9 +1,9 @@
 """Twisted homogeneous coordinate rings of the projective line, and the
 two-point triple.
 
-Level-n sections of O(k) are polynomials of degree <= n*k in the affine
+Level-n sections of O(1) are polynomials of degree <= n in the affine
 coordinate u; twisting by a fractional-linear automorphism multiplies by the
-homogenizing prefactor (c*u + d)^(n*k), the unique choice keeping twisted
+homogenizing prefactor (c*u + d)^n, the unique choice keeping twisted
 sections polynomial.
 """
 
@@ -58,29 +58,28 @@ class P1Automorphism:
 
 @dataclass(frozen=True)
 class Section:
-    """A level-n section of O(k) on the projective line."""
+    """A level-n section of O(1) on the projective line."""
     poly: UPoly
     level: int
-    bundle: int = 1
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError(f"section level {self.level} is negative")
-        if self.poly.degree() > self.level * self.bundle:
+        if self.poly.degree() > self.level:
             raise ValueError("polynomial degree exceeds the section level bound")
 
     def render(self):
         return self.poly.render("u")
 
 
-def section_space_dim(n, bundle=1):
-    return n * bundle + 1
+def section_space_dim(n):
+    return n + 1
 
 
 def section_twist(g, sigma):
     """Pull a level-n section back along sigma, rehomogenized to level n."""
     field = sigma.field
-    m = g.level * g.bundle
+    m = g.level
     num = UPoly((sigma.b, sigma.a))   # a*u + b
     den = UPoly((sigma.d, sigma.c))   # c*u + d
     acc = UPoly()
@@ -92,75 +91,46 @@ def section_twist(g, sigma):
     for j, coeff in enumerate(g.poly.coeffs):
         if coeff:
             acc = acc + (num_pows[j] * den_pows[m - j]).scale(coeff)
-    return Section(acc, g.level, g.bundle)
+    return Section(acc, g.level)
 
 
 def thcr_multiply(f, g, sigma):
     """Section product f . (g twisted by sigma^level(f)); level-additive."""
-    if f.bundle != g.bundle:
-        raise ValueError("sections of different line bundles")
     tw = section_twist(g, sigma.power(f.level))
-    return Section(f.poly * tw.poly, f.level + g.level, f.bundle)
+    return Section(f.poly * tw.poly, f.level + g.level)
 
 
 def gamma_multiply(f, g, sigma):
     """The abstract section-ring rule: twist the left factor by the right level.
 
-    This is the opposite multiplication to thcr_multiply:
-    gamma_multiply(f, g) == thcr_multiply(g, f).
+    This is the opposite multiplication to thcr_multiply.
     """
-    if f.bundle != g.bundle:
-        raise ValueError("sections of different line bundles")
-    tw = section_twist(f, sigma.power(g.level))
-    return Section(tw.poly * g.poly, f.level + g.level, f.bundle)
+    return thcr_multiply(g, f, sigma)
 
 
-def _level_one_basis(field, bundle):
-    gens = []
-    for j in range(bundle + 1):
-        coeffs = [field.zero] * j + [field.one]
-        gens.append(Section(UPoly(coeffs), 1, bundle))
-    return gens
+def thcr_presentation(sigma, d_max):
+    """Presentation of the twisted homogeneous coordinate ring B(P^1, O(1), sigma).
 
-
-def thcr_presentation(sigma, d_max, bundle=1, name="B"):
-    """Presentation of the twisted homogeneous coordinate ring of the triple.
-
-    Generators are the level-1 section basis (x = 1, y = u when bundle = 1);
-    relations in degrees 2..d_max are those ``present`` finds for the
-    evaluation of words as thcr_multiply products, as polynomial coefficients.
-    Each word is evaluated once, from the section of its prefix.
+    Generators are the level-1 sections x = 1 and y = u; relations in
+    degrees 2..d_max are those ``present`` finds for the evaluation of
+    words as thcr_multiply products, as polynomial coefficients.  A word's
+    section is that of its prefix times its last letter twisted by
+    sigma^level(prefix).
     """
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     field = sigma.field
-    gens = _level_one_basis(field, bundle)
-    if bundle == 1:
-        symbols = ["x", "y"]
-    else:
-        symbols = [f"x{j}" for j in range(bundle + 1)]
-    alphabet = Alphabet(symbols)
-    order = MonomialOrder(alphabet)
-
-    # the section of a word is that of its prefix times its last generator
-    # twisted by sigma^level(prefix); twisted[k][i] is gens[i] twisted by sigma^k
+    gens = [Section(UPoly((field.one,)), 1), Section(UPoly((field.zero, field.one)), 1)]
+    order = MonomialOrder(Alphabet(["x", "y"]))
+    # twisted[k][i] is gens[i] twisted by sigma^k
     twisted, tau = [], P1Automorphism.identity(field)
     for _ in range(d_max):
         twisted.append([section_twist(g, tau).poly for g in gens])
         tau = tau.compose(sigma)
-    sections = {(i,): g.poly for i, g in enumerate(gens)}
-
-    def section(word):
-        poly = sections.get(word)
-        if poly is None:
-            poly = sections[word] = section(word[:-1]) * twisted[len(word) - 1][word[-1]]
-        return poly
-
-    def evaluate(word):
-        return {t: c for t, c in enumerate(section(word).coeffs) if c}
-
-    relations = present(order, field, evaluate, d_max)
-    return AlgebraPresentation(name, field, alphabet, relations, order)
+    relations = present(order, field, UPoly((field.one,)),
+                        lambda poly, k, i: poly * twisted[k][i],
+                        lambda poly: {t: c for t, c in enumerate(poly.coeffs) if c}, d_max)
+    return AlgebraPresentation("B", field, order.alphabet, relations, order)
 
 
 def two_point_hilbert(r1, r2, n_max):

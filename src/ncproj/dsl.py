@@ -281,15 +281,15 @@ def parse_scalar(text, field):
     return p.terms.get((), field.zero)
 
 
-def parse_upoly(text, field, var="u"):
-    """Polynomial in one commuting variable, used for section literals.
+def parse_upoly(text, field):
+    """Polynomial in the one commuting variable u, used for section literals.
 
     One grammar reads algebras, scalars and sections: this is the
-    presentation's expression grammar over the one-letter alphabet {var}.
-    Its words var^k commute, so the coefficient of var^k is the coefficient
-    of the word of length k.
+    presentation's expression grammar over the one-letter alphabet {u}.
+    Its words u^k commute, so the coefficient of u^k is the coefficient of
+    the word of length k.
     """
-    p = _parse_all(text, lambda ts: _parse_expr(ts, Alphabet([var]), field),
+    p = _parse_all(text, lambda ts: _parse_expr(ts, Alphabet(["u"]), field),
                    "end of the polynomial")
     coeffs = [field.zero] * (max(map(len, p.terms), default=-1) + 1)
     for w, c in p.terms.items():

@@ -51,8 +51,8 @@ class UPoly:
         return UPoly((c,)) if c else UPoly()
 
     @staticmethod
-    def var(one=Fraction(1)):
-        return UPoly((one * 0, one))
+    def var():
+        return UPoly((Fraction(0), Fraction(1)))
 
     def degree(self):
         """Degree, with the convention deg 0 = -1."""
@@ -663,9 +663,6 @@ class QuadExt:
             r = -r - 1                                # s^2 D is not a square
         return (self.p + r) // self.q
 
-    def __float__(self):
-        return (self.p + self.s * math.sqrt(self.D)) / self.q
-
     def __str__(self):
         if self.s == 0:
             return str(Fraction(self.p, self.q))
@@ -722,11 +719,6 @@ def field_by_name(name):
     raise ValueError(f"unknown field {name!r}")
 
 
-def render_scalar(x):
-    """Canonical text form of a scalar, used by polynomial rendering and JSON."""
-    return str(x)
-
-
 def render_terms(terms):
     """Text of a sum of (coefficient, monomial text or None) terms, in order.
 
@@ -735,7 +727,7 @@ def render_terms(terms):
     """
     parts = []
     for c, mono in terms:
-        cs = render_scalar(c)
+        cs = str(c)
         neg = False
         if scalar_is_composite(c):
             cs = f"({cs})"

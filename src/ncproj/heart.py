@@ -52,10 +52,6 @@ class Slope:
         self.rank = rank
 
     @staticmethod
-    def infinite():
-        return Slope(1, 0)
-
-    @staticmethod
     def of(z):
         return Slope(z.deg, z.rank)
 
@@ -100,10 +96,6 @@ class Slope:
 
     def __repr__(self):
         return f"Slope({self.render()})"
-
-
-def slope(z):
-    return Slope.of(z)
 
 
 class SheafClass:

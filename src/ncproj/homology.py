@@ -625,6 +625,8 @@ def proj_cohomology(R, M, j, d, n_max):
 
 def cd_estimate(R, j_max, d_range, n_max):
     """Largest j with a nonzero stabilized H^j(R[d]) over the scanned twists."""
+    if not d_range:
+        raise ValueError("no twist to scan: the window of twists is empty")
     A = GradedModulePresentation.algebra(R)
     for j in range(j_max, -1, -1):
         for d in d_range:

@@ -3,7 +3,8 @@
 A presentation is generators-with-weights plus homogeneous relations.  An
 algebra known only through an evaluation of its words (the twist of a
 presentation by a graded automorphism, a twisted coordinate ring) is
-presented by ``present``: exact kernels of the evaluation, degree by degree.
+presented by ``present``: exact kernels of the evaluation, degree by degree,
+each word's value the product of its prefix's value and its last letter.
 """
 
 from __future__ import annotations
@@ -81,37 +82,29 @@ def _descends(p, sigma, N):
     return all(normal_form(sigma.apply(rel), R).is_zero() for rel in p.relations), R
 
 
-def _twisted_eval(word, R, sigma_powers):
-    """Evaluate a free word in the twisted algebra, left to right.
-
-    The star product is a * b = a . sigma^deg(a)(b), computed via normal
-    forms in the untwisted algebra.
-    """
-    alphabet, fld = R.alphabet, R.field
-    acc = NcPoly.one(alphabet, fld)
-    deg = 0
-    for letter in word:
-        factor = sigma_powers[deg].image_of_gen(letter)
-        acc = normal_form(acc * factor, R)
-        deg += 1
-    return acc
-
-
-def present(order, field, evaluate, d_max):
+def present(order, field, one, times, coords, d_max):
     """Minimal relations, in degrees 2..d_max, of the algebra the words evaluate in.
 
-    evaluate(word) is the image of a word as a sparse {coordinate: scalar}
-    dict, the images of one degree in one space.  The normal words of the
-    relations found below degree d span a complement of what those relations
-    generate in degree d, so the kernel of evaluate on those words is a basis
-    of the new minimal relations of degree d.  After each degree that adds
-    relations, the system is completed again up to d_max.
+    Every prefix of a normal word is normal, so each normal word is
+    evaluated once, from the value of its prefix: value(()) = one and
+    value(w) = times(value(w[:-1]), len(w) - 1, w[-1]).  coords(value) is a
+    value as a sparse {coordinate: scalar} dict, the values of one degree
+    in one space.  The normal words of the relations found below
+    degree d span a complement of what those relations generate in degree
+    d, so the kernel of the evaluation on those words is a basis of the new
+    minimal relations of degree d.  After each degree that adds relations,
+    the system is completed again up to d_max.
     """
     relations = []
     R = RewriteSystem([], d_max, order, field)
-    for d in range(2, d_max + 1):
+    value = {(): one}
+    for d in range(1, d_max + 1):
         words = normal_words(R, d)
-        kernel = linalg.evaluation_kernel([evaluate(w) for w in words], field)
+        for w in words:
+            value[w] = times(value[w[:-1]], len(w) - 1, w[-1])
+        if d < 2:
+            continue
+        kernel = linalg.evaluation_kernel([coords(value[w]) for w in words], field)
         if kernel:
             relations.extend(NcPoly(order.alphabet, field,
                                     [(words[k], c) for k, c in sorted(v.items())])
@@ -125,18 +118,21 @@ def twist(p, sigma, N, s_max=None):
 
     Relations are the minimal relations, in degrees <= s_max (default: one
     more than the highest relation degree of p), that ``present`` finds for
-    the twisted evaluation of words in A.  The descent check and the
-    evaluation take normal forms only in degrees <= max(s_max, the highest
-    relation degree), so p is completed up to that degree or N, the lower.
+    the twisted product in A, a * x_i = a . sigma^deg(a)(x_i), taken as a
+    normal form.  The descent check and the evaluation take normal forms
+    only in degrees <= max(s_max, the highest relation degree), so p is
+    completed up to that degree or N, the lower.
     """
     if s_max is None:
         s_max = p.max_relation_degree() + 1
     descends, R = _descends(p, sigma, min(N, max(s_max, p.max_relation_degree())))
     if not descends:
         raise ValueError("matrix does not define an automorphism of the algebra")
-    sigma_powers = [sigma.power(k) for k in range(s_max)]
-    relations = present(p.order, p.field,
-                        lambda w: _twisted_eval(w, R, sigma_powers).terms, s_max)
+    images = [[sigma.power(k).image_of_gen(i) for i in range(len(p.alphabet))]
+              for k in range(s_max)]
+    relations = present(p.order, p.field, NcPoly.one(p.alphabet, p.field),
+                        lambda a, k, i: normal_form(a * images[k][i], R),
+                        lambda a: a.terms, s_max)
     return AlgebraPresentation(f"{p.name}_twist", p.field, p.alphabet, relations, p.order)
 
 

@@ -152,12 +152,13 @@ def _reduce(p, automaton, order):
     leave: the result's coefficients are the Fractions c / S.
     """
     rules, forms, goto, first = automaton.rules, automaton.forms, automaton.goto, automaton.rule
-    weight, rank = [-a for a in order.alphabet.weights], [-r for r in order._rank]
+    weight = [-a for a in order.alphabet.weights]
+    rank = [-a for a in range(len(weight))]
 
     def entry(w):
         # order.key negated, then w itself.  Words of equal weighted degree
         # are never prefixes of one another (weights are positive), so two
-        # entries differ before either runs out of ranks: w is never compared.
+        # entries differ before either runs out of letters: w is never compared.
         return (sum(map(weight.__getitem__, w)), *map(rank.__getitem__, w), w)
 
     pending = dict(p.terms)

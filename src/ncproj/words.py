@@ -50,35 +50,27 @@ class Alphabet:
 class MonomialOrder:
     """Degree-lexicographic order on words of a weighted alphabet.
 
-    Ties at equal degree break lexicographically by generator precedence
-    (default: declaration order).  The empty word is minimal and the order
-    is compatible with concatenation on both sides.
+    Words compare by weighted degree, then as tuples of generator indices,
+    so ties break by declaration order: the generator declared first is the
+    smallest.  The empty word is minimal and the order is compatible with
+    concatenation on both sides.
     """
 
-    def __init__(self, alphabet, precedence=None):
+    def __init__(self, alphabet):
         self.alphabet = alphabet
-        if precedence is None:
-            precedence = tuple(range(len(alphabet)))
-        self.precedence = tuple(precedence)
-        if sorted(self.precedence) != list(range(len(alphabet))):
-            raise ValueError("precedence must be a permutation of the generators")
-        self._rank = [0] * len(alphabet)
-        for r, i in enumerate(self.precedence):
-            self._rank[i] = r
 
     def key(self, word):
-        return (self.alphabet.degree(word), tuple(self._rank[i] for i in word))
+        return (self.alphabet.degree(word), word)
 
     def compare(self, w1, w2):
         k1, k2 = self.key(w1), self.key(w2)
         return (k1 > k2) - (k1 < k2)
 
     def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and \
-            self.alphabet == other.alphabet and self.precedence == other.precedence
+        return isinstance(other, MonomialOrder) and self.alphabet == other.alphabet
 
     def __hash__(self):
-        return hash((self.alphabet, self.precedence))
+        return hash(self.alphabet)
 
 
 class NcPoly:

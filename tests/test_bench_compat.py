@@ -1,5 +1,8 @@
 """The benchmark in perfbench/ still fits the program; perfbench/ is only read.
 
+One seed-1 round of each workload runs here, so a changed signature that a
+workload calls fails this suite, not only the benchmark run.
+
 perfbench/tracer.py wraps `RatFunc.__init__`, the static `RatFunc._raw`,
 `UPoly.gcd` and every public ncproj function through `vars()`, and
 perfbench/workloads.py checks the normal form of (a x + b y)^n in the
@@ -8,9 +11,11 @@ change of representation that breaks `--trace 1` or those checks fails here.
 """
 
 import importlib
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
@@ -97,3 +102,15 @@ def test_q_binomial_check_rejects_a_wrong_coefficient(bench):
     nf.terms[word] = nf.terms[word] + RatFunc(UPoly((Fraction(0), Fraction(1))))
     with pytest.raises(bench.oracles.CheckFailed, match="coefficient"):
         bench.workloads._check_q_binomial(3, Fraction(1), Fraction(1))(nf)
+
+
+@pytest.mark.parametrize("workload", ["ProjColimit", "RewriteCold", "CliSession"])
+def test_one_round_of_each_workload_passes_its_checks(bench, workload):
+    nc = SimpleNamespace(**{m: importlib.import_module(f"ncproj.{m}") for m in bench.run.MODULES})
+    w = getattr(bench.workloads, workload)
+    parsed = w.parse(nc, w.generate(random.Random(1)))
+    clock = SimpleNamespace(mark=perf_counter, since=lambda mark: perf_counter() - mark)
+    tally = bench.run.Tally()
+    tally.round(nc, w, parsed, clock)
+    assert tally.errors == []
+    assert tally.failed == 0 and tally.attempted > 0

@@ -285,7 +285,7 @@ def test_deep_nesting_exits_2(args):
 
 
 # Zero and singular sigmas, degenerate radicands, 1/0, an out-of-range
-# option and a missing input: each exits cleanly with one message line,
+# option, an empty twist window and a missing input: each exits cleanly with one message line,
 # "error: ..." from the program or click's one "Error: ..." usage line.
 @pytest.mark.parametrize("args, code, usage", [
     (["algebra", "twist", "--input", PLANE, "--sigma", "0,0,0,0"], 1, False),
@@ -297,8 +297,9 @@ def test_deep_nesting_exits_2(args):
     (["rm", "fix", "--theta", "1/0"], 2, False),
     (["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "0", "--nmax", "2"], 2, True),
     (["proj", "cohomology", "-j", "0", "-d", "0"], 2, True),
+    (["proj", "cd", "--input", PLANE, "--dmin", "2", "--dmax", "-2"], 2, True),
 ], ids=["twist-zero", "twist-singular", "thcr-zero", "thcr-singular", "cf-sqrt0",
-        "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input"])
+        "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input", "cd-empty-window"])
 def test_cli_edge_exits_cleanly(args, code, usage):
     res = run(*args)
     assert res.exit_code == code

@@ -1,5 +1,6 @@
 """Twisted homogeneous coordinate rings of the projective line."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,27 @@ def test_gamma_is_opposite_product():
     a = Section(upoly(QQ_Q, 1, 1), 1)
     b = Section(upoly(QQ_Q, 0, 1), 1)
     assert gamma_multiply(a, b, s).poly == thcr_multiply(b, a, s).poly
+
+
+def test_gamma_twists_the_left_factor():
+    """gamma_multiply(f, g) is f twisted by sigma^level(g), times g."""
+    rng = random.Random(7)
+    sigmas = [P1Automorphism(QQ, 1, 1, 0, 1), P1Automorphism(QQ, 2, 1, 1, 3),
+              P1Automorphism(QQ, 0, -1, 1, 0), scaling_q(),
+              P1Automorphism(QQ_Q, RatFunc.q(), 1, 0, 1)]
+
+    def section(field):
+        level = rng.randint(0, 3)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(rng.randint(0, level + 1))]
+        return Section(upoly(field, *coeffs), level)
+
+    for _ in range(60):
+        s = rng.choice(sigmas)
+        f, g = section(s.field), section(s.field)
+        prod = gamma_multiply(f, g, s)
+        assert prod.poly == section_twist(f, s.power(g.level)).poly * g.poly
+        assert prod.level == f.level + g.level
 
 
 def test_thcr_presentation_quantum():

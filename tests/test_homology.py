@@ -207,6 +207,12 @@ def test_cd_estimate_plane():
     assert cd_estimate(R, 2, range(-3, 2), 8) == 1
 
 
+def test_cd_estimate_rejects_an_empty_window():
+    # no twist is read, so no dimension is estimated: not a cd of 0
+    with pytest.raises(ValueError, match="no twist"):
+        cd_estimate(plane(16), 2, range(2, -2), 8)
+
+
 def test_letter_tables_hold_each_normal_word_once():
     R = quantum_plane(17)
     A = GradedModulePresentation.algebra(R)

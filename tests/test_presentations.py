@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncproj import linalg
+from ncproj.coord_rings import P1Automorphism, Section, thcr_multiply, thcr_presentation
 from ncproj.dsl import parse_presentation
-from ncproj.fields import QQ, QQ_Q, RatFunc
+from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
 from ncproj.presentations import (NOT_APPLICABLE, ABSENT,
                                   AlgebraPresentation, build,
                                   check_automorphism,
                                   resolution_shape_check,
                                   right_generator_decomposition,
                                   standard_check, twist)
-from ncproj.rewriting import CutoffExceededError, hilbert_function, normal_form
+from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated_over,
+                              hilbert_function, normal_form, normal_words)
 from ncproj.words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
 
 AB = Alphabet(["x", "y"])
@@ -185,6 +187,94 @@ def test_twist_matches_free_word_reference(case):
         [r.render(p.order) for r in reference_twist(p, sigma, cutoff, s_max)]
     # twisting preserves the Hilbert series
     assert hilbert_function(build(t, cutoff), cutoff) == hilbert_function(build(p, cutoff), cutoff)
+
+
+def present_word_by_word(order, field, evaluate, d_max):
+    """The kernel loop of ``present`` over a whole-word evaluator: every
+    normal word is evaluated on its own, its prefix redone each time."""
+    relations = []
+    R = RewriteSystem([], d_max, order, field)
+    for d in range(2, d_max + 1):
+        words = normal_words(R, d)
+        kernel = linalg.evaluation_kernel([evaluate(w) for w in words], field)
+        if kernel:
+            relations.extend(NcPoly(order.alphabet, field,
+                                    [(words[k], c) for k, c in sorted(v.items())])
+                             for v in kernel)
+            R = complete_truncated_over(relations, d_max, order, field)
+    return relations
+
+
+def twisted_eval(word, R, sigma_powers):
+    """A word in the twisted algebra, left to right: a * b = a . sigma^deg(a)(b),
+    one normal form in the untwisted algebra per letter."""
+    acc = NcPoly.one(R.alphabet, R.field)
+    for deg, letter in enumerate(word):
+        acc = normal_form(acc * sigma_powers[deg].image_of_gen(letter), R)
+    return acc
+
+
+SKLYANIN = ("algebra S over Q { gens: x, y, z; rels: y*z + 2*z*y + 3*x*x; "
+            "z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }")
+
+
+@pytest.mark.parametrize("case, s_max", [("C3", 4), ("C3", 5), ("Sklyanin", 4), ("QP", 6)])
+def test_twist_matches_word_by_word_evaluation(case, s_max):
+    q = RatFunc.q()
+    p, sigma = {
+        "C3": (commutative_three(),
+               GradedEndomorphism(ABC, QQ, [[2, 0, 0], [0, 3, 0], [0, 0, 5]])),
+        "Sklyanin": (parse_presentation(SKLYANIN),
+                     GradedEndomorphism(ABC, QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])),
+        "QP": (poly_plane(QQ_Q),
+               GradedEndomorphism(AB, QQ_Q, [[q, QQ_Q.zero], [QQ_Q.zero, QQ_Q.one]])),
+    }[case]
+    N = 8
+    R = build(p, min(N, max(s_max, p.max_relation_degree())))
+    powers = [sigma.power(k) for k in range(s_max)]
+    want = present_word_by_word(p.order, p.field,
+                                lambda w: twisted_eval(w, R, powers).terms, s_max)
+    got = twist(p, sigma, N, s_max).relations
+    assert got == want
+    assert [r.render(p.order) for r in got] == [r.render(p.order) for r in want]
+
+
+def thcr_word_by_word(sigma, d_max):
+    """The presentation of B(P^1, O(1), sigma) with each word's section a left
+    fold of thcr_multiply over the level-1 basis 1, u."""
+    field = sigma.field
+    basis = [Section(UPoly((field.one,)), 1), Section(UPoly((field.zero, field.one)), 1)]
+
+    def evaluate(word):
+        acc = basis[word[0]]
+        for i in word[1:]:
+            acc = thcr_multiply(acc, basis[i], sigma)
+        return {t: c for t, c in enumerate(acc.poly.coeffs) if c}
+
+    return present_word_by_word(MonomialOrder(AB), field, evaluate, d_max)
+
+
+THCR_SIGMAS = {
+    "identity": (QQ, (1, 0, 0, 1)),
+    "u+1": (QQ, (1, 1, 0, 1)),
+    "q*u": (QQ_Q, ("q", 0, 0, 1)),
+    "q*u+1": (QQ_Q, ("q", 1, 0, 1)),
+    "(2u+1)/(u+3)": (QQ, (2, 1, 1, 3)),
+    "-1/u": (QQ, (0, -1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("d_max", range(2, 7))
+@pytest.mark.parametrize("name", list(THCR_SIGMAS))
+def test_thcr_presentation_matches_word_by_word_evaluation(name, d_max):
+    field, entries = THCR_SIGMAS[name]
+    sigma = P1Automorphism(field, *(RatFunc.q() if e == "q" else e for e in entries))
+    got = thcr_presentation(sigma, d_max)
+    want = thcr_word_by_word(sigma, d_max)
+    assert got.name == "B" and got.alphabet == AB
+    assert got.relations == want
+    assert [r.render(got.order) for r in got.relations] == \
+        [r.render(got.order) for r in want]
 
 
 def test_right_generator_decomposition():

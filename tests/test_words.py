@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncproj.dsl import parse_presentation
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
 
@@ -41,12 +42,15 @@ def test_order_trichotomy_and_compatibility():
 
 
 def test_order_deglex():
-    # degree dominates; ties break by precedence (x before y)
+    # degree dominates; ties break by declaration order (x before y)
     assert ORD.compare((0, 0, 0), (1, 1)) == 1
     assert ORD.compare((0, 1), (1, 0)) == -1
     assert ORD.compare((), (0,)) == -1
-    rev = MonomialOrder(AB, precedence=(1, 0))
-    assert rev.compare((0, 1), (1, 0)) == 1
+    # declaring y first orders y before x
+    p = parse_presentation("algebra A over Q { gens: y, x; rels: x*y - y*x; }")
+    x, y = p.alphabet.index["x"], p.alphabet.index["y"]
+    assert p.order.compare((x, y), (y, x)) == 1
+    assert p.relations[0].render(p.order) == "x*y - y*x"
 
 
 def test_poly_ring_axioms():

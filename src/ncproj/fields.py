@@ -485,18 +485,20 @@ class RatFunc:
 
 @functools.lru_cache(maxsize=1024)
 def squarefree_part(n):
-    """Write n = f^2 * d with d squarefree; return (d, f).
+    """Write n = f^2 * d; return (d, f), with d squarefree when n <= 10^18.
 
-    Trial division runs only while p^3 <= m.  Every prime factor of what is
-    left is then at least p, so it has at most two of them: it is 1, a
-    prime, a product of two distinct primes or the square of a prime, and
-    an exact integer square root tells the square apart from the rest.
+    Trial division runs only while p^3 <= m and p <= 10^6.  When the cube
+    bound stops it, every prime factor of what is left is at least p, so
+    it is 1, a prime, a product of two distinct primes or the square of a
+    prime, and an exact integer square root tells the square apart.  Past
+    10^6 what is left is folded only when it is a square: d is 1 exactly
+    when n is a square, but the square of a large prime may stay in d.
     """
     if n <= 0:
         raise ValueError("expected a positive integer")
     d, f, m = 1, 1, n
     p = 2
-    while p * p * p <= m:
+    while p <= 10 ** 6 and p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -517,8 +519,10 @@ def squarefree_part(n):
 class QuadExt:
     """Exact element (p + s*sqrt(D))/q of a real quadratic field.
 
-    Normalized so that gcd(p, s, q) = 1, q > 0 and D is squarefree.
-    Rational numbers are represented with s = 0 (D retained for coercion).
+    Normalized so that gcd(p, s, q) = 1, q > 0 and D is the d of
+    squarefree_part, never a square.  Rational numbers are represented with
+    s = 0 (D retained for coercion).  Radicands D, D' whose product is a
+    square r^2 name one field: sqrt(D') = (r/D) sqrt(D).
     """
 
     __slots__ = ("p", "s", "q", "D")
@@ -556,8 +560,12 @@ class QuadExt:
     def _coerce(self, other):
         if isinstance(other, QuadExt):
             if other.s and self.s and other.D != self.D:
-                raise FieldMismatchError(
-                    f"cannot mix Q(sqrt({self.D})) with Q(sqrt({other.D}))")
+                r = math.isqrt(self.D * other.D)
+                if r * r != self.D * other.D:
+                    raise FieldMismatchError(
+                        f"cannot mix Q(sqrt({self.D})) with Q(sqrt({other.D}))")
+                D = self.D
+                return QuadExt(other.p * D, other.s * r, other.q * D, D)
             return other
         if isinstance(other, (int, Fraction)):
             return QuadExt.from_rational(other, self.D)
@@ -581,9 +589,8 @@ class QuadExt:
             (self.s == 0 or self.D == other.D)
 
     def __hash__(self):
-        if self.s == 0:
-            return hash(Fraction(self.p, self.q))
-        return hash((self.p, self.s, self.q, self.D))
+        # sqrt(D) is irrational, so equal elements share their rational part
+        return hash(Fraction(self.p, self.q))
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -172,7 +172,7 @@ class GradedModulePresentation:
         return hit
 
     def _grow(self, spans, d):
-        """x . row for every letter x and every rref row of spans[d - w(x)]:
+        """x . row for every letter x and every row of spans[d - w(x)]:
         they span the degree-d part of the submodule the spans generate."""
         one = self.ambient.field.one
         for x, wx in enumerate(self.ambient.alphabet.weights):

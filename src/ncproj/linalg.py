@@ -1,17 +1,14 @@
 """Exact Gaussian elimination over any of the supported coefficient fields.
 
-There is one eliminator, :class:`SpanTracker`: an incrementally maintained
-reduced row echelon form whose rows are sparse, each a dict from column to
-nonzero scalar, kept in a dict keyed by pivot column.  The matrices met in
-practice are about 95% zero, so nothing ever scans or multiplies a zero.
-Beside the rows, a column index lists, for each non-pivot column, the
-pivots whose rows hold an entry there: a new pivot is cleared from exactly
-the rows listed under it, so an insertion touches only those rows, and the
-kernel is read off the index.  A residue whose pivot entry is already the
-field's one is stored as it is, never multiplied by one.  Scalars divide
-exactly, so plain row reduction stays exact, and the reduced row echelon
-form of a matrix is unique, so the order in which rows arrive changes no
-result.
+There is one eliminator, :class:`SpanTracker`: an incrementally built row
+echelon form whose rows are sparse, each a dict from column to nonzero
+scalar, kept in a dict keyed by pivot column.  The matrices met in practice
+are about 95% zero, so nothing ever scans or multiplies a zero.  A new row
+is stored as its residue against the rows already held and no stored row is
+touched again.  The reduced row echelon form is built only where it is
+read, by one descending back-substitution; it is unique, so the order in
+which rows arrive changes no result.  Scalars divide exactly, so plain row
+reduction stays exact.
 
 The module holds only that eliminator and two entry points over it:
 ``evaluation_kernel``, the kernel of a map given by the sparse images of a
@@ -21,7 +18,7 @@ scalars).
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heapify, heappop, heappush
 
 
 def _sparse(vec):
@@ -31,79 +28,72 @@ def _sparse(vec):
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def _subtract(v, f, row, skip, index=None, owner=None):
-    """v -= f * row in place, over the columns of row other than skip.
+def _clear(v, rows):
+    """Clear from the sparse v, in place, every pivot of the echelon rows
+    {pivot: row}; returns v, now zero at every pivot.
 
-    With an index, v is the row of pivot owner: owner is listed under each
-    column where v gains an entry and unlisted where an entry cancels.
+    Pivots are cleared in ascending order: a row holds nothing left of its
+    pivot, so subtracting it can only add entries at later columns, and a
+    later pivot gained that way joins the heap.
     """
-    for j, x in row.items():
-        if j != skip:
-            y = v.get(j)
-            if y is None:
-                v[j] = -(f * x)
-                if index is not None:
-                    index[j].add(owner)
-            else:
-                y = y - f * x
-                if y:
-                    v[j] = y
+    heap = [c for c in v if c in rows]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = v.pop(c, None)
+        if f is None:                  # cancelled since it was pushed
+            continue
+        f = -f
+        for j, x in rows[c].items():
+            if j != c:
+                y = v.get(j)
+                if y is None:
+                    v[j] = f * x
+                    if j in rows:
+                        heappush(heap, j)
                 else:
-                    del v[j]
-                    if index is not None:
-                        index[j].discard(owner)
+                    y = y + f * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+    return v
 
 
 class SpanTracker:
-    """Incrementally maintained row space with exact membership queries.
+    """Incrementally built row space with exact membership queries.
 
-    rows maps each pivot column to its rref row, a sparse dict that holds
-    the field's one object at the pivot and zero (no entry) at every other
-    pivot; pivots lists the pivot columns in ascending order.  The column
-    index maps each non-pivot column j that some row has touched to the set
-    of pivots c with j in rows[c], so an insertion touches only the rows
-    listed under its pivot.  A residue whose pivot entry already equals one
-    becomes a row unscaled.  Vectors may be dense lists of length ncols or
-    sparse {column: scalar} dicts.
+    rows maps each pivot column to its echelon row, a sparse dict that holds
+    the field's one object at the pivot and nothing to its left; a row is
+    zero at each pivot column held when it was added, not at later ones.  A
+    residue whose pivot entry already equals one becomes a row unscaled.
+    Vectors may be dense lists of length ncols or sparse {column: scalar}
+    dicts.
     """
 
     def __init__(self, ncols, field):
         self.ncols = ncols
         self.field = field
         self.rows = {}
-        self.pivots = []
-        self.index = {}
 
     def dim(self):
         return len(self.rows)
 
     def _reduce(self, vec):
-        """Sparse residue of vec against the rref rows, a fresh dict.
-
-        An rref row is zero at every other pivot, so subtracting one never
-        changes the entry of vec at another pivot: each pivot entry of vec
-        is cleared once, by its original value, in any order.
-        """
-        v = _sparse(vec)
-        rows = self.rows
-        for c in [c for c in v if c in rows]:
-            _subtract(v, v.pop(c), rows[c], c)
-        return v
+        """Sparse residue of vec against the echelon rows, a fresh dict."""
+        return _clear(_sparse(vec), self.rows)
 
     def residue(self, vec):
-        """vec minus its part in the span, as a fresh sparse dict."""
+        """vec minus its part in the span, as a fresh sparse dict: the one
+        such vector that is zero at every pivot."""
         return self._reduce(vec)
 
     def contains(self, vec):
         return not self._reduce(vec)
 
     def add(self, vec):
-        """Insert vec; returns True if it enlarged the span.
-
-        The residue becomes the new row, scaled unless its pivot entry is
-        already one, and is subtracted from the rows the index lists under
-        its pivot, the only rows with an entry there.
-        """
+        """Insert vec; returns True if it enlarged the span.  The residue,
+        scaled unless its pivot entry is already one, is the only row written."""
         row = self._reduce(vec)
         if not row:
             return False
@@ -115,34 +105,35 @@ class SpanTracker:
                 if j != pivot:
                     row[j] = x * inv
         row[pivot] = one
-        index = self.index
-        for j in row:
-            if j != pivot:
-                index.setdefault(j, set()).add(pivot)
-        rows = self.rows
-        for c in index.pop(pivot, ()):
-            other = rows[c]
-            _subtract(other, other.pop(pivot), row, pivot, index, c)
-        rows[pivot] = row
-        insort(self.pivots, pivot)
+        self.rows[pivot] = row
         return True
+
+    def reduced(self):
+        """The reduced row echelon form, {pivot: row} in descending pivot
+        order, as fresh dicts: each echelon row, from the last pivot down,
+        cleared at each later pivot column by the reduced rows already built."""
+        one = self.field.one
+        red = {}
+        for c in sorted(self.rows, reverse=True):
+            row = _clear({j: x for j, x in self.rows[c].items() if j != c}, red)
+            row[c] = one
+            red[c] = row
+        return red
 
     def kernel(self):
         """Sparse basis of {v : row . v = 0 for every row}.
 
         One vector per free (non-pivot) column f, in ascending f: one at f,
-        minus the rref entries of column f at the pivots the index lists
-        under f, zero elsewhere.
+        minus the reduced form's entries of column f, zero elsewhere.
         """
         one = self.field.one
-        rows, index = self.rows, self.index
-        basis = []
-        for f in range(self.ncols):
-            if f not in rows:
-                v = {c: -rows[c][f] for c in index.get(f, ())}
-                v[f] = one
-                basis.append(v)
-        return basis
+        red = self.reduced()
+        basis = {f: {f: one} for f in range(self.ncols) if f not in red}
+        for c, row in red.items():
+            for f, x in row.items():
+                if f != c:
+                    basis[f][c] = -x
+        return list(basis.values())
 
 
 def evaluation_kernel(images, field):

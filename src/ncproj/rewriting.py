@@ -255,9 +255,9 @@ def complete_truncated_over(relations, cutoff, order, field):
     reached every rule that feeds a degree-d S-polynomial is final: a new
     degree-d lead neither divides an older lead nor occurs in an older rhs.
     Degree d reduces its input relations and the S-polynomials of its queued
-    overlaps against the rules, once each, and takes the rref of the
-    results over their words in descending order.  Each rref row is then a
-    new rule, its pivot the lead with coefficient one, and the rows are
+    overlaps against the rules, once each, and spans the results over
+    their words in descending order.  Each row of the span's reduced form is
+    then a new rule, its pivot the lead with coefficient one, and the rows are
     already reduced against one another and against the older leads.  Each
     ordered pair of rules is queued once, when the later of the two is made.
 
@@ -289,8 +289,7 @@ def complete_truncated_over(relations, cutoff, order, field):
         for p in residues:
             span.add({column[w]: c for w, c in p.terms.items()})
         new = []
-        for pivot in reversed(span.pivots):
-            row = span.rows[pivot]
+        for pivot, row in span.reduced().items():
             rhs = NcPoly(alphabet, field, [(words[j], -row[j]) for j in sorted(row) if j != pivot])
             new.append(RewriteRule(words[pivot], rhs))
         for r1, r2 in _pairs(new, rules):

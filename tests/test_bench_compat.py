@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from ncproj.dsl import parse_presentation
-from ncproj.fields import RatFunc, UPoly
+from ncproj.fields import QQ, RatFunc, UPoly
 from ncproj.homology import GradedModulePresentation, minimal_resolution
 from ncproj.presentations import build
 from ncproj.rewriting import normal_form
@@ -86,6 +86,25 @@ def test_tracer_installs_counts_and_uninstalls(bench):
     assert metrics["fields.upoly_gcd"][0] >= 1
     assert metrics["rewriting.normal_form.calls"][0] > 0
     assert q_work() == want
+
+
+def test_the_tracer_counts_each_public_eliminator_call_once(bench):
+    """add, residue and contains share one private reduction, so `--trace 1`
+    counts one linalg.span call per public call and times none twice."""
+    modules = {m: importlib.import_module(f"ncproj.{m}") for m in bench.run.MODULES}
+    tr = bench.tracer.Tracer()
+    tr.install(modules, bench.workloads)
+    try:
+        span = modules["linalg"].SpanTracker(3, QQ)
+        assert span.add([Fraction(1), Fraction(2), Fraction(0)])
+        assert span.add({1: Fraction(1), 2: Fraction(1)})
+        assert not span.add([Fraction(1), Fraction(3), Fraction(1)])
+        assert span.residue([Fraction(0), Fraction(0), Fraction(5)]) == {2: Fraction(5)}
+        assert span.contains({0: Fraction(2), 1: Fraction(5), 2: Fraction(1)})
+    finally:
+        tr.uninstall()
+    assert tr.calls["linalg.span"] == 5
+    assert tr.metrics(0.0)["linalg.span.useful_ratio"][0] == 2 / 3
 
 
 @pytest.mark.parametrize("n", range(2, 7))

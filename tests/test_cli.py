@@ -1,6 +1,7 @@
 """Golden-output tests for every CLI subcommand."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -146,6 +147,14 @@ def test_heart_split():
     d = run_json("heart", "split", "--factors", "[1:0, 2:1]",
                  "--theta", "1/3")
     assert d["torsion"] == "[2:1]" and d["free"] == "[1:0]"
+
+
+def test_heart_split_with_a_thirty_digit_prime_radicand():
+    start = time.perf_counter()
+    d = run_json("heart", "split", "--factors", "[1:0]",
+                 "--theta", "sqrt(100000000000000000000000000319)")
+    assert time.perf_counter() - start < 1
+    assert d["free"] == "[1:0]" and d["torsion"] == "EMPTY"
 
 
 def test_heart_hom():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncproj.dsl import parse_upoly
+from ncproj.dsl import parse_theta, parse_upoly
 from ncproj.fields import (QQ, QQ_Q, FieldMismatchError, QuadExt, RatFunc,
                            UPoly, field_by_name, quad_field, squarefree_part)
 
@@ -349,6 +349,20 @@ def test_squarefree_part_large_radicands():
     assert squarefree_part(12 * p * p * q) == (3 * q, 2 * p)
     # a prime near 10^20: trial division up to its square root would hang
     assert squarefree_part(100000000000000000039) == (100000000000000000039, 1)
+
+
+def test_radicands_with_a_square_product_name_one_field():
+    """Trial division stops at 10^6, so sqrt(p^2 r) keeps p^2 r as its
+    radicand for primes p, r above that; it still equals p sqrt(r), in
+    value and in hash."""
+    p, r = 1000000000039, 10000019
+    big, small = QuadExt.sqrt(p * p * r), QuadExt(0, p, 1, r)
+    assert big.D == p * p * r and small.D == r
+    assert big - small == 0 and big == small and hash(big) == hash(small)
+    assert big * small == p * p * r
+    assert parse_theta(f"sqrt({p * p * r}) - {p}*sqrt({r})") == 0
+    with pytest.raises(FieldMismatchError):
+        QuadExt.sqrt(2) + QuadExt.sqrt(3)
 
 
 def test_quadext_normalization():

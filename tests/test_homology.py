@@ -1,5 +1,8 @@
 """Resolutions, graded Hom/Ext, Gorenstein checks, Proj cohomology."""
 
+import gc
+import weakref
+
 import pytest
 
 from ncproj.fields import QQ, QQ_Q, RatFunc
@@ -259,3 +262,49 @@ def test_as_regular_betti_tables_are_symmetric(text, cutoff, gldim, ell):
     assert rep.betti[gldim] == [ell]
     for i in range(gldim + 1):
         assert rep.betti[i] == sorted(ell - s for s in rep.betti[gldim - i])
+
+
+def test_a_rewrite_system_is_freed_without_the_cycle_collector():
+    """R, its caches and the modules over it hold no reference cycle: with
+    the cycle collector off, R is freed as soon as the last name goes.  A
+    cycle would keep every cached system alive until a collection runs."""
+    gc.disable()
+    try:
+        R = plane(10)
+        ref = weakref.ref(R)
+        A = GradedModulePresentation.algebra(R)
+        k = GradedModulePresentation.trivial(R)
+        assert proj_cohomology(R, A, 0, 1, 3).stabilized_dim == 2
+        assert gorenstein_check(R, 7, 4) == {"passes": True, "d": 2}
+        assert minimal_resolution(k, 3, 7).length == 2
+        del R, A, k
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+SKLYANIN = ("algebra S over Q { gens: x, y, z; "
+            "rels: y*z + 2*z*y + 3*x*x; z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }")
+
+
+@pytest.fixture(scope="module")
+def sklyanin():
+    """The (1,2,3) Sklyanin algebra, AS-regular of dimension 3, at cutoff 10."""
+    return build(parse_presentation(SKLYANIN), 10)
+
+
+def test_sklyanin_has_the_hilbert_series_of_a_polynomial_ring(sklyanin):
+    A = GradedModulePresentation.algebra(sklyanin)
+    assert [A.dim(d) for d in range(11)] == [(d + 1) * (d + 2) // 2 for d in range(11)]
+
+
+def test_sklyanin_proj_cohomology(sklyanin):
+    A = GradedModulePresentation.algebra(sklyanin)
+    # H^0(O(1)) = A_1
+    assert proj_cohomology(sklyanin, A, 0, 1, 3).stabilized_dim == 3
+    # H^2(O(-3)) is dual to H^0(O) = A_0: Serre duality with omega = O(-3)
+    assert proj_cohomology(sklyanin, A, 2, -3, 3).stabilized_dim == 1
+
+
+def test_sklyanin_is_gorenstein(sklyanin):
+    assert gorenstein_check(sklyanin, 7, 4) == {"passes": True, "d": 3}

@@ -174,8 +174,7 @@ def test_spans_degree_by_degree_match_word_by_word(name):
     for M in modules(R):
         for d in range(CUTOFF):
             got, want = M.submodule_span(d), span_word_by_word(M, d)
-            assert got.pivots == want.pivots, (M, d)
-            assert got.rows == want.rows, (M, d)
+            assert got.reduced() == want.reduced(), (M, d)
 
 
 def truncation_cover(R, gens):
@@ -218,8 +217,7 @@ def test_truncation_relations_span_the_evaluation_kernel(name):
         T, gens = truncation(R, n), generator_words(R, n)
         for d in range(n, CUTOFF + 1):
             got, want = T.submodule_span(d), kernel_span_word_by_word(R, gens, d)
-            assert got.pivots == want.pivots, (n, d)
-            assert got.rows == want.rows, (n, d)
+            assert got.reduced() == want.reduced(), (n, d)
 
 
 def kernel_presentation(R, n, top):

@@ -37,10 +37,9 @@ def test_rref_idempotent_and_rank():
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = rand_matrix(m, n)
-        span = span_of(A, n)
-        again = span_of([span.rows[c] for c in span.pivots], n)
-        assert again.rows == span.rows and again.pivots == span.pivots
-        assert linalg.rank(A, QQ) == len(span.pivots)
+        red = span_of(A, n).reduced()
+        assert span_of(list(red.values()), n).reduced() == red
+        assert linalg.rank(A, QQ) == len(red)
 
 
 def test_kernel_basis_is_kernel():
@@ -181,22 +180,12 @@ def sparse_matrices(draw, entries, field, general=()):
     return A
 
 
-def assert_index_exact(span):
-    """The column index lists pivot c under column j exactly when row c
-    holds an entry at j and j is not c."""
-    listed = {(j, c) for j, pivots in span.index.items() for c in pivots}
-    held = {(j, c) for c, row in span.rows.items() for j in row if j != c}
-    assert listed == held
-
-
-def test_index_drops_an_entry_that_back_substitution_cancels():
+def test_reduced_form_drops_an_entry_that_back_substitution_cancels():
     span = linalg.SpanTracker(3, QQ)
     span.add([Fraction(1), Fraction(1), Fraction(1)])
-    assert span.index == {1: {0}, 2: {0}}
     # pivot 1 is cleared from row 0, and with it the entry at column 2
     span.add({1: Fraction(2), 2: Fraction(2)})
-    assert span.rows == {0: {0: Fraction(1)}, 1: {1: Fraction(1), 2: Fraction(1)}}
-    assert_index_exact(span)
+    assert span.reduced() == {0: {0: Fraction(1)}, 1: {1: Fraction(1), 2: Fraction(1)}}
     assert span.kernel() == [{1: Fraction(-1), 2: Fraction(1)}]
 
 
@@ -211,7 +200,6 @@ def test_unit_pivot_rows_are_stored_unscaled():
         span.add({0: two, 2: two})
         assert span.rows[0] == {0: field.one, 2: field.one}
         assert span.rows[0][0] is field.one
-        assert_index_exact(span)
 
 
 def check_against_dense(A, field):
@@ -224,17 +212,29 @@ def check_against_dense(A, field):
     transpose = [list(col) for col in zip(*A)]
     t_pivots = dense_rref(transpose, field)[1]
     sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in A]
+    # random vectors, and one in the row space, for the residue oracle
+    pick = random.Random(str(A))
+    vectors = [[field.coerce(pick.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
+    vectors.append([sum((r[j] for r in A), field.zero) for j in range(n)])
     for rows in (A, sparse_rows):
         span = linalg.SpanTracker(n, field)
-        added = []
-        for r in rows:
-            added.append(span.add(r))
-            assert_index_exact(span)
+        added = [span.add(r) for r in rows]
         assert added == [i in t_pivots for i in range(m)]
-        assert span.pivots == pivots
-        assert [dense(span.rows[c], n, field) for c in span.pivots] == red[:len(pivots)]
+        # each echelon row holds the field's one at its pivot, nothing left of it
+        assert all(row[c] is field.one and min(row) == c for c, row in span.rows.items())
+        reduced = span.reduced()
+        assert sorted(reduced) == pivots
+        assert [dense(reduced[c], n, field) for c in pivots] == red[:len(pivots)]
         assert [dense(v, n, field) for v in span.kernel()] == kernel
         assert all(span.contains(r) for r in rows)
+        for v in vectors:
+            # the residue is v minus v[c] times the rref row of c, over the pivots c
+            want = list(v)
+            for c, row in zip(pivots, red):
+                want = [x - v[c] * y for x, y in zip(want, row)]
+            got = span.residue(v)
+            assert not set(got) & set(pivots)
+            assert dense(got, n, field) == want
     # the kernel of the transpose, through the sparse evaluation entry
     assert [dense(v, m, field) for v in linalg.evaluation_kernel(sparse_rows, field)] == \
         dense_kernel_basis(transpose, m, field)
@@ -284,10 +284,10 @@ def test_rref_over_qq_without_coefficient_swell():
     rref over Q of the matrix at q0."""
     A = pinned_monomial_matrix()
     start = time.perf_counter()
-    span = span_of(A, 12, QQ_Q)
+    reduced = span_of(A, 12, QQ_Q).reduced()
     assert time.perf_counter() - start < 10
-    pivots = span.pivots
-    red = [dense(span.rows[c], 12, QQ_Q) for c in pivots]
+    pivots = sorted(reduced)
+    red = [dense(reduced[c], 12, QQ_Q) for c in pivots]
     checked = 0
     for q0 in range(2, 40):
         if any(not x.den(Fraction(q0)) for row in red for x in row):

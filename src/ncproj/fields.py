@@ -156,23 +156,6 @@ class UPoly:
         lead = a[-1]
         return UPoly(tuple(Fraction(c, lead) for c in a))
 
-    def eval(self, x):
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __call__(self, x):
-        return self.eval(x)
-
-    def __pow__(self, n):
-        if n == 0:
-            return UPoly((Fraction(1),))
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
     def render(self, sym="q"):
         if not self.coeffs:
             return "0"

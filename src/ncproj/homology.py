@@ -261,13 +261,13 @@ def _vector_to_row(vec, dom_basis, dom_shifts, R):
     return [NcPoly(R.alphabet, R.field, t) for t in terms]
 
 
-def _next_syzygy(R, shifts, gens, ranks, N):
+def _next_syzygy(R, shifts, gens, ranks):
     """The next step of a minimal resolution, from the last one.
 
     gens lists the generators (degree, row) of P^i, each row its image in
     P^{i-1} = free(shifts), and ranks[d] is the dimension of that image in
     degree d (0 when absent).  Returns the minimal generators (degree, row)
-    of the kernel, collected degree by degree up to N, and the dimensions
+    of the kernel, degree by degree to the cutoff, and the dimensions
     of their image in P^i, as ints by degree: the ranks of the step after.
     The image of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x)
     degrees below; a kernel basis is computed only where the lower
@@ -277,8 +277,8 @@ def _next_syzygy(R, shifts, gens, ranks, N):
     """
     dom_shifts = [D for D, _ in gens]
     low = min(dom_shifts, default=0)
-    dims = hilbert_function(R, max(N - low, 0))
-    top = max((d for d in range(low, N + 1)
+    dims = hilbert_function(R, max(R.cutoff - low, 0))
+    top = max((d for d in range(low, R.cutoff + 1)
                if sum(dims[d - l] for l in dom_shifts if l <= d) > ranks.get(d, 0)),
               default=None)
     if top is None:
@@ -339,40 +339,50 @@ class _Syzygies:
     """A minimal free resolution as far as it is built, as plain data.
 
     shifts are those of P^0; levels[i] lists the generators (degree, row)
-    of P^{i+1}, each row its image in P^i; ranks[d] is the dimension in
-    degree d of the image of the last level.  An empty last level ends the
-    resolution.  Kernels are scanned in internal degrees <= N.  Nothing
-    here refers to the rewrite system, so it can be cached on one.
+    of P^{i+1} in ascending degree, each row its image in P^i; ranks[d] is
+    the dimension in degree d of the image of the last level.  An empty
+    last level ends the resolution.  Kernels are scanned up to the cutoff;
+    nothing here refers to the rewrite system, so it can be cached on one.
     """
     shifts: list
     levels: list
     ranks: dict
-    N: int
 
     @staticmethod
-    def start(module, N):
-        """P^1 and its ranks, read off the module's relation spans up to N."""
+    def start(module):
+        """P^1 and its ranks, read off the module's relation spans."""
         R = module.ambient
+        module.submodule_span(R.cutoff)
+        gens = list(module._generators)
+        low = min((D for D, _ in gens), default=R.cutoff + 1)
+        ranks = {d: module.submodule_span(d).dim() for d in range(low, R.cutoff + 1)}
+        return _Syzygies(list(module.shifts), [gens], ranks)
+
+    def report(self, R, p_max, N):
+        """The resolution to homological degree p_max, built on from the
+        last level when fewer levels are built, as a build at the degree
+        bound N gives it: degree-d generators and rows depend only on the
+        levels in degrees <= d.  So each level keeps its generators of
+        degree <= N, a prefix, each row cut to the kept generators below
+        (the entries cut are zero by degree), and the first level empty at
+        N ends the resolution; no level is built past it."""
         if N > R.cutoff:
             raise CutoffExceededError(f"internal degree bound {N} exceeds cutoff {R.cutoff}")
-        module.submodule_span(N)
-        gens = [(D, row) for D, row in module._generators if D <= N]
-        low = min((D for D, _ in gens), default=N + 1)
-        ranks = {d: module.submodule_span(d).dim() for d in range(low, N + 1)}
-        return _Syzygies(list(module.shifts), [gens], ranks, N)
-
-    def report(self, R, p_max):
-        """The resolution to homological degree p_max, built on from the
-        last level when fewer levels are built."""
         levels = self.levels
-        while levels[-1] and len(levels) < p_max:
+        while len(levels) < p_max and levels[-1] and levels[-1][0][0] <= N:
             shifts = [D for D, _ in levels[-2]] if len(levels) > 1 else self.shifts
-            gens, self.ranks = _next_syzygy(R, shifts, levels[-1], self.ranks, self.N)
+            gens, self.ranks = _next_syzygy(R, shifts, levels[-1], self.ranks)
             levels.append(gens)
-        # an empty level up to p_max ends the resolution; P^1 is always built
-        levels = levels[:max(p_max, 1)]
-        terminated = not levels[-1]
-        levels = levels[:-1] if terminated else levels[:p_max]
+        # an empty level up to p_max ends the resolution; P^1 is always read
+        view = []
+        for g in levels[:max(p_max, 1)]:
+            if N < R.cutoff:
+                g = [(D, row[:len(view[-1])] if view else row) for D, row in g if D <= N]
+            view.append(g)
+            if not g:
+                break
+        terminated = not view[-1]
+        levels = view[:-1] if terminated else view[:p_max]
         # betti[0] lists the summands of P^0 by shift, so the columns of the
         # first differential are put in that order
         order = sorted(range(len(self.shifts)), key=self.shifts.__getitem__)
@@ -380,17 +390,16 @@ class _Syzygies:
         diffs = [[row for _, row in g] for g in levels]
         if diffs:
             diffs[0] = [[row[i] for i in order] for row in diffs[0]]
-        return ResolutionReport(betti, diffs, (p_max, self.N), _minimality_audit(diffs),
+        return ResolutionReport(betti, diffs, (p_max, N), _minimality_audit(diffs),
                                 terminated, len(levels) if terminated else AtLeast(p_max))
 
 
 def minimal_resolution(module, p_max, N):
-    """Minimal free resolution of the module, to homological degree p_max.
-
-    Kernels are scanned in internal degrees <= N; an empty kernel across the
-    whole degree window is reported as termination.  Not cached on R.
-    """
-    return _Syzygies.start(module, N).report(module.ambient, p_max)
+    """Minimal free resolution of the module, to homological degree p_max,
+    built to the cutoff as _quotient_resolution builds and read at the
+    degree bound N (see _Syzygies.report): an empty kernel in every degree
+    <= N is reported as termination.  Not cached on R."""
+    return _Syzygies.start(module).report(module.ambient, p_max, N)
 
 
 def _minimality_audit(diffs):
@@ -465,30 +474,18 @@ def _ext_dims_from_resolution(rep, M, d, i):
 
 
 def ext_k_A(R, i, N, p_max=None):
-    """Graded dims of Ext^i(k, A) over the exactly computable degree window."""
+    """Nonzero graded dims of Ext^i(k, A) over the exactly computable degree
+    window, read off the cached resolution of k."""
     if p_max is None:
         p_max = i + 2
     rep = _quotient_resolution(R, 1, p_max, N)
-    return _ext_k_A_dims(R, rep, i, N)
-
-
-def _ext_k_A_dims(R, rep, i, N):
-    """Nonzero graded dims of Ext^i(k, A) from a resolution rep of k."""
-    involved = []
-    for level in (i - 1, i, i + 1):
-        if 0 <= level < len(rep.betti):
-            involved.extend(rep.betti[level])
+    involved = [s for b in rep.betti[max(i - 1, 0):i + 2] for s in b]
     if not involved:
         return {}
     A = GradedModulePresentation.algebra(R)
     lo = -max(rep.betti[i]) if i < len(rep.betti) else 0
-    hi = N - max(involved)
-    out = {}
-    for e in range(lo, hi + 1):
-        dim = _ext_dims_from_resolution(rep, A, e, i)
-        if dim:
-            out[e] = dim
-    return out
+    return {e: dim for e in range(lo, N - max(involved) + 1)
+            if (dim := _ext_dims_from_resolution(rep, A, e, i))}
 
 
 def gorenstein_check(R, N, p_max=8):
@@ -499,7 +496,7 @@ def gorenstein_check(R, N, p_max=8):
                 "reason": f"global dimension not finite within p_max={p_max}"}
     gd = rep.length
     for i in range(gd + 1):
-        total = sum(_ext_k_A_dims(R, rep, i, N).values())
+        total = sum(ext_k_A(R, i, N, p_max).values())
         if i != gd and total != 0:
             return {"passes": False, "d": gd,
                     "reason": f"Ext^{i}(k, A) is nonzero"}
@@ -540,10 +537,8 @@ def chi_probe(R, M, j_max, N):
     for j in range(j_max + 1):
         if j >= len(rep.betti):
             break
-        for e in range(lo, hi + 1):
-            dim = _ext_dims_from_resolution(rep, M, e, j)
-            if dim:
-                table[(j, e)] = dim
+        table.update(((j, e), dim) for e in range(lo, hi + 1)
+                     if (dim := _ext_dims_from_resolution(rep, M, e, j)))
     top_quarter = hi - max(1, (hi - lo) // 4)
     right_bounded = all(e <= top_quarter for (_, e) in table)
     return ChiProbeReport(j_max, table, right_bounded, (lo, hi))
@@ -581,16 +576,16 @@ def _stabilize(values):
 
 def _quotient_resolution(R, n, p_max, N):
     """Minimal resolution of A/A_{>=n} (for n = 1, of k) to homological
-    degree p_max, kernels scanned in internal degrees <= N.
+    degree p_max, read at the degree bound N.
 
-    Cached on the rewrite system as plain data, one per (n, N), so at
-    N = cutoff one resolution serves every twist; a request for a larger
-    p_max than any before builds on from the cached levels.
+    Cached on the rewrite system as plain data, one per n built to the
+    cutoff, so one resolution serves every twist and degree bound; a
+    larger p_max than any before builds on from the cached levels.
     """
     cache = R.cache.resolutions
-    if (n, N) not in cache:
-        cache[n, N] = _Syzygies.start(GradedModulePresentation.quotient_truncation(R, n), N)
-    return cache[n, N].report(R, p_max)
+    if n not in cache:
+        cache[n] = _Syzygies.start(GradedModulePresentation.quotient_truncation(R, n))
+    return cache[n].report(R, p_max, N)
 
 
 def proj_cutoff(n_max, j, *twists):

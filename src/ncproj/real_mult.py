@@ -243,7 +243,8 @@ def rm_hilbert(F, G, theta, n_max):
 
     Orbit charges z_n = F^n G must be stable with slopes strictly monotone
     on one side of theta; dims[n] = hom(z_0, z_n), and the Cayley-Hamilton
-    trace recurrence is verified on the dims.
+    trace recurrence is verified on chi(z_0, z_n), which is 0 at n = 0 and
+    the dims from n = 1 on.
     """
     if not stable_p(G):
         raise ValueError("G must be a stable charge")
@@ -276,6 +277,6 @@ def rm_hilbert(F, G, theta, n_max):
             raise ValueError("slope ordering does not concentrate Hom in degree 0")
         dims.append(hom)
     t = F.trace()
-    recurrence = all(dims[n + 1] == t * dims[n] - dims[n - 1]
-                     for n in range(1, len(dims) - 1))
+    chi = [0] + dims
+    recurrence = all(chi[n + 1] == t * chi[n] - chi[n - 1] for n in range(1, len(dims)))
     return RmAlgebraReport(F, G, theta, dims, slopes[1:], recurrence)

@@ -57,13 +57,6 @@ def test_upoly_divmod_and_gcd():
     assert f.divmod(d)[1].is_zero() and g.divmod(d)[1].is_zero()
 
 
-def test_upoly_eval_and_pow():
-    f = UPoly([Fraction(1), Fraction(2), Fraction(1)])   # (x+1)^2
-    assert f(Fraction(3)) == 16
-    assert f ** 2 == f * f
-    assert (f ** 0) == UPoly((Fraction(1),))
-
-
 def test_ratfunc_normalization():
     # (x^2 - 1)/(x - 1) reduces to x + 1
     num = UPoly([Fraction(-1), Fraction(0), Fraction(1)])

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from ncproj import homology
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate, chi_probe, ext_k_A,
@@ -16,6 +17,7 @@ from ncproj.dsl import parse_presentation
 from ncproj.presentations import build
 from ncproj.rewriting import RewriteSystem, complete_truncated, normal_words
 from ncproj.words import Alphabet, MonomialOrder, NcPoly
+from test_letter_tables import TRUNCATED
 
 AB1 = Alphabet(["x"])
 AB2 = Alphabet(["x", "y"])
@@ -203,6 +205,53 @@ def test_a_resumed_resolution_equals_a_fresh_one(system, cutoff):
             assert got.betti == want.betti, (n, p)
             assert got.differentials == want.differentials, (n, p)
             assert (got.terminated, got.length) == (want.terminated, want.length), (n, p)
+
+
+# k over x^2 = yxy = 0 has P^3 generators in degrees 3 and 5 and P^4 ones in
+# degrees 4 and 7: read at N = 4, the row of the degree-4 generator of P^4
+# must lose its entry on the degree-5 generator of P^3
+ORACLE = dict(TRUNCATED, **{"x^2, yxy": "algebra M over Q { gens: x, y; rels: x*x; y*x*y; }"})
+
+
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_a_resolution_read_below_the_cutoff_equals_one_built_there(name):
+    """The cached resolution of A/A_{>=n}, built to the cutoff C and read at
+    a degree bound N, reports what a build on the system completed to N
+    does.  Deep and shallow requests, at C and below it, are interleaved, so
+    levels are also built on while a view below C has ended."""
+    text = ORACLE[name]
+    C = 8 if name == "Sklyanin" else 10
+    R = build(parse_presentation(text), C)
+    systems, fresh = {}, {}    # N -> the system built at N; (n, p_max, N) -> its resolution
+
+    def built_at(n, p, N):
+        if (n, p, N) not in fresh:
+            if N not in systems:
+                systems[N] = build(parse_presentation(text), N)
+            Q = GradedModulePresentation.quotient_truncation(systems[N], n)
+            fresh[n, p, N] = minimal_resolution(Q, p, N)
+        return fresh[n, p, N]
+
+    requests = [(2, C)] + [r for N in range(3, C + 1) for r in ((4, N), (3, C), (2, N))]
+    for n in range(4):
+        for p, N in requests:
+            assert _quotient_resolution(R, n, p, N) == built_at(n, p, N), (n, p, N)
+
+
+def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch):
+    """On P^1 at cutoff 17, Proj cohomology caches one resolution per n;
+    global dimension at degree bound 10 reads the one of k = A/A_{>=1}
+    without adding a key or building a level."""
+    R = plane(17)
+    assert proj_cohomology(R, GradedModulePresentation.algebra(R), 2, -3, 6).stabilized_dim == 0
+    assert list(R.cache.resolutions) == list(range(7))
+    built = []
+    next_syzygy = homology._next_syzygy
+    monkeypatch.setattr(homology, "_next_syzygy",
+                        lambda *args: built.append(args) or next_syzygy(*args))
+    assert global_dimension(R, 4, 10) == 2
+    assert list(R.cache.resolutions) == list(range(7))
+    assert built == []
 
 
 def test_cd_estimate_plane():

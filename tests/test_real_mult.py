@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncproj.fields import QuadExt
+from ncproj import real_mult
 from ncproj.heart import Charge, euler_pairing
 from ncproj.real_mult import (CFExpansion, SL2Matrix, apply_word, cf_expand,
                               cf_value, fixing_matrix, minus_inverse,
@@ -156,6 +157,23 @@ def test_rm_hilbert_trace_recurrence(theta, G):
     for n in range(1, 9):
         assert d[n + 1] == F.trace() * d[n] - d[n - 1], n
     assert rep.recurrence_checked
+
+
+def test_rm_hilbert_checks_the_recurrence_from_two_dims(monkeypatch):
+    """At n_max = 2 the recurrence d_2 = tr(F) d_1 - d_0, with d_0 = 0, is
+    still checked: one wrong hom value is caught."""
+    F, G = SL2Matrix(1, 1, 1, 2), Charge(1, 0)
+    assert rm_hilbert(F, G, PHI_CONJ, 2).recurrence_checked
+    z2 = F.charge_action(F.charge_action(G))
+    exact = real_mult.hom_dim_stable
+
+    def one_too_many_at_z2(a, b):
+        hom, ext1 = exact(a, b)
+        return (hom + 1 if b == z2 else hom), ext1
+
+    monkeypatch.setattr(real_mult, "hom_dim_stable", one_too_many_at_z2)
+    rep = rm_hilbert(F, G, PHI_CONJ, 2)
+    assert rep.dims == [1, 4] and not rep.recurrence_checked
 
 
 def test_rm_hilbert_validation():

@@ -49,7 +49,7 @@ def _minimal_generators(degrees, field, candidates, grow, spans):
 
     candidates(d) returns (ncols, total, find): the length of the degree-d
     vectors, the dimension of the degree-d part of the whole submodule when
-    known up front (else None), and find() -> (vectors, make): the sparse
+    known up front (else ncols), and find() -> (vectors, make): the sparse
     degree-d candidates and make(k), the generator vectors[k] stands for.
     grow(spans, d) lists degree-d vectors spanning what the spans of the
     degrees done so far generate in degree d.  A candidate is kept when it
@@ -76,6 +76,17 @@ def _minimal_generators(degrees, field, candidates, grow, spans):
     return gens
 
 
+def _relation_candidates(cover, rows):
+    """The candidates (see _minimal_generators) of the submodule of the free
+    module cover that the rows (degree, row) generate: the degree-d rows."""
+    def candidates(d):
+        here = [row for D, row in rows if D == d]
+        ncols = len(cover.free_basis(d))
+        return ncols, ncols, lambda: (
+            [cover._expand(row, d) for row in here], here.__getitem__)
+    return candidates
+
+
 class GradedModulePresentation:
     """Left module presented as the cokernel of rows mapping into a free cover.
 
@@ -99,7 +110,6 @@ class GradedModulePresentation:
                 self.rows.append((degs.pop(), row))
         self._slice_cache = {}
         self._span_cache = {}
-        self._generators = []
         self._free_cache = {}
         self._letter_cache = {}
 
@@ -184,19 +194,13 @@ class GradedModulePresentation:
 
     def submodule_span(self, d):
         """Row space of the relation submodule in internal degree d, filled
-        degree by degree: the letters times the spans below, plus the rows.
-        The rows that enlarge a span, kept in _generators, generate minimally."""
+        degree by degree: the letters times the spans below, plus the rows."""
         spans = self._span_cache
         if d not in spans:
-            def candidates(e):
-                rows = [row for D, row in self.rows if D == e]
-                return len(self.free_basis(e)), None, lambda: (
-                    [self._expand(row, e) for row in rows], rows.__getitem__)
-
             low = min([D for D, _ in self.rows if D < d], default=d)
-            self._generators += _minimal_generators(
-                [e for e in range(low, d + 1) if e not in spans], self.ambient.field,
-                candidates, self._grow, spans)
+            _minimal_generators([e for e in range(low, d + 1) if e not in spans],
+                                self.ambient.field, _relation_candidates(self, self.rows),
+                                self._grow, spans)
         return spans[d]
 
     def dim(self, d):
@@ -261,44 +265,91 @@ def _vector_to_row(vec, dom_basis, dom_shifts, R):
     return [NcPoly(R.alphabet, R.field, t) for t in terms]
 
 
-def _next_syzygy(R, shifts, gens, ranks):
-    """The next step of a minimal resolution, from the last one.
+@dataclass
+class _Level:
+    """One level of a minimal resolution as far as it is built, as plain data.
 
-    gens lists the generators (degree, row) of P^i, each row its image in
-    P^{i-1} = free(shifts), and ranks[d] is the dimension of that image in
-    degree d (0 when absent).  Returns the minimal generators (degree, row)
-    of the kernel, degree by degree to the cutoff, and the dimensions
-    of their image in P^i, as ints by degree: the ranks of the step after.
+    gens lists the minimal generators (degree, row) of P^{i+1} in ascending
+    degree, each row its image in P^i; ranks[d] is the dimension in degree
+    d of the submodule of P^i they generate (0 when absent), and spans[d]
+    its SpanTracker.  done is the last degree done (None before the first).
+    Going on upward reads only the top max-weight degrees done: spans keeps
+    those, and images the images in P^{i-1} of the basis of P^i there (for
+    i >= 1).
+    """
+    gens: list = dc_field(default_factory=list)
+    ranks: dict = dc_field(default_factory=dict)
+    spans: dict = dc_field(default_factory=dict)
+    images: dict = dc_field(default_factory=dict)
+    done: object = None
+
+
+def _continue_level(level, degrees, R, candidates, grow):
+    """Continue the level over the degrees above level.done, through the
+    one _minimal_generators on its spans; the spans below the top
+    max-weight degrees are read no more and are dropped."""
+    level.gens += _minimal_generators(degrees, R.field, candidates, grow, level.spans)
+    level.ranks.update((d, level.spans[d].dim()) for d in degrees)
+    level.done = degrees[-1]
+    for d in [d for d in level.spans if d <= level.done - max(R.alphabet.weights)]:
+        del level.spans[d]
+
+
+def _first_syzygy(R, shifts, relations, level, N):
+    """Continue P^1, the minimal generators of the submodule of free(shifts)
+    that the relations generate, to degree N."""
+    if level.done is None:
+        start = min((D for D, _ in relations), default=N + 1)
+    else:
+        start = level.done + 1
+    if start <= N:
+        cover = GradedModulePresentation.free(R, shifts)
+        _continue_level(level, range(start, N + 1), R,
+                        _relation_candidates(cover, relations), cover._grow)
+
+
+def _next_syzygy(R, shifts, below, level, N):
+    """Continue the next step of a minimal resolution to degree N.
+
+    below.gens lists the generators (degree, row) of P^i, each row its image
+    in P^{i-1} = free(shifts), and below.ranks[d] is the dimension of that
+    image in degree d; below is built to N.  The level gains the minimal
+    generators of the kernel, degree by degree, and their ranks in P^i.
     The image of a.e_j, a = x.a' normal, is x times that of a'.e_j, w(x)
     degrees below; a kernel basis is computed only where the lower
     generators fall short.  The kernel in degree d has dimension
-    sum_j dim A_{d - D_j} - ranks[d], so degrees are scanned only up to the
-    last one where that is positive, and an empty level is found at once.
+    sum_j dim A_{d - D_j} - below.ranks[d], so degrees are done only up to
+    the last one where that is positive; absent ranks above it are the
+    correct zeros, and a later continuation starts after the last degree
+    done, so it still finds the images of the degrees skipped.
     """
-    dom_shifts = [D for D, _ in gens]
-    low = min(dom_shifts, default=0)
-    dims = hilbert_function(R, max(R.cutoff - low, 0))
-    top = max((d for d in range(low, R.cutoff + 1)
-               if sum(dims[d - l] for l in dom_shifts if l <= d) > ranks.get(d, 0)),
+    dom_shifts = [D for D, _ in below.gens]
+    if not dom_shifts:
+        return
+    low = dom_shifts[0]
+    start = low if level.done is None else level.done + 1
+    dims = hilbert_function(R, max(N - low, 0))
+    top = max((d for d in range(start, N + 1)
+               if sum(dims[d - l] for l in dom_shifts if l <= d) > below.ranks.get(d, 0)),
               default=None)
     if top is None:
-        return [], {}
+        return
     domain = GradedModulePresentation.free(R, dom_shifts)
     codomain = GradedModulePresentation.free(R, shifts)
     weights = R.alphabet.weights
-    images = {}                # degree -> the images of the domain basis
+    images = level.images      # degree -> the images of the domain basis
 
     def candidates(d):
         # the domain basis lists (j, a) by j, then by the normal words a
         out = []
         for j, l in enumerate(dom_shifts):
             if l == d:
-                out.append(codomain._expand(gens[j][1], d))
+                out.append(codomain._expand(below.gens[j][1], d))
             elif l < d:
                 for a in normal_words(R, d - l):
                     e = d - weights[a[0]]
-                    below = images[e][domain._slice(e)[1][(j, a[1:])]]
-                    out.append(_apply(codomain._letter_map(a[0], e), below, R.field.one))
+                    image = images[e][domain._slice(e)[1][(j, a[1:])]]
+                    out.append(_apply(codomain._letter_map(a[0], e), image, R.field.one))
         images[d] = out
         images.pop(d - max(weights), None)
 
@@ -307,11 +358,9 @@ def _next_syzygy(R, shifts, gens, ranks):
             return kernel, lambda k: _vector_to_row(
                 kernel[k], domain.free_basis(d), dom_shifts, R)
 
-        return len(out), len(out) - ranks.get(d, 0), find
+        return len(out), len(out) - below.ranks.get(d, 0), find
 
-    spans = {}
-    kernel = _minimal_generators(range(low, top + 1), R.field, candidates, domain._grow, spans)
-    return kernel, {d: span.dim() for d, span in spans.items()}
+    _continue_level(level, range(start, top + 1), R, candidates, domain._grow)
 
 
 @dataclass
@@ -338,46 +387,62 @@ class ResolutionReport:
 class _Syzygies:
     """A minimal free resolution as far as it is built, as plain data.
 
-    shifts are those of P^0; levels[i] lists the generators (degree, row)
-    of P^{i+1} in ascending degree, each row its image in P^i; ranks[d] is
-    the dimension in degree d of the image of the last level.  An empty
-    last level ends the resolution.  Kernels are scanned up to the cutoff;
-    nothing here refers to the rewrite system, so it can be cached on one.
+    shifts are those of P^0 and relations the rows (degree, row) of the
+    module; levels[i] is the _Level of P^{i+1}.  Every level is built to
+    the degree built, the deepest bound read so far, and goes on upward
+    when a deeper one is read.  Nothing here refers to the rewrite system
+    or to a module, so it can be cached on one.
     """
     shifts: list
+    relations: list
     levels: list
-    ranks: dict
+    built: int
 
     @staticmethod
     def start(module):
-        """P^1 and its ranks, read off the module's relation spans."""
-        R = module.ambient
-        module.submodule_span(R.cutoff)
-        gens = list(module._generators)
-        low = min((D for D, _ in gens), default=R.cutoff + 1)
-        ranks = {d: module.submodule_span(d).dim() for d in range(low, R.cutoff + 1)}
-        return _Syzygies(list(module.shifts), [gens], ranks)
+        """Nothing built yet: every generator has degree >= min(shifts)."""
+        return _Syzygies(list(module.shifts), list(module.rows), [_Level()],
+                         min(module.shifts, default=0) - 1)
+
+    def _build(self, R, i, N):
+        """Level i continued to N; the levels below it are built to N."""
+        if i == 0:
+            _first_syzygy(R, self.shifts, self.relations, self.levels[0], N)
+        else:
+            shifts = self.shifts if i == 1 else [D for D, _ in self.levels[i - 2].gens]
+            _next_syzygy(R, shifts, self.levels[i - 1], self.levels[i], N)
 
     def report(self, R, p_max, N):
-        """The resolution to homological degree p_max, built on from the
-        last level when fewer levels are built, as a build at the degree
-        bound N gives it: degree-d generators and rows depend only on the
+        """The resolution to homological degree p_max at the degree bound N.
+
+        An N above built first continues every level, in order, from built
+        + 1 to N; then levels are built on, to built, while fewer than p_max
+        are built and the last is not empty at N.  The report is what a
+        build at N gives: degree-d generators and rows depend only on the
         levels in degrees <= d.  So each level keeps its generators of
-        degree <= N, a prefix, each row cut to the kept generators below
-        (the entries cut are zero by degree), and the first level empty at
-        N ends the resolution; no level is built past it."""
+        degree <= N, a prefix, each row fitted to the kept generators below
+        (the entries cut or padded are zero by degree; a row made before
+        the level below went on upward is shorter), and the first level
+        empty at N ends the resolution."""
         if N > R.cutoff:
             raise CutoffExceededError(f"internal degree bound {N} exceeds cutoff {R.cutoff}")
         levels = self.levels
-        while len(levels) < p_max and levels[-1] and levels[-1][0][0] <= N:
-            shifts = [D for D, _ in levels[-2]] if len(levels) > 1 else self.shifts
-            gens, self.ranks = _next_syzygy(R, shifts, levels[-1], self.ranks)
-            levels.append(gens)
+        if N > self.built:
+            for i in range(len(levels)):
+                self._build(R, i, N)
+            self.built = N
+        while len(levels) < p_max and levels[-1].gens and levels[-1].gens[0][0] <= N:
+            levels.append(_Level())
+            self._build(R, len(levels) - 1, self.built)
         # an empty level up to p_max ends the resolution; P^1 is always read
         view = []
-        for g in levels[:max(p_max, 1)]:
-            if N < R.cutoff:
-                g = [(D, row[:len(view[-1])] if view else row) for D, row in g if D <= N]
+        for level in levels[:max(p_max, 1)]:
+            g = level.gens
+            if g and g[-1][0] > N:
+                g = [(D, row) for D, row in g if D <= N]
+            if view and any(len(row) != len(view[-1]) for _, row in g):
+                m, zero = len(view[-1]), NcPoly.zero(R.alphabet, R.field)
+                g = [(D, (row + [zero] * m)[:m]) for D, row in g]
             view.append(g)
             if not g:
                 break
@@ -396,9 +461,9 @@ class _Syzygies:
 
 def minimal_resolution(module, p_max, N):
     """Minimal free resolution of the module, to homological degree p_max,
-    built to the cutoff as _quotient_resolution builds and read at the
-    degree bound N (see _Syzygies.report): an empty kernel in every degree
-    <= N is reported as termination.  Not cached on R."""
+    built to the degree bound N only, as _quotient_resolution builds (see
+    _Syzygies.report): an empty kernel in every degree <= N is reported as
+    termination.  Not cached on R."""
     return _Syzygies.start(module).report(module.ambient, p_max, N)
 
 
@@ -456,21 +521,41 @@ def graded_hom_dim(M, P, d):
     return nvars - _hom_rank(P, M.shifts, M.rows, d)
 
 
-def _ext_dims_from_resolution(rep, M, d, i):
+def _ext_dims_from_resolution(rep, M, d, i, ranks=None):
     """dim Ext^i at twist d, from a minimal free resolution of length >= i+1.
 
     The homology at Hom(P^i, M[d]) of the complex Hom(P^., M[d]); the
     differential P^{i+1} -> P^i has the rows rep.differentials[i], of
-    degrees rep.betti[i+1].
+    degrees rep.betti[i+1].  ranks, when given, holds the rank of each
+    d_i^* at twist d by (i, d), so that reading Ext^{i-1} and Ext^i of one
+    resolution and module computes it once.
     """
     betti, diffs = rep.betti, rep.differentials
     hom_i = sum(M.dim(l + d) for l in betti[i]) if i < len(betti) else 0
     if hom_i == 0:
         return 0
-    r_out = _hom_rank(M, betti[i], list(zip(betti[i + 1], diffs[i])), d) \
-        if i + 1 < len(betti) else 0
-    r_in = _hom_rank(M, betti[i - 1], list(zip(betti[i], diffs[i - 1])), d) if i >= 1 else 0
-    return hom_i - r_out - r_in
+
+    if ranks is None:
+        ranks = {}
+
+    def rank(i):               # of d_i^*: Hom(P^{i-1}, M[d]) -> Hom(P^i, M[d])
+        if (i, d) not in ranks:
+            ranks[i, d] = _hom_rank(M, betti[i - 1], list(zip(betti[i], diffs[i - 1])), d) \
+                if 1 <= i < len(betti) else 0
+        return ranks[i, d]
+
+    return hom_i - rank(i + 1) - rank(i)
+
+
+def _ext_k_A(rep, A, i, N, ranks):
+    """ext_k_A read off the resolution rep of k, with A the algebra as a
+    module and ranks the memo of _ext_dims_from_resolution."""
+    involved = [s for b in rep.betti[max(i - 1, 0):i + 2] for s in b]
+    if not involved:
+        return {}
+    lo = -max(rep.betti[i]) if i < len(rep.betti) else 0
+    return {e: dim for e in range(lo, N - max(involved) + 1)
+            if (dim := _ext_dims_from_resolution(rep, A, e, i, ranks))}
 
 
 def ext_k_A(R, i, N, p_max=None):
@@ -479,13 +564,7 @@ def ext_k_A(R, i, N, p_max=None):
     if p_max is None:
         p_max = i + 2
     rep = _quotient_resolution(R, 1, p_max, N)
-    involved = [s for b in rep.betti[max(i - 1, 0):i + 2] for s in b]
-    if not involved:
-        return {}
-    A = GradedModulePresentation.algebra(R)
-    lo = -max(rep.betti[i]) if i < len(rep.betti) else 0
-    return {e: dim for e in range(lo, N - max(involved) + 1)
-            if (dim := _ext_dims_from_resolution(rep, A, e, i))}
+    return _ext_k_A(rep, GradedModulePresentation.algebra(R), i, N, {})
 
 
 def gorenstein_check(R, N, p_max=8):
@@ -495,8 +574,9 @@ def gorenstein_check(R, N, p_max=8):
         return {"passes": False, "d": None,
                 "reason": f"global dimension not finite within p_max={p_max}"}
     gd = rep.length
+    A, ranks = GradedModulePresentation.algebra(R), {}
     for i in range(gd + 1):
-        total = sum(ext_k_A(R, i, N, p_max).values())
+        total = sum(_ext_k_A(rep, A, i, N, ranks).values())
         if i != gd and total != 0:
             return {"passes": False, "d": gd,
                     "reason": f"Ext^{i}(k, A) is nonzero"}
@@ -530,7 +610,7 @@ def chi_probe(R, M, j_max, N):
     when the top quarter of the window carries no nonzero entry.
     """
     rep = _quotient_resolution(R, 1, j_max + 1, N)
-    table = {}
+    table, ranks = {}, {}
     max_shift = max((max(b) for b in rep.betti if b), default=0)
     lo = -max_shift
     hi = N - max_shift
@@ -538,7 +618,7 @@ def chi_probe(R, M, j_max, N):
         if j >= len(rep.betti):
             break
         table.update(((j, e), dim) for e in range(lo, hi + 1)
-                     if (dim := _ext_dims_from_resolution(rep, M, e, j)))
+                     if (dim := _ext_dims_from_resolution(rep, M, e, j, ranks)))
     top_quarter = hi - max(1, (hi - lo) // 4)
     right_bounded = all(e <= top_quarter for (_, e) in table)
     return ChiProbeReport(j_max, table, right_bounded, (lo, hi))
@@ -578,9 +658,10 @@ def _quotient_resolution(R, n, p_max, N):
     """Minimal resolution of A/A_{>=n} (for n = 1, of k) to homological
     degree p_max, read at the degree bound N.
 
-    Cached on the rewrite system as plain data, one per n built to the
-    cutoff, so one resolution serves every twist and degree bound; a
-    larger p_max than any before builds on from the cached levels.
+    Cached on the rewrite system as plain data, one per n, built only as
+    deep as read: a new one is built to N, a deeper N than any before
+    continues every level upward and a larger p_max builds on from the
+    last level, so one resolution serves every twist and degree bound.
     """
     cache = R.cache.resolutions
     if n not in cache:
@@ -600,7 +681,8 @@ def proj_cohomology(R, M, j, d, n_max):
     H^j(M[d]) is read as Ext^j(A_{>=n}, M[d]) for n <= n_max, from the tail
     P^1 <- P^2 <- ... of the minimal resolution of A/A_{>=n}, which is a
     minimal resolution of A_{>=n}; for j >= 1 these are the groups
-    Ext^{j+1}(A/A_{>=n}, M[d]).
+    Ext^{j+1}(A/A_{>=n}, M[d]).  Value n reads the resolution only up to
+    the degree proj_cutoff(n, j, d), so it is built no deeper.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -611,7 +693,7 @@ def proj_cohomology(R, M, j, d, n_max):
             f"need {needed}")
     values = []
     for n in range(n_max + 1):
-        rep = _quotient_resolution(R, n, j + 2, R.cutoff)
+        rep = _quotient_resolution(R, n, j + 2, proj_cutoff(n, j, d))
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
         values.append(_ext_dims_from_resolution(tail, M, d, j))
     dim, at = _stabilize(values)

@@ -98,8 +98,9 @@ class RewriteCache:
     words[d]; dims: the longest Hilbert function computed; letters[(x, d)]:
     the letter table of x in degree d (see letter_table), the structure
     constants of A in the normal-word basis.  resolutions: n -> the one
-    minimal resolution of A/A_{>=n} built so far, kernels scanned up to the
-    cutoff and read at any degree bound, kept by the homology layer;
+    minimal resolution of A/A_{>=n} built so far, only as deep as the
+    deepest degree bound read and continued upward when a deeper one is
+    read, kept by the homology layer;
     A_{>=n} is generated by the normal words of degrees n .. n + (largest
     letter weight) - 1, and the trivial module k is A/A_{>=1}.
     """

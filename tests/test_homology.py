@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate, chi_probe, ext_k_A,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
-                             proj_cohomology, _ext_dims_from_resolution,
+                             proj_cohomology, proj_cutoff, _ext_dims_from_resolution,
                              _quotient_resolution, _stabilize)
 from ncproj.dsl import parse_presentation
 from ncproj.presentations import build
@@ -238,20 +239,69 @@ def test_a_resolution_read_below_the_cutoff_equals_one_built_there(name):
             assert _quotient_resolution(R, n, p, N) == built_at(n, p, N), (n, p, N)
 
 
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_a_resolution_continued_upward_equals_one_built_there(name):
+    """The cached resolution of A/A_{>=n}, asked for degree bounds that
+    climb before the resolution is read deep, is continued upward from the
+    degree it was built to and reports what a build on the system completed
+    to N does.  Over x^2, yxy, P^4 of k is empty at N = 3 and gains its
+    first generator, of degree 4, on a continuation."""
+    text = ORACLE[name]
+    C = 8 if name == "Sklyanin" else 10
+    R = build(parse_presentation(text), C)
+    systems = {}
+    requests = [(2, 3), (4, 3), (3, 5), (2, 4), (4, 6), (2, 7), (4, C)]
+    for n in range(4):
+        for p, N in requests:
+            if N not in systems:
+                systems[N] = build(parse_presentation(text), N)
+            Q = GradedModulePresentation.quotient_truncation(systems[N], n)
+            assert _quotient_resolution(R, n, p, N) == minimal_resolution(Q, p, N), (n, p, N)
+        assert R.cache.resolutions[n].built == C
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED))
+def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
+    """Value n of H^j(A[d]) is read off a resolution built only to
+    proj_cutoff(n, j, d); it equals the value read off one built to the
+    cutoff of a second system, through the same Ext assembly."""
+    text = TRUNCATED[name]
+    C = 7 if name == "Sklyanin" else 10
+    R, deep = build(parse_presentation(text), C), build(parse_presentation(text), C)
+    A, A_deep = GradedModulePresentation.algebra(R), GradedModulePresentation.algebra(deep)
+    deepest = {}               # n -> the deepest degree its values read
+    for j in range(3):
+        for d in (-3, -1, 0, 2):
+            if proj_cutoff(3, j, d) > C:
+                continue
+            want = []
+            for n in range(4):
+                rep = _quotient_resolution(deep, n, j + 2, deep.cutoff)
+                tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
+                want.append(_ext_dims_from_resolution(tail, A_deep, d, j))
+                deepest[n] = max(deepest.get(n, 0), proj_cutoff(n, j, d))
+            assert proj_cohomology(R, A, j, d, 3).values == want, (j, d)
+    assert {n: res.built for n, res in R.cache.resolutions.items()} == deepest
+
+
 def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch):
-    """On P^1 at cutoff 17, Proj cohomology caches one resolution per n;
-    global dimension at degree bound 10 reads the one of k = A/A_{>=1}
-    without adding a key or building a level."""
+    """On P^1 at cutoff 17, Proj cohomology caches one resolution per n,
+    each built only as deep as its value reads: k = A/A_{>=1} to degree 8.
+    Global dimension at degree bound 10 continues that one from degree 9,
+    without adding a key or starting afresh."""
     R = plane(17)
     assert proj_cohomology(R, GradedModulePresentation.algebra(R), 2, -3, 6).stabilized_dim == 0
     assert list(R.cache.resolutions) == list(range(7))
-    built = []
-    next_syzygy = homology._next_syzygy
-    monkeypatch.setattr(homology, "_next_syzygy",
-                        lambda *args: built.append(args) or next_syzygy(*args))
+    k = R.cache.resolutions[1]
+    assert k.built == 8
+    degrees = []
+    minimal_generators = homology._minimal_generators
+    monkeypatch.setattr(homology, "_minimal_generators",
+                        lambda ds, *rest: degrees.extend(ds) or minimal_generators(ds, *rest))
     assert global_dimension(R, 4, 10) == 2
     assert list(R.cache.resolutions) == list(range(7))
-    assert built == []
+    assert R.cache.resolutions[1] is k and k.built == 10
+    assert degrees and min(degrees) == 9 and max(degrees) == 10
 
 
 def test_cd_estimate_plane():
@@ -357,3 +407,38 @@ def test_sklyanin_proj_cohomology(sklyanin):
 
 def test_sklyanin_is_gorenstein(sklyanin):
     assert gorenstein_check(sklyanin, 7, 4) == {"passes": True, "d": 3}
+
+
+def test_a_resolution_read_below_the_cutoff_builds_no_deeper(sklyanin, monkeypatch):
+    """The resolution of k on Sklyanin at cutoff 10, read at degree bound 6,
+    takes no letter table into a degree above 6."""
+    read = []
+    table = homology.letter_table
+    monkeypatch.setattr(homology, "letter_table",
+                        lambda R, x, d: read.append(d + R.alphabet.weights[x]) or table(R, x, d))
+    rep = minimal_resolution(GradedModulePresentation.trivial(sklyanin), 4, 6)
+    assert rep.betti == [[0], [1, 1, 1], [2, 2, 2], [3]] and rep.terminated
+    assert read and max(read) <= 6
+
+
+def count_hom_ranks(monkeypatch):
+    calls = []
+    hom_rank = homology._hom_rank
+    monkeypatch.setattr(homology, "_hom_rank",
+                        lambda *args: calls.append(args) or hom_rank(*args))
+    return calls
+
+
+def test_each_ext_rank_is_computed_once(monkeypatch):
+    """gorenstein_check and chi_probe compute the rank of each d_i^* at
+    each twist once, where reading Ext^{i-1} and Ext^i computed it twice;
+    the reports are those of the uncounted calls."""
+    R = space(9)
+    A = GradedModulePresentation.algebra(R)
+    want = gorenstein_check(R, 9), chi_probe(R, A, 3, 9)
+    calls = count_hom_ranks(monkeypatch)
+    assert gorenstein_check(R, 9) == want[0] == {"passes": True, "d": 3}
+    assert len(calls) == 30
+    del calls[:]
+    assert chi_probe(R, A, 3, 9) == want[1]
+    assert len(calls) < 51

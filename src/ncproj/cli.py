@@ -20,8 +20,7 @@ from .dsl import (ParseError, parse_charge, parse_int_matrix, parse_multiset,
                   parse_presentation, parse_scalar_matrix, parse_theta,
                   parse_upoly)
 from .fields import QQ, QQ_Q, FieldMismatchError
-from .heart import (EMPTY, Slope, euler_pairing, hn, hom_vanishes, mu_max,
-                    mu_min, torsion_split)
+from .heart import EMPTY, euler_pairing, hn, hom_vanishes, mu_max, mu_min, torsion_split
 from .homology import (GradedModulePresentation, cd_estimate, gorenstein_check,
                        proj_cohomology, proj_cutoff)
 from .presentations import build, resolution_shape_check, standard_check, twist

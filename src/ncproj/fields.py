@@ -693,13 +693,6 @@ QQ_Q = FieldTag("Q(q)", RatFunc(0), RatFunc(1),
                 lambda x: x if isinstance(x, RatFunc) else RatFunc(x))
 
 
-def quad_field(D):
-    d0, _ = squarefree_part(D)
-    return FieldTag(f"Q(sqrt({d0}))", QuadExt(0, 0, 1, d0), QuadExt(1, 0, 1, d0),
-                    lambda x, _d=d0: x if isinstance(x, QuadExt)
-                    else QuadExt.from_rational(x, _d))
-
-
 def field_by_name(name):
     name = name.strip()
     if name == "Q":

@@ -179,25 +179,6 @@ def torsion_split(F, theta):
     return t, q
 
 
-@dataclass
-class HeartObject:
-    """Two-term model of a heart object: shifted part in Coh_{<=theta},
-    plain part in Coh_{>theta}."""
-    shifted: object                # SheafClass or EMPTY
-    plain: object                  # SheafClass or EMPTY
-    theta: object                  # Fraction or QuadExt
-
-
-def in_heart(K):
-    if K.shifted is not EMPTY:
-        if any(Slope.of(z).exceeds(K.theta) for z in K.shifted.charges()):
-            return False
-    if K.plain is not EMPTY:
-        if any(not Slope.of(z).exceeds(K.theta) for z in K.plain.charges()):
-            return False
-    return True
-
-
 def hom_vanishes(F, G):
     """CERTAIN_ZERO when every factor of F strictly out-slopes every factor of G."""
     if mu_min(F) > mu_max(G):

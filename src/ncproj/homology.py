@@ -2,9 +2,8 @@
 
 Everything reduces to linear algebra over the coefficient field against
 normal-word bases: minimal free resolutions, graded Hom/Ext dimensions,
-AS-Gorenstein checks, chi-condition probes, and Proj cohomology through
-truncation colimits.  No spectral machinery; each graded piece is computed
-exactly.
+AS-Gorenstein checks, and Proj cohomology through truncation colimits.  No
+spectral machinery; each graded piece is computed exactly.
 
 Every product goes through the letter tables (rewriting.letter_table): a.v
 for a normal word a = x.a' is x times a'.v, so spans, kernels and Hom maps
@@ -584,44 +583,6 @@ def gorenstein_check(R, N, p_max=8):
             return {"passes": False, "d": gd,
                     "reason": f"Ext^{gd}(k, A) has total dimension {total}"}
     return {"passes": True, "d": gd}
-
-
-@dataclass
-class ChiProbeReport:
-    j_max: int
-    per_degree_dims: dict          # (j, internal degree) -> dim
-    right_bounded_up_to_cutoff: bool
-    window: tuple
-
-    def to_dict(self):
-        return {
-            "j_max": self.j_max,
-            "per_degree_dims": {f"{j},{e}": v
-                                for (j, e), v in sorted(self.per_degree_dims.items())},
-            "right_bounded_up_to_cutoff": self.right_bounded_up_to_cutoff,
-            "window": list(self.window),
-        }
-
-
-def chi_probe(R, M, j_max, N):
-    """Per-degree dims of Ext^j(A/A_+, M) for j <= j_max.
-
-    The right-boundedness flag refers only to the computed window: it is set
-    when the top quarter of the window carries no nonzero entry.
-    """
-    rep = _quotient_resolution(R, 1, j_max + 1, N)
-    table, ranks = {}, {}
-    max_shift = max((max(b) for b in rep.betti if b), default=0)
-    lo = -max_shift
-    hi = N - max_shift
-    for j in range(j_max + 1):
-        if j >= len(rep.betti):
-            break
-        table.update(((j, e), dim) for e in range(lo, hi + 1)
-                     if (dim := _ext_dims_from_resolution(rep, M, e, j, ranks)))
-    top_quarter = hi - max(1, (hi - lo) // 4)
-    right_bounded = all(e <= top_quarter for (_, e) in table)
-    return ChiProbeReport(j_max, table, right_bounded, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,6 @@ def build(p, cutoff):
     return complete_truncated_over(p.relations, cutoff, p.order, p.field)
 
 
-def check_automorphism(p, sigma, N):
-    """Does sigma descend to the quotient algebra (checked in degrees <= N)?"""
-    return _descends(p, sigma, N)[0]
-
-
 def _descends(p, sigma, N):
     """(whether sigma descends, the completed system it was checked against)."""
     if not p.alphabet.all_unit_weight():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QuadExt
-from .heart import Charge, Slope, euler_pairing, hom_dim_stable, stable_p
+from .heart import Charge, Slope, hom_dim_stable, stable_p
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,6 @@ class SL2Matrix:
     def translation():
         """g = [[1, 1], [0, 1]], translation by 1."""
         return SL2Matrix(1, 1, 0, 1)
-
-    @staticmethod
-    def inversion():
-        """h = [[0, 1], [-1, 0]], theta -> -1/theta."""
-        return SL2Matrix(0, 1, -1, 0)
 
     def __mul__(self, other):
         return SL2Matrix(self.a * other.a + self.b * other.c,
@@ -178,15 +173,6 @@ def apply_word(word, theta):
             raise ValueError(f"unknown generator {sym!r}")
         out = mobius_act(g ** e, out)
     return out
-
-
-def minus_inverse(theta):
-    """theta -> -1/theta, the inversion generator's action."""
-    if isinstance(theta, (int, Fraction)):
-        theta = QuadExt.from_rational(theta)
-    if theta.is_zero():
-        raise ZeroDivisionError("-1/theta undefined at zero")
-    return mobius_act(SL2Matrix.inversion(), theta)
 
 
 def fixing_matrix(theta):

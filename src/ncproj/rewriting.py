@@ -126,9 +126,6 @@ class RewriteSystem:
         self.field = field
         self.cache = RewriteCache(self.rules, len(self.alphabet))
 
-    def serialize(self):
-        return [r.render(self.order) for r in self.rules]
-
     def __repr__(self):
         return f"RewriteSystem({len(self.rules)} rules, cutoff={self.cutoff})"
 
@@ -302,23 +299,11 @@ def complete_truncated_over(relations, cutoff, order, field):
     return RewriteSystem(rules, cutoff, order, field)
 
 
-def confluence_audit(R):
-    """All overlap ambiguities of degree <= cutoff must reduce to zero."""
-    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), R.cache.automaton,
-                       R.order).is_zero()
-               for r1, r2 in _pairs(R.rules, [])
-               for w, a, c in _overlaps(r1, r2, R.alphabet, R.cutoff))
-
-
 def normal_form(p, R):
     if p.max_degree() > R.cutoff:
         raise CutoffExceededError(
             f"degree {p.max_degree()} exceeds cutoff {R.cutoff}")
     return _reduce(p, R.cache.automaton, R.order)
-
-
-def ideal_member_truncated(p, R):
-    return normal_form(p, R).is_zero()
 
 
 def normal_words(R, d):

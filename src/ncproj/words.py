@@ -201,11 +201,6 @@ class NcPoly:
     def __rmul__(self, other):
         return self.scale(self.field.coerce(other))
 
-    def lead_word(self, order):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=order.key)
-
     # -- rendering ----------------------------------------------------------
 
     def render(self, order=None):

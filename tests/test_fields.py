@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncproj.dsl import parse_theta, parse_upoly
 from ncproj.fields import (QQ, QQ_Q, FieldMismatchError, QuadExt, RatFunc,
-                           UPoly, field_by_name, quad_field, squarefree_part)
+                           UPoly, field_by_name, squarefree_part)
 
 rng = random.Random(20240817)
 
@@ -419,9 +419,6 @@ def test_field_tags():
     assert field_by_name("Q(q)") is QQ_Q
     with pytest.raises(ValueError):
         field_by_name("GF(7)")
-    k = quad_field(8)
-    assert k.name == "Q(sqrt(2))"
-    assert k.coerce(Fraction(1, 2)) == QuadExt(1, 0, 2, 2)
 
 
 def test_mixed_radicand_rejected():

@@ -3,15 +3,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
 from ncproj.fields import QuadExt
-from ncproj.heart import (CERTAIN_ZERO, EMPTY, UNKNOWN, Charge, HeartObject,
-                          SheafClass, Slope, euler_pairing, hn, hom_dim_stable,
-                          hom_vanishes, in_heart, mu_max, mu_min, stable_p,
-                          torsion_split)
+from ncproj.heart import (CERTAIN_ZERO, EMPTY, UNKNOWN, Charge, SheafClass, Slope,
+                          euler_pairing, hn, hom_dim_stable, hom_vanishes, mu_max,
+                          mu_min, stable_p, torsion_split)
 
 rng = random.Random(30110)
 
@@ -237,9 +235,8 @@ def test_heart_membership_and_degree_two_vanishing():
     phi = QuadExt(-1, 1, 2, 5)
     shifted = SheafClass([Charge(2, 1)])      # slope 1/2 <= phi
     plain = SheafClass([Charge(1, 1)])        # slope 1 > phi
-    K = HeartObject(shifted, plain, phi)
-    assert in_heart(K)
-    assert not in_heart(HeartObject(plain, shifted, phi))
+    # a heart object has its shifted part free and its plain part torsion at phi
+    assert torsion_split(shifted, phi) == (EMPTY, shifted)
+    assert torsion_split(plain, phi) == (plain, EMPTY)
     # the would-be degree-2 pairing is the Hom from plain to shifted parts
     assert hom_vanishes(plain, shifted) == CERTAIN_ZERO
-    assert in_heart(HeartObject(EMPTY, plain, phi))

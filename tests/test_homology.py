@@ -9,7 +9,7 @@ import pytest
 from ncproj import homology
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
-                             cd_estimate, chi_probe, ext_k_A,
+                             cd_estimate, ext_k_A,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
                              proj_cohomology, proj_cutoff, _ext_dims_from_resolution,
@@ -136,13 +136,6 @@ def test_gorenstein_suite():
     rep = gorenstein_check(free, 6)
     assert not rep["passes"]
     assert not gorenstein_check(dual_numbers(), 8, p_max=4)["passes"]
-
-
-def test_chi_probe():
-    rep = chi_probe(plane(), GradedModulePresentation.algebra(plane()), 2, 10)
-    assert rep.right_bounded_up_to_cutoff
-    d = rep.to_dict()
-    assert d["j_max"] == 2
 
 
 def test_resolution_exactness_audit():
@@ -430,15 +423,11 @@ def count_hom_ranks(monkeypatch):
 
 
 def test_each_ext_rank_is_computed_once(monkeypatch):
-    """gorenstein_check and chi_probe compute the rank of each d_i^* at
-    each twist once, where reading Ext^{i-1} and Ext^i computed it twice;
-    the reports are those of the uncounted calls."""
+    """gorenstein_check computes the rank of each d_i^* at each twist once,
+    where reading Ext^{i-1} and Ext^i computed it twice; the report is that
+    of the uncounted call."""
     R = space(9)
-    A = GradedModulePresentation.algebra(R)
-    want = gorenstein_check(R, 9), chi_probe(R, A, 3, 9)
+    want = gorenstein_check(R, 9)
     calls = count_hom_ranks(monkeypatch)
-    assert gorenstein_check(R, 9) == want[0] == {"passes": True, "d": 3}
+    assert gorenstein_check(R, 9) == want == {"passes": True, "d": 3}
     assert len(calls) == 30
-    del calls[:]
-    assert chi_probe(R, A, 3, 9) == want[1]
-    assert len(calls) < 51

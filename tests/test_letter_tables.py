@@ -13,8 +13,8 @@ import random
 import pytest
 
 from ncproj.dsl import parse_presentation
-from ncproj.homology import (GradedModulePresentation, _quotient_resolution, chi_probe,
-                             ext_k_A, global_dimension, gorenstein_check, graded_hom_dim,
+from ncproj.homology import (GradedModulePresentation, _quotient_resolution, ext_k_A,
+                             global_dimension, gorenstein_check, graded_hom_dim,
                              minimal_resolution, proj_cohomology, proj_cutoff)
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
@@ -326,7 +326,6 @@ K_FUNCTIONS = [
     lambda R, N: global_dimension(R, 4, N),
     lambda R, N: gorenstein_check(R, N, 5),
     lambda R, N: ext_k_A(R, 2, N),
-    lambda R, N: chi_probe(R, GradedModulePresentation.algebra(R), 2, N).to_dict(),
 ]
 
 

@@ -12,7 +12,6 @@ from ncproj.dsl import parse_presentation
 from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
 from ncproj.presentations import (NOT_APPLICABLE, ABSENT,
                                   AlgebraPresentation, build,
-                                  check_automorphism,
                                   resolution_shape_check,
                                   right_generator_decomposition,
                                   standard_check, twist)
@@ -60,16 +59,17 @@ def test_render():
 
 def test_check_automorphism():
     p = poly_plane()
-    assert check_automorphism(p, GradedEndomorphism(AB, QQ, [[2, 0], [0, 3]]), 8)
-    assert check_automorphism(p, GradedEndomorphism(AB, QQ, [[1, 1], [0, 1]]), 8)
+    twist(p, GradedEndomorphism(AB, QQ, [[2, 0], [0, 3]]), 8)
+    twist(p, GradedEndomorphism(AB, QQ, [[1, 1], [0, 1]]), 8)
     # swapping x and y does not preserve the quantum relation
     qp = quantum_plane()
     swap = GradedEndomorphism(AB, QQ_Q, [[QQ_Q.zero, QQ_Q.one],
                                          [QQ_Q.one, QQ_Q.zero]])
-    assert not check_automorphism(qp, swap, 8)
+    with pytest.raises(ValueError, match="does not define an automorphism"):
+        twist(qp, swap, 8)
     singular = GradedEndomorphism(AB, QQ, [[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        check_automorphism(p, singular, 8)
+    with pytest.raises(ValueError, match="singular"):
+        twist(p, singular, 8)
 
 
 def test_twist_diagonal_gives_quantum_plane():

@@ -94,13 +94,6 @@ def test_render_canonical():
     assert qp.render(MonomialOrder(AB)) == "y*x - q*x*y"
 
 
-def test_lead_word():
-    x, y = NcPoly.gen(AB, QQ, 0), NcPoly.gen(AB, QQ, 1)
-    assert (y * x - x * y).lead_word(ORD) == (1, 0)
-    with pytest.raises(ValueError):
-        NcPoly.zero(AB, QQ).lead_word(ORD)
-
-
 def test_endomorphism_apply_multiplicative():
     sigma = GradedEndomorphism(AB, QQ, [[1, 1], [0, 1]])
     for _ in range(100):

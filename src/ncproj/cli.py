@@ -19,7 +19,7 @@ from .coord_rings import (P1Automorphism, Section, gamma_multiply,
 from .dsl import (ParseError, parse_charge, parse_int_matrix, parse_multiset,
                   parse_presentation, parse_scalar_matrix, parse_theta,
                   parse_upoly)
-from .fields import QQ, QQ_Q, FieldMismatchError
+from .fields import QQ, QQ_Q, FieldMismatchError, QuadExt
 from .heart import EMPTY, euler_pairing, hn, hom_vanishes, mu_max, mu_min, torsion_split
 from .homology import (GradedModulePresentation, cd_estimate, gorenstein_check,
                        proj_cohomology, proj_cutoff)
@@ -460,7 +460,6 @@ def rm_hilbert_cmd(f_text, g_text, theta, n_max, fmt):
 
 
 def _require_quadratic(th):
-    from .fields import QuadExt
     if not isinstance(th, QuadExt) or th.is_rational():
         raise ValueError("theta must be a quadratic irrational")
     return th

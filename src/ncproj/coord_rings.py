@@ -49,9 +49,6 @@ class P1Automorphism:
             out = out.compose(self)
         return out
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     def __repr__(self):
         return f"P1Automorphism({self.a}, {self.b}, {self.c}, {self.d})"
 

@@ -386,7 +386,14 @@ def _parse_charge_at(ts):
 
 def parse_multiset(text):
     """Multiset literal ``[1:0, 2:1*3]`` of charges with multiplicities."""
-    ts = TokenStream(tokenize(text))
+    t0, factors = _parse_all(text, _multiset, "end of the multiset")
+    try:
+        return SheafClass(factors)
+    except ValueError as e:
+        raise ParseError(str(e), t0.line, t0.col)
+
+
+def _multiset(ts):
     ts.expect("[")
     factors = []
     t0 = ts.peek()
@@ -402,11 +409,7 @@ def parse_multiset(text):
             continue
         break
     ts.expect("]")
-    ts.expect("EOF", "end of the multiset")
-    try:
-        return SheafClass(factors)
-    except ValueError as e:
-        raise ParseError(str(e), t0.line, t0.col)
+    return t0, factors
 
 
 def parse_int_matrix(text):

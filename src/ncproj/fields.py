@@ -83,16 +83,7 @@ class UPoly:
         return UPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = out[i] - c
-        else:
-            out = [-c for c in b]
-            for i, c in enumerate(a):
-                out[i] = out[i] + c
-        return UPoly(out)
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, UPoly):
@@ -317,9 +308,6 @@ class RatFunc:
         n = self.n
         return (self.e, n if n.__class__ is UPoly else UPoly((n,)),
                 _QONE if self.d is None else self.d)
-
-    def is_zero(self):
-        return not self.n
 
     def __bool__(self):
         return bool(self.n)

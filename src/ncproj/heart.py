@@ -119,9 +119,6 @@ class SheafClass:
     def items(self):
         return list(self.factors.items())
 
-    def charges(self):
-        return list(self.factors.keys())
-
     def __eq__(self, other):
         return isinstance(other, SheafClass) and self.factors == other.factors
 

@@ -94,10 +94,9 @@ class GradedModulePresentation:
     submodule those rows generate.
     """
 
-    def __init__(self, ambient, shifts, rows, name=""):
+    def __init__(self, ambient, shifts, rows):
         self.ambient = ambient
         self.shifts = tuple(shifts)
-        self.name = name
         self.rows = []
         for row in rows:
             row = [p if p.is_zero() else normal_form(p, ambient) for p in row]
@@ -115,19 +114,17 @@ class GradedModulePresentation:
     # -- canonical constructors --------------------------------------------
 
     @staticmethod
-    def free(R, shifts, name=""):
-        return GradedModulePresentation(R, shifts, [], name=name)
+    def free(R, shifts):
+        return GradedModulePresentation(R, shifts, [])
 
     @staticmethod
     def algebra(R):
-        return GradedModulePresentation(R, [0], [], name="A")
+        return GradedModulePresentation(R, [0], [])
 
     @staticmethod
     def trivial(R):
         """The trivial module k = A/A_{>=1}."""
-        module = GradedModulePresentation.quotient_truncation(R, 1)
-        module.name = "k"
-        return module
+        return GradedModulePresentation.quotient_truncation(R, 1)
 
     @staticmethod
     def quotient_truncation(R, n):
@@ -135,7 +132,7 @@ class GradedModulePresentation:
         (at most the cutoff), w the largest letter weight: every longer normal
         word ends in one of them, so they generate A_{>=n}.  The rows are
         already in normal form: no normal form is taken again."""
-        module = GradedModulePresentation.free(R, [0], f"A/A>={n}")
+        module = GradedModulePresentation.free(R, [0])
         top = min(n + max(R.alphabet.weights) - 1, R.cutoff)
         module.rows = [(d, [NcPoly.word(R.alphabet, R.field, w)])
                        for d in range(n, top + 1) for w in normal_words(R, d)]
@@ -248,7 +245,7 @@ class GradedModulePresentation:
         return out
 
     def __repr__(self):
-        return f"Module({self.name or self.shifts}, {len(self.rows)} rows)"
+        return f"Module({self.shifts}, {len(self.rows)} rows)"
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +364,9 @@ class ResolutionReport:
     """Betti shifts and differentials of a minimal free resolution."""
     betti: list                    # betti[i] = sorted list of internal shifts
     differentials: list            # differentials[i]: rows of P^{i+1} -> P^i
-    truncated_at: tuple            # (p_max, N)
     minimal: bool
     terminated: bool
     length: object                 # int when terminated, else AtLeast(p_max)
-
-    def to_dict(self):
-        return {
-            "betti": [list(b) for b in self.betti],
-            "length": self.length if isinstance(self.length, int) else repr(self.length),
-            "minimal": self.minimal,
-            "terminated": self.terminated,
-            "truncated_at": list(self.truncated_at),
-        }
 
 
 @dataclass
@@ -454,7 +441,7 @@ class _Syzygies:
         diffs = [[row for _, row in g] for g in levels]
         if diffs:
             diffs[0] = [[row[i] for i in order] for row in diffs[0]]
-        return ResolutionReport(betti, diffs, (p_max, N), _minimality_audit(diffs),
+        return ResolutionReport(betti, diffs, _minimality_audit(diffs),
                                 terminated, len(levels) if terminated else AtLeast(p_max))
 
 
@@ -547,23 +534,15 @@ def _ext_dims_from_resolution(rep, M, d, i, ranks=None):
 
 
 def _ext_k_A(rep, A, i, N, ranks):
-    """ext_k_A read off the resolution rep of k, with A the algebra as a
-    module and ranks the memo of _ext_dims_from_resolution."""
+    """Nonzero graded dims of Ext^i(k, A) over the exactly computable degree
+    window, read off the resolution rep of k, with A the algebra as a module
+    and ranks the memo of _ext_dims_from_resolution."""
     involved = [s for b in rep.betti[max(i - 1, 0):i + 2] for s in b]
     if not involved:
         return {}
     lo = -max(rep.betti[i]) if i < len(rep.betti) else 0
     return {e: dim for e in range(lo, N - max(involved) + 1)
             if (dim := _ext_dims_from_resolution(rep, A, e, i, ranks))}
-
-
-def ext_k_A(R, i, N, p_max=None):
-    """Nonzero graded dims of Ext^i(k, A) over the exactly computable degree
-    window, read off the cached resolution of k."""
-    if p_max is None:
-        p_max = i + 2
-    rep = _quotient_resolution(R, 1, p_max, N)
-    return _ext_k_A(rep, GradedModulePresentation.algebra(R), i, N, {})
 
 
 def gorenstein_check(R, N, p_max=8):

@@ -33,11 +33,6 @@ class SL2Matrix:
     def identity():
         return SL2Matrix(1, 0, 0, 1)
 
-    @staticmethod
-    def translation():
-        """g = [[1, 1], [0, 1]], translation by 1."""
-        return SL2Matrix(1, 1, 0, 1)
-
     def __mul__(self, other):
         return SL2Matrix(self.a * other.a + self.b * other.c,
                          self.a * other.b + self.b * other.d,
@@ -55,10 +50,6 @@ class SL2Matrix:
             out = out * self
         return out
 
-    def __neg__(self):
-        # not in SL2 (det stays 1), kept for eigenvalue sign flips
-        return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
-
     def trace(self):
         return self.a + self.d
 
@@ -70,9 +61,6 @@ class SL2Matrix:
         deg = self.a * z.deg + self.b * z.rank
         rank = self.c * z.deg + self.d * z.rank
         return Charge(rank, deg)
-
-    def render(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
 def mobius_act(g, theta):
@@ -91,12 +79,6 @@ class CFExpansion:
     preperiod: list
     period: list
     window: int
-
-    def terms(self, count):
-        out = list(self.preperiod)
-        while len(out) < count and self.period:
-            out.extend(self.period)
-        return out[:count]
 
     def to_dict(self):
         return {"period": self.period, "preperiod": self.preperiod,
@@ -166,12 +148,11 @@ def morita_reduce(theta):
 
 
 def apply_word(word, theta):
-    g = SL2Matrix.translation()
     out = theta
     for sym, e in word:
         if sym != "g":
             raise ValueError(f"unknown generator {sym!r}")
-        out = mobius_act(g ** e, out)
+        out = mobius_act(SL2Matrix(1, e, 0, 1), out)
     return out
 
 

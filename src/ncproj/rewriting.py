@@ -34,9 +34,6 @@ class RewriteRule:
     lead: tuple
     rhs: NcPoly
 
-    def poly(self):
-        return NcPoly.word(self.rhs.alphabet, self.rhs.field, self.lead) - self.rhs
-
     def render(self, order):
         lead = NcPoly.word(self.rhs.alphabet, self.rhs.field, self.lead)
         return f"{lead.render(order)} -> {self.rhs.render(order)}"

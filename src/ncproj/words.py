@@ -62,10 +62,6 @@ class MonomialOrder:
     def key(self, word):
         return (self.alphabet.degree(word), word)
 
-    def compare(self, w1, w2):
-        k1, k2 = self.key(w1), self.key(w2)
-        return (k1 > k2) - (k1 < k2)
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.alphabet == other.alphabet
 

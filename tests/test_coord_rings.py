@@ -28,8 +28,9 @@ def test_automorphism_validation_and_compose():
     s = P1Automorphism(QQ, 1, 1, 0, 1)        # u -> u + 1
     t = P1Automorphism(QQ, 2, 0, 0, 1)        # u -> 2u
     st = s.compose(t)
-    assert st.entries() == (Fraction(2), Fraction(1), Fraction(0), Fraction(1))
-    assert s.power(3).entries() == (Fraction(1), Fraction(3), Fraction(0), Fraction(1))
+    assert (st.a, st.b, st.c, st.d) == (Fraction(2), Fraction(1), Fraction(0), Fraction(1))
+    s3 = s.power(3)
+    assert (s3.a, s3.b, s3.c, s3.d) == (Fraction(1), Fraction(3), Fraction(0), Fraction(1))
 
 
 def test_section_level_bound():

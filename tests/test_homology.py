@@ -9,11 +9,11 @@ import pytest
 from ncproj import homology
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
-                             cd_estimate, ext_k_A,
+                             cd_estimate,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
                              proj_cohomology, proj_cutoff, _ext_dims_from_resolution,
-                             _quotient_resolution, _stabilize)
+                             _ext_k_A, _quotient_resolution, _stabilize)
 from ncproj.dsl import parse_presentation
 from ncproj.presentations import build
 from ncproj.rewriting import RewriteSystem, complete_truncated, normal_words
@@ -97,7 +97,7 @@ def test_graded_hom_dims():
     assert graded_hom_dim(k, A, 0) == 0
     # cyclic quotient A/(x): identity map survives
     x = NcPoly.gen(AB2, QQ, 0)
-    M = GradedModulePresentation(R, [0], [[x]], name="A/x")
+    M = GradedModulePresentation(R, [0], [[x]])
     assert graded_hom_dim(M, M, 0) >= 1
     assert [M.dim(d) for d in range(4)] == [1, 1, 1, 1]
 
@@ -117,6 +117,11 @@ def test_ext0_does_not_depend_on_the_order_of_summands():
         assert rep.differentials[0] == [[x, zero]]
         assert [_ext_dims_from_resolution(rep, A, d, 0) for d in range(3)] == \
             [graded_hom_dim(M, A, d) for d in range(3)] == [2, 3, 4]
+
+
+def ext_k_A(R, i, N):
+    return _ext_k_A(_quotient_resolution(R, 1, i + 2, N),
+                    GradedModulePresentation.algebra(R), i, N, {})
 
 
 def test_ext_of_trivial_module():

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from ncproj.dsl import parse_presentation
-from ncproj.homology import (GradedModulePresentation, _quotient_resolution, ext_k_A,
+from ncproj.homology import (GradedModulePresentation, _ext_k_A, _quotient_resolution,
                              global_dimension, gorenstein_check, graded_hom_dim,
                              minimal_resolution, proj_cohomology, proj_cutoff)
 from ncproj.linalg import SpanTracker
@@ -138,7 +138,7 @@ def truncation(R, n):
     P^2 = 0."""
     rep = _quotient_resolution(R, n, 2, R.cutoff)
     rows = rep.differentials[1] if len(rep.differentials) > 1 else []
-    return GradedModulePresentation(R, rep.betti[1], rows, name=f"A>={n}")
+    return GradedModulePresentation(R, rep.betti[1], rows)
 
 
 def generator_words(R, n):
@@ -325,7 +325,8 @@ def test_trivial_module_is_the_first_truncation(name):
 K_FUNCTIONS = [
     lambda R, N: global_dimension(R, 4, N),
     lambda R, N: gorenstein_check(R, N, 5),
-    lambda R, N: ext_k_A(R, 2, N),
+    lambda R, N: _ext_k_A(_quotient_resolution(R, 1, 4, N),
+                          GradedModulePresentation.algebra(R), 2, N, {}),
 ]
 
 

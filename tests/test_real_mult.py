@@ -28,7 +28,7 @@ def rand_quad():
 def test_sl2_validation_and_group_ops():
     with pytest.raises(ValueError):
         SL2Matrix(1, 1, 1, 1)
-    g = SL2Matrix.translation()
+    g = SL2Matrix(1, 1, 0, 1)
     h = SL2Matrix(0, 1, -1, 0)
     assert (g * g.inverse()).entries() == [[1, 0], [0, 1]]
     assert (g ** 3).entries() == [[1, 3], [0, 1]]
@@ -40,7 +40,7 @@ def test_sl2_validation_and_group_ops():
 def test_mobius_action_is_group_action():
     for _ in range(100):
         x = rand_quad()
-        g = SL2Matrix.translation() ** rng.randint(-3, 3)
+        g = SL2Matrix(1, 1, 0, 1) ** rng.randint(-3, 3)
         h = SL2Matrix(1, 0, 1, 1) ** rng.randint(-2, 2)
         lhs = mobius_act(g * h, x)
         rhs = mobius_act(g, mobius_act(h, x))
@@ -53,7 +53,7 @@ def test_cf_golden_and_sqrt2():
     assert cf.preperiod == [0] and cf.period == [1]
     cf2 = cf_expand(QuadExt.sqrt(2))
     assert cf2.preperiod == [1] and cf2.period == [2]
-    assert cf.terms(5) == [0, 1, 1, 1, 1]
+    assert (cf.preperiod + cf.period * 4)[:5] == [0, 1, 1, 1, 1]
 
 
 def test_cf_rejects_rational():
@@ -72,7 +72,7 @@ def test_cf_roundtrip_random():
 def test_cf_convergents_approach():
     # truncated continued fraction of sqrt(2) gives the Pell convergents
     cf = cf_expand(QuadExt.sqrt(2))
-    terms = cf.terms(4)              # [1, 2, 2, 2]
+    terms = (cf.preperiod + cf.period * 3)[:4]   # [1, 2, 2, 2]
     val = Fraction(terms[-1])
     for a in reversed(terms[:-1]):
         val = a + 1 / val
@@ -89,6 +89,21 @@ def test_morita_reduce():
         assert apply_word(word, x) == reduced
     r, w = morita_reduce(PHI_CONJ)
     assert r == PHI_CONJ and w == []
+
+
+def test_apply_word_is_one_action_per_letter():
+    """(g, e) acts as g^e = [[1, e], [0, 1]] at once, so a huge exponent
+    costs one action; small words agree with the group law."""
+    x = QuadExt(1, 3, 2, 7)
+    assert apply_word([("g", -10**12)], x) == x - 10**12
+    g = SL2Matrix(1, 1, 0, 1)
+    for word in ([], [("g", 3)], [("g", -2), ("g", 4)], [("g", 0), ("g", -1), ("g", -3)]):
+        want = x
+        for _, e in word:
+            want = mobius_act(g ** e, want)
+        assert apply_word(word, x) == want
+    with pytest.raises(ValueError, match="unknown generator"):
+        apply_word([("h", 1)], x)
 
 
 def test_fixing_matrix_golden():
@@ -175,7 +190,7 @@ def test_rm_hilbert_validation():
     with pytest.raises(ValueError):
         rm_hilbert(F, Charge(1, 0), QuadExt.sqrt(2), 3)  # F does not fix theta
     with pytest.raises(ValueError):
-        rm_hilbert(SL2Matrix.translation(), Charge(1, 0), PHI_CONJ, 3)
+        rm_hilbert(SL2Matrix(1, 1, 0, 1), Charge(1, 0), PHI_CONJ, 3)
 
 
 def test_cf_expansion_serializes():

@@ -336,7 +336,9 @@ def _interreduce(rules, order):
         changed = False
         for i in range(len(rules)):
             others = rules[:i] + rules[i + 1:]
-            p = _reduce(rules[i].poly(), NormalWordAutomaton(others, len(order.alphabet)), order)
+            r = rules[i]
+            p = _reduce(NcPoly.word(r.rhs.alphabet, r.rhs.field, r.lead) - r.rhs,
+                        NormalWordAutomaton(others, len(order.alphabet)), order)
             if p.is_zero():
                 rules = others
                 changed = True

@@ -31,25 +31,24 @@ def test_alphabet_validation():
 def test_order_trichotomy_and_compatibility():
     for _ in range(500):
         a, b, c = rand_word(), rand_word(), rand_word()
-        cmp = ORD.compare(a, b)
-        assert cmp in (-1, 0, 1)
-        assert (cmp == 0) == (a == b)
-        assert cmp == -ORD.compare(b, a)
-        if cmp == 1:
+        ka, kb = ORD.key(a), ORD.key(b)
+        assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+        assert (ka == kb) == (a == b)
+        if ka > kb:
             # compatible with concatenation on both sides
-            assert ORD.compare(c + a, c + b) == 1
-            assert ORD.compare(a + c, b + c) == 1
+            assert ORD.key(c + a) > ORD.key(c + b)
+            assert ORD.key(a + c) > ORD.key(b + c)
 
 
 def test_order_deglex():
     # degree dominates; ties break by declaration order (x before y)
-    assert ORD.compare((0, 0, 0), (1, 1)) == 1
-    assert ORD.compare((0, 1), (1, 0)) == -1
-    assert ORD.compare((), (0,)) == -1
+    assert ORD.key((0, 0, 0)) > ORD.key((1, 1))
+    assert ORD.key((0, 1)) < ORD.key((1, 0))
+    assert ORD.key(()) < ORD.key((0,))
     # declaring y first orders y before x
     p = parse_presentation("algebra A over Q { gens: y, x; rels: x*y - y*x; }")
     x, y = p.alphabet.index["x"], p.alphabet.index["y"]
-    assert p.order.compare((x, y), (y, x)) == 1
+    assert p.order.key((x, y)) > p.order.key((y, x))
     assert p.relations[0].render(p.order) == "x*y - y*x"
 
 

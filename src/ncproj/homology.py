@@ -615,6 +615,16 @@ def proj_cutoff(n_max, j, *twists):
     return n_max + j + 2 + max(map(abs, twists), default=0)
 
 
+def proj_depth(p, n_max, j, *twists):
+    """The degree to complete presentation p to for H^j up to truncation
+    n_max over the given twists d.  Value n resolves to degree
+    proj_cutoff(n, j, d), and its Hom step reads A in degree D + d for
+    generator degrees D up to that, hence the term max(d, 0); the depth is
+    never below p's largest relation degree."""
+    return max([p.max_relation_degree(),
+                *(proj_cutoff(n_max, j, d) + max(d, 0) for d in twists)])
+
+
 def proj_cohomology(R, M, j, d, n_max):
     """Stabilized dim of H^j(M[d]) over the truncation filtration.
 

@@ -3,13 +3,17 @@
 import json
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from ncproj.cli import main
-from ncproj.dsl import parse_upoly
+from ncproj.dsl import parse_presentation, parse_upoly
 from ncproj.fields import QQ_Q, RatFunc, UPoly
+from ncproj.homology import (GradedModulePresentation, cd_estimate, proj_cohomology,
+                             proj_cutoff)
+from ncproj.presentations import build
 
 QP = "algebra QP over Q(q) { gens: x:1, y:1; rels: y*x - q*x*y; }"
 PLANE = "algebra P over Q { gens: x, y; rels: y*x - x*y; }"
@@ -107,6 +111,88 @@ def test_proj_cd():
     d = run_json("proj", "cd", "--input", PLANE, "--nmax", "6",
                  "--dmin", "-2", "--dmax", "0")
     assert d["cd"] == 1
+
+
+def _leaf_commands(group, path=()):
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, path + (name,))
+        else:
+            yield " ".join(path + (name,)), cmd
+
+
+def test_every_command_has_one_shape():
+    """--format closes every command; --input, --file open the ones that
+    read a presentation, which are exactly the algebra and proj commands."""
+    leaves = dict(_leaf_commands(main))
+    assert len(leaves) == 19
+    for name, cmd in leaves.items():
+        opts = [param.opts[0] for param in cmd.params]
+        assert opts[-1] == "--format" and opts.count("--format") == 1, name
+        reads_input = name.split()[0] in ("algebra", "proj")
+        assert (opts[:2] == ["--input", "--file"]) == reads_input, name
+        assert ("--input" in opts) == reads_input, name
+
+
+X5 = "algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }"
+Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
+# (presentation, j, d, n_max): small cases of every shape of algebra, of both
+# signs of d, and one whose relation degree (8) is deeper than its query reads
+_PROJ_SAMPLE = [
+    (PLANE, 0, 3, 4), (PLANE, 1, -4, 3), (QP, 0, 1, 4), (QP, 1, -2, 3),
+    (C3, 2, -3, 3), ("algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }", 0, 2, 4),
+    ("algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; x*y; }", 1, -2, 3),
+    (Y4, 0, 0, 3), ("algebra D over Q { gens: x; rels: x*x; }", 1, -1, 3),
+    ("algebra K over Q { gens: x; rels: }", 0, 3, 8), (X5, 0, -1, 3),
+    ("algebra E over Q { gens: x; rels: x^8; }", 0, 0, 3),
+]
+
+
+def _recording_build(monkeypatch):
+    """Record the degree each CLI command completes its algebra to."""
+    depths = []
+
+    def build_and_record(p, cutoff):
+        depths.append(cutoff)
+        return build(p, cutoff)
+
+    monkeypatch.setattr("ncproj.cli.build", build_and_record)
+    return depths
+
+
+@pytest.mark.parametrize("text, j, d, nmax", _PROJ_SAMPLE,
+                         ids=[f"{t.split()[1]}-j{j}-d{d}-n{n}" for t, j, d, n in _PROJ_SAMPLE])
+def test_proj_cohomology_builds_to_the_depth_it_reads(monkeypatch, text, j, d, nmax):
+    """The algebra is completed to n_max + j + 2 + |d| + max(d, 0) (the Hom
+    step reads degree D + d), and never below the largest relation degree;
+    the report is the one built at the former depth max(12, proj_cutoff)."""
+    depths = _recording_build(monkeypatch)
+    got = run_json("proj", "cohomology", "--input", text, "-j", str(j), "-d", str(d),
+                   "--nmax", str(nmax))
+    p = parse_presentation(text)
+    assert depths == [max(p.max_relation_degree(), nmax + j + 2 + abs(d) + max(d, 0))]
+    R = build(p, max(12, proj_cutoff(nmax, j, d)))
+    want = proj_cohomology(R, GradedModulePresentation.algebra(R), j, d, nmax).to_dict()
+    assert got == {**want, "algebra": p.name, "n_max": nmax}
+
+
+def test_proj_cd_builds_to_the_depth_it_reads(monkeypatch):
+    depths = _recording_build(monkeypatch)
+    got = run_json("proj", "cd", "--input", PLANE, "--jmax", "1", "--dmin", "-2",
+                   "--dmax", "1", "--nmax", "4")
+    assert depths == [max(4 + 1 + 2 + 2, 4 + 1 + 2 + 1 + 1)]
+    R = build(parse_presentation(PLANE), max(12, proj_cutoff(4, 1, -2, 1)))
+    assert got["cd"] == cd_estimate(R, 1, range(-2, 2), 4) == 1
+
+
+@pytest.mark.parametrize("text, j, d, nmax, dim", [(Y4, 1, 3, 7, 0), (X5, 0, 2, 8, 4)],
+                         ids=["Y4", "X5"])
+def test_proj_cohomology_reads_past_the_former_depth(text, j, d, nmax, dim):
+    """Completed to max(12, proj_cutoff), these queries read A beyond it in
+    the Hom step and failed with "degree ... exceeds cutoff"."""
+    got = run_json("proj", "cohomology", "--input", text, "-j", str(j), "-d", str(d),
+                   "--nmax", str(nmax))
+    assert got["dim"] == dim and got["values"] == [dim] * (nmax + 1)
 
 
 def test_thcr_present():
@@ -294,7 +380,8 @@ def test_deep_nesting_exits_2(args):
 
 
 # Zero and singular sigmas, degenerate radicands, 1/0, an out-of-range
-# option, an empty twist window and a missing input: each exits cleanly with one message line,
+# option, an empty twist window, a missing input and a digit that int() does
+# not read (²): each exits cleanly with one message line,
 # "error: ..." from the program or click's one "Error: ..." usage line.
 @pytest.mark.parametrize("args, code, usage", [
     (["algebra", "twist", "--input", PLANE, "--sigma", "0,0,0,0"], 1, False),
@@ -307,8 +394,12 @@ def test_deep_nesting_exits_2(args):
     (["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "0", "--nmax", "2"], 2, True),
     (["proj", "cohomology", "-j", "0", "-d", "0"], 2, True),
     (["proj", "cd", "--input", PLANE, "--dmin", "2", "--dmax", "-2"], 2, True),
+    (["algebra", "hilbert", "--input", "algebra A over Q { gens: x; rels: x^²; }"], 2, False),
+    (["heart", "euler", "--z1", "1:²", "--z2", "1:0"], 2, False),
+    (["rm", "cf", "--theta", "sqrt(²)"], 2, False),
 ], ids=["twist-zero", "twist-singular", "thcr-zero", "thcr-singular", "cf-sqrt0",
-        "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input", "cd-empty-window"])
+        "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input", "cd-empty-window",
+        "superscript-relation", "superscript-charge", "superscript-theta"])
 def test_cli_edge_exits_cleanly(args, code, usage):
     res = run(*args)
     assert res.exit_code == code

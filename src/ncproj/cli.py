@@ -141,7 +141,7 @@ def algebra_twist(p, sigma, cutoff, smax):
         smax = p.max_relation_degree() + 1
     q = twist(p, endo, cutoff, smax)
     return {"N": cutoff, "presentation": q.render(),
-            "relations": [r.render(q.order) for r in q.relations], "s_max": smax}
+            "relations": [r.render() for r in q.relations], "s_max": smax}
 
 
 @_command(algebra, "gorenstein")
@@ -162,7 +162,7 @@ def algebra_gorenstein(p, cutoff, pmax):
 @_algebra_input
 def algebra_standard_check(p):
     """Exact (r,s)-standard-algebra test: solve for the matrix Q."""
-    return standard_check(p).to_dict(p.order)
+    return standard_check(p).to_dict()
 
 
 @_command(algebra, "resolution-check")
@@ -264,7 +264,7 @@ def thcr_present(sigma, dmax):
     return {"d_max": dmax,
             "hilbert": [section_space_dim(n) for n in range(dmax + 1)],
             "presentation": p.render(),
-            "relations": [r.render(p.order) for r in p.relations]}
+            "relations": [r.render() for r in p.relations]}
 
 
 @_command(thcr, "multiply")

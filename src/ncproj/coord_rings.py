@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .fields import UPoly
 from .presentations import AlgebraPresentation, present
-from .words import Alphabet, MonomialOrder
+from .words import Alphabet
 
 
 class P1Automorphism:
@@ -118,16 +118,16 @@ def thcr_presentation(sigma, d_max):
         raise ValueError("d_max must be at least 2")
     field = sigma.field
     gens = [Section(UPoly((field.one,)), 1), Section(UPoly((field.zero, field.one)), 1)]
-    order = MonomialOrder(Alphabet(["x", "y"]))
+    alphabet = Alphabet(["x", "y"])
     # twisted[k][i] is gens[i] twisted by sigma^k
     twisted, tau = [], P1Automorphism.identity(field)
     for _ in range(d_max):
         twisted.append([section_twist(g, tau).poly for g in gens])
         tau = tau.compose(sigma)
-    relations = present(order, field, UPoly((field.one,)),
+    relations = present(alphabet, field, UPoly((field.one,)),
                         lambda poly, k, i: poly * twisted[k][i],
                         lambda poly: {t: c for t, c in enumerate(poly.coeffs) if c}, d_max)
-    return AlgebraPresentation("B", field, order.alphabet, relations, order)
+    return AlgebraPresentation("B", field, alphabet, relations)
 
 
 def two_point_hilbert(r1, r2, n_max):

@@ -483,12 +483,12 @@ def _hom_rank(P, shifts, rows, d):
         ncols += P.dim(D + d)
     span = linalg.SpanTracker(ncols, P.ambient.field)
     for i, l in enumerate(shifts):
+        hits = [(offset, D, row[i]) for offset, (D, row) in zip(offsets, rows) if row[i]]
         for c in P._free_columns(l + d):
             v = {}
-            for offset, (D, row) in zip(offsets, rows):
-                if row[i]:
-                    image = P.quotient_coords(P._times(row[i], {c: one}, l + d), D + d)
-                    v.update((offset + t, x) for t, x in image.items())
+            for offset, D, f in hits:
+                image = P.quotient_coords(P._times(f, {c: one}, l + d), D + d)
+                v.update((offset + t, x) for t, x in image.items())
             span.add(v)
     return span.dim()
 
@@ -610,8 +610,9 @@ def _quotient_resolution(R, n, p_max, N):
 
 
 def proj_cutoff(n_max, j, *twists):
-    """The degree cutoff proj_cohomology needs for H^j up to truncation
-    n_max, over the given twists d: n_max + j + 2 + the largest |d|."""
+    """The degree proj_cohomology resolves to for H^j up to truncation n_max,
+    over the given twists d: n_max + j + 2 + the largest |d|.  For d > 0 the
+    Hom step reads A past it; proj_depth covers that too."""
     return n_max + j + 2 + max(map(abs, twists), default=0)
 
 
@@ -632,7 +633,9 @@ def proj_cohomology(R, M, j, d, n_max):
     P^1 <- P^2 <- ... of the minimal resolution of A/A_{>=n}, which is a
     minimal resolution of A_{>=n}; for j >= 1 these are the groups
     Ext^{j+1}(A/A_{>=n}, M[d]).  Value n reads the resolution only up to
-    the degree proj_cutoff(n, j, d), so it is built no deeper.
+    the degree proj_cutoff(n, j, d), so it is built no deeper.  The check up
+    front covers those reads only: for d > 0 the Hom step reads A in degree
+    D + d, past them, and only an R built to proj_depth covers both.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import linalg
 from .rewriting import (RewriteSystem, complete_truncated_over, hilbert_function,
                         normal_form, normal_words)
-from .words import Alphabet, MonomialOrder, NcPoly
+from .words import Alphabet, NcPoly
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 AMBIGUOUS = "AMBIGUOUS"
@@ -27,11 +27,8 @@ class AlgebraPresentation:
     field: object
     alphabet: Alphabet
     relations: list
-    order: MonomialOrder = None
 
     def __post_init__(self):
-        if self.order is None:
-            self.order = MonomialOrder(self.alphabet)
         for rel in self.relations:
             if rel.is_zero():
                 raise ValueError("zero relation in presentation")
@@ -49,14 +46,9 @@ class AlgebraPresentation:
 
     def render(self):
         gens = ", ".join(f"{s}:{w}" for s, w in self.generators())
-        rels = " ".join(f"{r.render(self.order)};" for r in self.relations)
+        rels = " ".join(f"{r.render()};" for r in self.relations)
         body = f"gens: {gens}; rels: {rels}".rstrip()
         return f"algebra {self.name} over {self.field.name} {{ {body} }}"
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraPresentation) and \
-            self.name == other.name and self.field == other.field and \
-            self.alphabet == other.alphabet and self.relations == other.relations
 
     def __repr__(self):
         return self.render()
@@ -64,7 +56,7 @@ class AlgebraPresentation:
 
 def build(p, cutoff):
     """Completed truncated rewrite system for the relation ideal."""
-    return complete_truncated_over(p.relations, cutoff, p.order, p.field)
+    return complete_truncated_over(p.relations, cutoff, p.alphabet, p.field)
 
 
 def _descends(p, sigma, N):
@@ -77,7 +69,7 @@ def _descends(p, sigma, N):
     return all(normal_form(sigma.apply(rel), R).is_zero() for rel in p.relations), R
 
 
-def present(order, field, one, times, coords, d_max):
+def present(alphabet, field, one, times, coords, d_max):
     """Minimal relations, in degrees 2..d_max, of the algebra the words evaluate in.
 
     Every prefix of a normal word is normal, so each normal word is
@@ -91,7 +83,7 @@ def present(order, field, one, times, coords, d_max):
     the system is completed again up to d_max.
     """
     relations = []
-    R = RewriteSystem([], d_max, order, field)
+    R = RewriteSystem([], d_max, alphabet, field)
     value = {(): one}
     for d in range(1, d_max + 1):
         words = normal_words(R, d)
@@ -101,10 +93,10 @@ def present(order, field, one, times, coords, d_max):
             continue
         kernel = linalg.evaluation_kernel([coords(value[w]) for w in words], field)
         if kernel:
-            relations.extend(NcPoly(order.alphabet, field,
+            relations.extend(NcPoly(alphabet, field,
                                     [(words[k], c) for k, c in sorted(v.items())])
                              for v in kernel)
-            R = complete_truncated_over(relations, d_max, order, field)
+            R = complete_truncated_over(relations, d_max, alphabet, field)
     return relations
 
 
@@ -125,10 +117,10 @@ def twist(p, sigma, N, s_max=None):
         raise ValueError("matrix does not define an automorphism of the algebra")
     images = [[sigma.power(k).image_of_gen(i) for i in range(len(p.alphabet))]
               for k in range(s_max)]
-    relations = present(p.order, p.field, NcPoly.one(p.alphabet, p.field),
+    relations = present(p.alphabet, p.field, NcPoly.one(p.alphabet, p.field),
                         lambda a, k, i: normal_form(a * images[k][i], R),
                         lambda a: a.terms, s_max)
-    return AlgebraPresentation(f"{p.name}_twist", p.field, p.alphabet, relations, p.order)
+    return AlgebraPresentation(f"{p.name}_twist", p.field, p.alphabet, relations)
 
 
 @dataclass
@@ -142,11 +134,11 @@ class StandardCheckReport:
     relation_order: list = None
     reason: str = ""
 
-    def to_dict(self, order=None):
+    def to_dict(self):
         d = {"status": self.status, "is_standard": self.is_standard,
              "r": self.r, "s": self.s, "reason": self.reason}
         if self.M is not None:
-            d["M"] = [[e.render(order) for e in row] for row in self.M]
+            d["M"] = [[e.render() for e in row] for row in self.M]
         d["Q"] = self.Q if self.Q == ABSENT else \
             [[str(x) for x in row] for row in self.Q]
         if self.relation_order is not None:
@@ -209,7 +201,7 @@ def standard_check(p):
     free = {max(v): v for v in kernel}
     report = StandardCheckReport(
         "OK", r=r, s=s, M=M,
-        relation_order=[rel.render(p.order) for rel in p.relations])
+        relation_order=[rel.render() for rel in p.relations])
     for j in range(r):
         if r + j not in free:
             report.reason = f"g_{j + 1} is not a combination of the relations"

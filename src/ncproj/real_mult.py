@@ -159,9 +159,11 @@ def apply_word(word, theta):
 def fixing_matrix(theta):
     """Hyperbolic g in SL(2,Z) fixing theta, with trace > 2.
 
-    Built from one continued-fraction period, conjugated back through the
-    preperiod; squared when needed to force determinant 1 and positive
-    eigenvalues.
+    Built from one continued-fraction period, squared when its determinant
+    is -1, and conjugated back through the preperiod.  Every period quotient
+    is at least 1, so the trace is at least 3: a period of two or more
+    quotients has trace at least 3, squaring a determinant -1 matrix of
+    trace t gives trace t^2 + 2, and conjugation keeps the trace.
     """
     if theta.is_rational():
         raise ValueError("theta must be a quadratic irrational")
@@ -174,12 +176,7 @@ def fixing_matrix(theta):
     wdet = wa * wd - wb * wc
     # W^{-1} = adj(W)/det(W); det is +-1 so entries stay integral
     w_inv = (wd * wdet, -wb * wdet, -wc * wdet, wa * wdet)
-    ga, gb, gc, gd = _mul(_mul(w, m), w_inv)
-    if ga + gd < 0:
-        ga, gb, gc, gd = -ga, -gb, -gc, -gd
-    g = SL2Matrix(ga, gb, gc, gd)
-    while g.trace() <= 2:
-        g = g * g
+    g = SL2Matrix(*_mul(_mul(w, m), w_inv))
     if mobius_act(g, theta) != theta:
         raise ValueError("fixing-matrix construction failed to fix theta")
     return g

@@ -34,9 +34,9 @@ class RewriteRule:
     lead: tuple
     rhs: NcPoly
 
-    def render(self, order):
+    def render(self):
         lead = NcPoly.word(self.rhs.alphabet, self.rhs.field, self.lead)
-        return f"{lead.render(order)} -> {self.rhs.render(order)}"
+        return f"{lead.render()} -> {self.rhs.render()}"
 
 
 class NormalWordAutomaton:
@@ -115,11 +115,10 @@ class RewriteCache:
 class RewriteSystem:
     """Interreduced rewrite rules, confluent up to the degree cutoff."""
 
-    def __init__(self, rules, cutoff, order, field):
+    def __init__(self, rules, cutoff, alphabet, field):
         self.rules = tuple(rules)
         self.cutoff = cutoff
-        self.order = order
-        self.alphabet = order.alphabet
+        self.alphabet = alphabet
         self.field = field
         self.cache = RewriteCache(self.rules, len(self.alphabet))
 
@@ -127,7 +126,7 @@ class RewriteSystem:
         return f"RewriteSystem({len(self.rules)} rules, cutoff={self.cutoff})"
 
 
-def _reduce(p, automaton, order):
+def _reduce(p, automaton):
     """Full normal form of p by the automaton's rules, in one top-down pass.
 
     Pending words are settled from the largest down.  A popped word is
@@ -147,11 +146,11 @@ def _reduce(p, automaton, order):
     leave: the result's coefficients are the Fractions c / S.
     """
     rules, forms, goto, first = automaton.rules, automaton.forms, automaton.goto, automaton.rule
-    weight = [-a for a in order.alphabet.weights]
+    weight = [-a for a in p.alphabet.weights]
     rank = [-a for a in range(len(weight))]
 
     def entry(w):
-        # order.key negated, then w itself.  Words of equal weighted degree
+        # alphabet.key negated, then w itself.  Words of equal weighted degree
         # are never prefixes of one another (weights are positive), so two
         # entries differ before either runs out of letters: w is never compared.
         return (sum(map(weight.__getitem__, w)), *map(rank.__getitem__, w), w)
@@ -232,17 +231,15 @@ def _spoly(rule1, rule2, a, c, alphabet, field):
     return left - right
 
 
-def complete_truncated(relations, cutoff, order):
+def complete_truncated(relations, cutoff):
     """Complete homogeneous relations to a confluent system up to the cutoff."""
-    alphabet = order.alphabet
     if not relations:
-        raise ValueError("need the coefficient field; pass at least one relation "
-                         "or use RewriteSystem([], cutoff, order, field) directly")
-    field = relations[0].field
-    return complete_truncated_over(relations, cutoff, order, field)
+        raise ValueError("need the alphabet and coefficient field; pass at least one "
+                         "relation or use RewriteSystem([], cutoff, alphabet, field) directly")
+    return complete_truncated_over(relations, cutoff, relations[0].alphabet, relations[0].field)
 
 
-def complete_truncated_over(relations, cutoff, order, field):
+def complete_truncated_over(relations, cutoff, alphabet, field):
     """The reduced Groebner basis of the relations, truncated at the cutoff.
 
     Degree by degree, lowest first.  Relations are homogeneous and a proper
@@ -257,17 +254,16 @@ def complete_truncated_over(relations, cutoff, order, field):
     ordered pair of rules is queued once, when the later of the two is made.
 
     The reduced Groebner basis is unique, so the rules do not depend on the
-    order of the work; they come out sorted by order.key of their leads,
+    order of the work; they come out sorted by alphabet.key of their leads,
     because the degrees ascend and each degree's pivots are taken from the
     smallest word up.
     """
-    alphabet = order.alphabet
     pending = {}                   # degree -> polynomials still to resolve
     for rel in relations:
         if rel.is_zero():
             raise ValueError("zero relation")
         if not rel.is_homogeneous():
-            raise ValueError(f"inhomogeneous relation: {rel.render(order)}")
+            raise ValueError(f"inhomogeneous relation: {rel.render()}")
         if rel.field != field:
             raise ValueError("relations over mixed coefficient fields")
         if rel.degree() > cutoff:
@@ -277,8 +273,8 @@ def complete_truncated_over(relations, cutoff, order, field):
     rules = []
     while pending:
         automaton = NormalWordAutomaton(rules, len(alphabet))
-        residues = [_reduce(p, automaton, order) for p in pending.pop(min(pending))]
-        words = sorted({w for p in residues for w in p.terms}, key=order.key, reverse=True)
+        residues = [_reduce(p, automaton) for p in pending.pop(min(pending))]
+        words = sorted({w for p in residues for w in p.terms}, key=alphabet.key, reverse=True)
         column = {w: j for j, w in enumerate(words)}
         span = SpanTracker(len(words), field)
         for p in residues:
@@ -293,14 +289,14 @@ def complete_truncated_over(relations, cutoff, order, field):
                     _spoly(r1, r2, a, c, alphabet, field))
         rules.extend(new)
 
-    return RewriteSystem(rules, cutoff, order, field)
+    return RewriteSystem(rules, cutoff, alphabet, field)
 
 
 def normal_form(p, R):
     if p.max_degree() > R.cutoff:
         raise CutoffExceededError(
             f"degree {p.max_degree()} exceeds cutoff {R.cutoff}")
-    return _reduce(p, R.cache.automaton, R.order)
+    return _reduce(p, R.cache.automaton)
 
 
 def normal_words(R, d):
@@ -316,7 +312,7 @@ def normal_words(R, d):
     cache = R.cache
     step = cache.automaton.step
     weights = R.alphabet.weights
-    key = R.order.key
+    key = R.alphabet.key
     while len(cache.words) <= d:
         e = len(cache.words)
         found = []

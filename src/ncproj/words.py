@@ -1,4 +1,4 @@
-"""Free-algebra term layer: weighted alphabets, words, orders, nc polynomials.
+"""Free-algebra term layer: weighted alphabets, words, nc polynomials.
 
 Words are tuples of generator indices.  A noncommutative polynomial is a
 finite map from words to nonzero scalars; the zero polynomial has an empty
@@ -40,33 +40,21 @@ class Alphabet:
     def degree(self, word):
         return sum(self.weights[i] for i in word)
 
+    def key(self, word):
+        """Degree-lexicographic order on words of this alphabet.
+
+        Words compare by weighted degree, then as tuples of generator indices,
+        so ties break by declaration order: the generator declared first is the
+        smallest.  The empty word is minimal and the order is compatible with
+        concatenation on both sides.
+        """
+        return (self.degree(word), word)
+
     def all_unit_weight(self):
         return all(w == 1 for w in self.weights)
 
     def __repr__(self):
         return f"Alphabet({', '.join(f'{s}:{w}' for s, w in zip(self.symbols, self.weights))})"
-
-
-class MonomialOrder:
-    """Degree-lexicographic order on words of a weighted alphabet.
-
-    Words compare by weighted degree, then as tuples of generator indices,
-    so ties break by declaration order: the generator declared first is the
-    smallest.  The empty word is minimal and the order is compatible with
-    concatenation on both sides.
-    """
-
-    def __init__(self, alphabet):
-        self.alphabet = alphabet
-
-    def key(self, word):
-        return (self.alphabet.degree(word), word)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash(self.alphabet)
 
 
 class NcPoly:
@@ -199,13 +187,11 @@ class NcPoly:
 
     # -- rendering ----------------------------------------------------------
 
-    def render(self, order=None):
+    def render(self):
         """Canonical text form: terms descending, ``*`` products, ``^`` powers."""
         if not self.terms:
             return "0"
-        if order is None:
-            order = MonomialOrder(self.alphabet)
-        words = sorted(self.terms, key=order.key, reverse=True)
+        words = sorted(self.terms, key=self.alphabet.key, reverse=True)
         return render_terms((self.terms[w], self._render_word(w)) for w in words)
 
     def _render_word(self, w):

@@ -28,7 +28,7 @@ from ncproj.real_mult import (SL2Matrix, apply_word, cf_expand, cf_value,
                               rm_hilbert)
 from ncproj.rewriting import (INFINITE, RewriteSystem, complete_truncated,
                               gk_estimate, hilbert_function)
-from ncproj.words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
+from ncproj.words import Alphabet, GradedEndomorphism, NcPoly
 
 AB1 = Alphabet(["x"])
 AB2 = Alphabet(["x", "y"])
@@ -112,7 +112,7 @@ def test_criterion_3_twist_equivalence():
 
 def test_criterion_4_regularity_suite():
     cases = [
-        ("k[x]", RewriteSystem([], 10, MonomialOrder(AB1), QQ),
+        ("k[x]", RewriteSystem([], 10, AB1, QQ),
          1, [[0], [1]]),
         ("k_q[x,y]", build(quantum_plane_presentation(), 10),
          2, [[0], [1, 1], [2]]),
@@ -344,10 +344,10 @@ def test_criterion_9_real_multiplication():
 
 def test_criterion_10_gk_estimator():
     cases = [
-        ("k[x]", RewriteSystem([], 60, MonomialOrder(AB1), QQ), 1),
+        ("k[x]", RewriteSystem([], 60, AB1, QQ), 1),
         ("k[x,y]", build(poly_plane(), 60), 2),
         ("k_q[x,y]", build(quantum_plane_presentation(), 60), 2),
-        ("free", RewriteSystem([], 60, MonomialOrder(AB2), QQ), INFINITE),
+        ("free", RewriteSystem([], 60, AB2, QQ), INFINITE),
     ]
 
     def make_check(R, want):

@@ -20,7 +20,7 @@ def test_parse_quantum_plane():
     assert p.name == "QP" and p.field is QQ_Q
     assert p.alphabet.symbols == ("x", "y")
     assert len(p.relations) == 1
-    assert p.relations[0].render(p.order) == "y*x - q*x*y"
+    assert p.relations[0].render() == "y*x - q*x*y"
 
 
 def test_roundtrip_corpus():

@@ -12,12 +12,13 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate,
                              global_dimension, gorenstein_check,
                              graded_hom_dim, minimal_resolution,
-                             proj_cohomology, proj_cutoff, _ext_dims_from_resolution,
+                             proj_cohomology, proj_cutoff, proj_depth, _ext_dims_from_resolution,
                              _ext_k_A, _quotient_resolution, _stabilize)
 from ncproj.dsl import parse_presentation
 from ncproj.presentations import build
-from ncproj.rewriting import RewriteSystem, complete_truncated, normal_words
-from ncproj.words import Alphabet, MonomialOrder, NcPoly
+from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated,
+                              normal_words)
+from ncproj.words import Alphabet, NcPoly
 from test_letter_tables import TRUNCATED
 
 AB1 = Alphabet(["x"])
@@ -26,30 +27,29 @@ AB3 = Alphabet(["x", "y", "z"])
 
 
 def line(cutoff=12):
-    return RewriteSystem([], cutoff, MonomialOrder(AB1), QQ)
+    return RewriteSystem([], cutoff, AB1, QQ)
 
 
 def plane(cutoff=12):
     x, y = NcPoly.gen(AB2, QQ, 0), NcPoly.gen(AB2, QQ, 1)
-    return complete_truncated([y * x - x * y], cutoff, MonomialOrder(AB2))
+    return complete_truncated([y * x - x * y], cutoff)
 
 
 def quantum_plane(cutoff=12):
     x, y = NcPoly.gen(AB2, QQ_Q, 0), NcPoly.gen(AB2, QQ_Q, 1)
-    return complete_truncated([y * x - (x * y).scale(RatFunc.q())],
-                              cutoff, MonomialOrder(AB2))
+    return complete_truncated([y * x - (x * y).scale(RatFunc.q())], cutoff)
 
 
 def space(cutoff=10):
     g = [NcPoly.gen(AB3, QQ, i) for i in range(3)]
     rels = [g[j] * g[i] - g[i] * g[j]
             for i in range(3) for j in range(i + 1, 3)]
-    return complete_truncated(rels, cutoff, MonomialOrder(AB3))
+    return complete_truncated(rels, cutoff)
 
 
 def dual_numbers(cutoff=10):
     x = NcPoly.gen(AB1, QQ, 0)
-    return complete_truncated([x * x], cutoff, MonomialOrder(AB1))
+    return complete_truncated([x * x], cutoff)
 
 
 def test_module_dims():
@@ -137,7 +137,7 @@ def test_gorenstein_suite():
     assert gorenstein_check(line(), 10) == {"passes": True, "d": 1}
     assert gorenstein_check(quantum_plane(), 10) == {"passes": True, "d": 2}
     assert gorenstein_check(space(), 9) == {"passes": True, "d": 3}
-    free = RewriteSystem([], 6, MonomialOrder(AB2), QQ)
+    free = RewriteSystem([], 6, AB2, QQ)
     rep = gorenstein_check(free, 6)
     assert not rep["passes"]
     assert not gorenstein_check(dual_numbers(), 8, p_max=4)["passes"]
@@ -188,6 +188,19 @@ def test_proj_cohomology_reports():
     assert d["dim"] == 1 and d["j"] == 1 and len(d["values"]) == 7
     short = proj_cohomology(R, A, 0, 0, 1)
     assert short.stabilized_dim == UNSTABLE
+
+
+def test_proj_cohomology_twist_reads_past_proj_cutoff():
+    """For d > 0 the Hom step reads A in degree D + d, past proj_cutoff: an
+    R completed only to proj_cutoff passes the check up front and then
+    stops cleanly mid-query; one completed to proj_depth answers."""
+    y4 = parse_presentation("algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }")
+    R = build(y4, proj_cutoff(8, 0, 2))
+    with pytest.raises(CutoffExceededError):
+        proj_cohomology(R, GradedModulePresentation.algebra(R), 0, 2, 8)
+    R = build(y4, proj_depth(y4, 8, 0, 2))
+    assert R.cutoff == 14
+    assert proj_cohomology(R, GradedModulePresentation.algebra(R), 0, 2, 8).stabilized_dim == 1
 
 
 @pytest.mark.parametrize("system, cutoff", [(plane, 8), (quantum_plane, 8), (space, 7)],

@@ -17,7 +17,7 @@ from ncproj.presentations import (NOT_APPLICABLE, ABSENT,
                                   standard_check, twist)
 from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated_over,
                               hilbert_function, normal_form, normal_words)
-from ncproj.words import Alphabet, GradedEndomorphism, MonomialOrder, NcPoly
+from ncproj.words import Alphabet, GradedEndomorphism, NcPoly
 
 AB = Alphabet(["x", "y"])
 ABC = Alphabet(["x", "y", "z"])
@@ -183,25 +183,25 @@ def test_twist_matches_free_word_reference(case):
     p, sigma = case
     s_max, cutoff = p.max_relation_degree() + 1, 6
     t = twist(p, sigma, cutoff, s_max)
-    assert [r.render(p.order) for r in t.relations] == \
-        [r.render(p.order) for r in reference_twist(p, sigma, cutoff, s_max)]
+    assert [r.render() for r in t.relations] == \
+        [r.render() for r in reference_twist(p, sigma, cutoff, s_max)]
     # twisting preserves the Hilbert series
     assert hilbert_function(build(t, cutoff), cutoff) == hilbert_function(build(p, cutoff), cutoff)
 
 
-def present_word_by_word(order, field, evaluate, d_max):
+def present_word_by_word(alphabet, field, evaluate, d_max):
     """The kernel loop of ``present`` over a whole-word evaluator: every
     normal word is evaluated on its own, its prefix redone each time."""
     relations = []
-    R = RewriteSystem([], d_max, order, field)
+    R = RewriteSystem([], d_max, alphabet, field)
     for d in range(2, d_max + 1):
         words = normal_words(R, d)
         kernel = linalg.evaluation_kernel([evaluate(w) for w in words], field)
         if kernel:
-            relations.extend(NcPoly(order.alphabet, field,
+            relations.extend(NcPoly(alphabet, field,
                                     [(words[k], c) for k, c in sorted(v.items())])
                              for v in kernel)
-            R = complete_truncated_over(relations, d_max, order, field)
+            R = complete_truncated_over(relations, d_max, alphabet, field)
     return relations
 
 
@@ -232,11 +232,11 @@ def test_twist_matches_word_by_word_evaluation(case, s_max):
     N = 8
     R = build(p, min(N, max(s_max, p.max_relation_degree())))
     powers = [sigma.power(k) for k in range(s_max)]
-    want = present_word_by_word(p.order, p.field,
+    want = present_word_by_word(p.alphabet, p.field,
                                 lambda w: twisted_eval(w, R, powers).terms, s_max)
     got = twist(p, sigma, N, s_max).relations
     assert got == want
-    assert [r.render(p.order) for r in got] == [r.render(p.order) for r in want]
+    assert [r.render() for r in got] == [r.render() for r in want]
 
 
 def thcr_word_by_word(sigma, d_max):
@@ -251,7 +251,7 @@ def thcr_word_by_word(sigma, d_max):
             acc = thcr_multiply(acc, basis[i], sigma)
         return {t: c for t, c in enumerate(acc.poly.coeffs) if c}
 
-    return present_word_by_word(MonomialOrder(AB), field, evaluate, d_max)
+    return present_word_by_word(AB, field, evaluate, d_max)
 
 
 THCR_SIGMAS = {
@@ -273,8 +273,7 @@ def test_thcr_presentation_matches_word_by_word_evaluation(name, d_max):
     want = thcr_word_by_word(sigma, d_max)
     assert got.name == "B" and got.alphabet == AB
     assert got.relations == want
-    assert [r.render(got.order) for r in got.relations] == \
-        [r.render(got.order) for r in want]
+    assert [r.render() for r in got.relations] == [r.render() for r in want]
 
 
 def test_right_generator_decomposition():
@@ -325,12 +324,12 @@ def test_standard_check_degenerate_relations_flagged():
 
 
 def test_standard_check_report_serializes():
-    d = standard_check(commutative_three()).to_dict(MonomialOrder(ABC))
+    d = standard_check(commutative_three()).to_dict()
     assert d["is_standard"] is True and d["status"] == "OK"
     assert d["Q"] != ABSENT and len(d["M"]) == 3
 
 
-# standard_check(p).to_dict(p.order), pinned: the standard shapes C3, Sklyanin
+# standard_check(p).to_dict(), pinned: the standard shapes C3, Sklyanin
 # and the cubic, skew C3 over Q(q), Q a signed permutation, the AMBIGUOUS
 # dependent relations, a first failing g_j after g_1, and each NOT_APPLICABLE
 # reason
@@ -506,7 +505,7 @@ STANDARD_CHECK_PINS = {
 def test_standard_check_pinned(name):
     text, want = STANDARD_CHECK_PINS[name]
     p = parse_presentation(text)
-    assert standard_check(p).to_dict(p.order) == want
+    assert standard_check(p).to_dict() == want
 
 
 def test_resolution_shape_check():

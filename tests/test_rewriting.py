@@ -14,17 +14,15 @@ from ncproj.rewriting import (INFINITE, CutoffExceededError, NormalWordAutomaton
                               _spoly, complete_truncated, complete_truncated_over,
                               gk_estimate, hilbert_function, letter_table, normal_form,
                               normal_words)
-from ncproj.words import Alphabet, MonomialOrder, NcPoly
+from ncproj.words import Alphabet, NcPoly
 
 AB = Alphabet(["x", "y"])
-ORD = MonomialOrder(AB)
 rng = random.Random(9920)
 
 
 def confluence_audit(R):
     """All overlap ambiguities of degree <= cutoff must reduce to zero."""
-    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), R.cache.automaton,
-                       R.order).is_zero()
+    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), R.cache.automaton).is_zero()
                for r1, r2 in _pairs(R.rules, [])
                for w, a, c in _overlaps(r1, r2, R.alphabet, R.cutoff))
 
@@ -44,7 +42,7 @@ def quantum_relation():
 
 
 def test_quantum_plane_single_rule():
-    R = complete_truncated([quantum_relation()], 10, ORD)
+    R = complete_truncated([quantum_relation()], 10)
     assert len(R.rules) == 1
     assert R.rules[0].lead == (1, 0)
     assert confluence_audit(R)
@@ -53,16 +51,15 @@ def test_quantum_plane_single_rule():
 
 def test_polynomial_ring_three_vars():
     abc = Alphabet(["x", "y", "z"])
-    order = MonomialOrder(abc)
     g = [NcPoly.gen(abc, QQ, i) for i in range(3)]
     rels = [g[j] * g[i] - g[i] * g[j] for i in range(3) for j in range(i + 1, 3)]
-    R = complete_truncated(rels, 8, order)
+    R = complete_truncated(rels, 8)
     assert confluence_audit(R)
     assert hilbert_function(R, 8) == [(d + 1) * (d + 2) // 2 for d in range(9)]
 
 
 def test_free_algebra_counts():
-    R = RewriteSystem([], 12, ORD, QQ)
+    R = RewriteSystem([], 12, AB, QQ)
     assert hilbert_function(R, 12) == [2 ** d for d in range(13)]
     assert len(normal_words(R, 3)) == 8
 
@@ -70,13 +67,13 @@ def test_free_algebra_counts():
 def test_completion_adds_rules():
     # y^2 -> xy overlaps itself at yyy and spawns higher-degree rules
     x, y = gens(QQ)
-    R = complete_truncated([y * y - x * y], 8, ORD)
+    R = complete_truncated([y * y - x * y], 8)
     assert len(R.rules) >= 2
     assert confluence_audit(R)
 
 
 def test_normal_form_is_idempotent_and_linear():
-    R = complete_truncated([commutator(QQ)], 10, ORD)
+    R = complete_truncated([commutator(QQ)], 10)
     x, y = gens(QQ)
     for _ in range(50):
         f = NcPoly(AB, QQ, [(tuple(rng.randrange(2) for _ in range(rng.randint(0, 5))),
@@ -91,7 +88,7 @@ def test_normal_form_is_idempotent_and_linear():
 
 
 def test_normal_words_basis_count_matches_hilbert():
-    R = complete_truncated([commutator(QQ)], 9, ORD)
+    R = complete_truncated([commutator(QQ)], 9)
     dims = hilbert_function(R, 9)
     for d in range(10):
         assert len(normal_words(R, d)) == dims[d]
@@ -99,7 +96,7 @@ def test_normal_words_basis_count_matches_hilbert():
 
 def test_weighted_hilbert():
     w = Alphabet(["x", "y"], [1, 2])
-    R = RewriteSystem([], 8, MonomialOrder(w), QQ)
+    R = RewriteSystem([], 8, w, QQ)
     dims = hilbert_function(R, 8)
     # dims satisfy the free weighted recursion a_d = a_{d-1} + a_{d-2}
     assert dims[0] == 1 and dims[1] == 1
@@ -108,39 +105,39 @@ def test_weighted_hilbert():
 
 
 def test_cutoff_enforced():
-    R = complete_truncated([commutator(QQ)], 5, ORD)
+    R = complete_truncated([commutator(QQ)], 5)
     with pytest.raises(CutoffExceededError):
         hilbert_function(R, 6)
     with pytest.raises(CutoffExceededError):
         normal_words(R, 6)
     with pytest.raises(ValueError):
-        complete_truncated([commutator(QQ)], 1, ORD)
+        complete_truncated([commutator(QQ)], 1)
 
 
 def test_inhomogeneous_rejected():
     x, y = gens(QQ)
     with pytest.raises(ValueError):
-        complete_truncated([x * y - x], 5, ORD)
+        complete_truncated([x * y - x], 5)
 
 
 def test_gk_estimates():
     one = Alphabet(["x"])
-    line = RewriteSystem([], 60, MonomialOrder(one), QQ)
+    line = RewriteSystem([], 60, one, QQ)
     est = gk_estimate(line)
     assert abs(float(est.gk_estimate) - 1) < 0.15
     assert not est.low_confidence
 
-    plane = complete_truncated([commutator(QQ)], 60, ORD)
+    plane = complete_truncated([commutator(QQ)], 60)
     est2 = gk_estimate(plane)
     assert abs(float(est2.gk_estimate) - 2) < 0.15
 
-    free = RewriteSystem([], 60, ORD, QQ)
+    free = RewriteSystem([], 60, AB, QQ)
     assert gk_estimate(free).gk_estimate == INFINITE
 
 
 def test_gk_report_serializes():
     one = Alphabet(["x"])
-    d = gk_estimate(RewriteSystem([], 20, MonomialOrder(one), QQ)).to_dict()
+    d = gk_estimate(RewriteSystem([], 20, one, QQ)).to_dict()
     assert d["cutoff"] == 20 and d["window"] == [10, 20]
     assert isinstance(d["gk_estimate"], str)
 
@@ -164,15 +161,15 @@ def _systems():
     weighted = Alphabet(["x", "y", "z"], [1, 2, 3])
     wx, wy, wz = (NcPoly.gen(weighted, QQ, i) for i in range(3))
     return [
-        pytest.param(complete_truncated([commutator(QQ)], 8, ORD), id="plane"),
-        pytest.param(complete_truncated([quantum_relation()], 8, ORD), id="quantum plane"),
-        pytest.param(complete_truncated([Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X], 7,
-                                        MonomialOrder(xyz)), id="C3"),
-        pytest.param(complete_truncated([y * x * x - x * x * y, y * y * x - x * y * y], 9,
-                                        ORD), id="braid"),
-        pytest.param(complete_truncated([wy * wx - wx * wy, wz * wx - wx * wz], 9,
-                                        MonomialOrder(weighted)), id="weighted"),
-        pytest.param(RewriteSystem([], 9, MonomialOrder(weighted), QQ), id="weighted free"),
+        pytest.param(complete_truncated([commutator(QQ)], 8), id="plane"),
+        pytest.param(complete_truncated([quantum_relation()], 8), id="quantum plane"),
+        pytest.param(complete_truncated([Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X], 7),
+                     id="C3"),
+        pytest.param(complete_truncated([y * x * x - x * x * y, y * y * x - x * y * y], 9),
+                     id="braid"),
+        pytest.param(complete_truncated([wy * wx - wx * wy, wz * wx - wx * wz], 9),
+                     id="weighted"),
+        pytest.param(RewriteSystem([], 9, weighted, QQ), id="weighted free"),
     ]
 
 
@@ -181,17 +178,17 @@ def test_normal_words_match_brute_force(R):
     dims = hilbert_function(R, R.cutoff)
     for d in range(R.cutoff + 1):
         want = sorted((w for w in _all_words(R.alphabet, d) if _is_normal(w, R)),
-                      key=R.order.key)
+                      key=R.alphabet.key)
         assert normal_words(R, d) == want, d
         assert dims[d] == len(want), d
 
 
-def _reduce_restarting(p, rules, order):
+def _reduce_restarting(p, rules, alphabet):
     """Reference normal form: after every single rewrite, start again from
     the largest word that contains a lead, rewriting it by the first rule in
     list order at its leftmost occurrence."""
     while True:
-        for w in sorted(p.terms, key=order.key, reverse=True):
+        for w in sorted(p.terms, key=alphabet.key, reverse=True):
             hits = ((rule, i) for rule in rules for i in range(len(w))
                     if w[i:i + len(rule.lead)] == rule.lead)
             rule, i = next(hits, (None, None))
@@ -206,7 +203,7 @@ def _reduce_restarting(p, rules, order):
 
 
 def _relations():
-    """name -> (order, relations) for the differential test of _reduce."""
+    """name -> (alphabet, relations) for the differential test of _reduce."""
     x, y = gens(QQ)
     qx, qy = gens(QQ_Q)
     xyz = Alphabet(["x", "y", "z"])
@@ -214,21 +211,21 @@ def _relations():
     heavy = Alphabet(["x", "y"], [1, 2])
     hx, hy = (NcPoly.gen(heavy, QQ, i) for i in range(2))
     return {
-        "plane": (ORD, [y * x - x * y]),
-        "QP": (ORD, [qy * qx - (qx * qy).scale(RatFunc.q())]),
-        "C3": (MonomialOrder(xyz), [Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X]),
-        "Sklyanin": (MonomialOrder(xyz), [Y * Z + 2 * Z * Y + 3 * X * X,
-                                          Z * X + 2 * X * Z + 3 * Y * Y,
-                                          X * Y + 2 * Y * X + 3 * Z * Z]),
+        "plane": (AB, [y * x - x * y]),
+        "QP": (AB, [qy * qx - (qx * qy).scale(RatFunc.q())]),
+        "C3": (xyz, [Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X]),
+        "Sklyanin": (xyz, [Y * Z + 2 * Z * Y + 3 * X * X,
+                           Z * X + 2 * X * Z + 3 * Y * Y,
+                           X * Y + 2 * Y * X + 3 * Z * Z]),
         # y and x*x have equal weighted degree and different lengths
-        "weighted x:1 y:2": (MonomialOrder(heavy), [hy * hx - hx * hy - 2 * hx * hx * hx,
-                                                    hy * hy - hx * hy * hx + hx * hx * hy]),
+        "weighted x:1 y:2": (heavy, [hy * hx - hx * hy - 2 * hx * hx * hx,
+                                     hy * hy - hx * hy * hx + hx * hx * hy]),
         # the raw lists below keep the leads as they are, so the first rule
         # in list order and its leftmost occurrence decide between them
-        "lead inside a lead": (ORD, [x * y * y * x - x * y * x * y + 2 * x * x * y * y,
-                                     y * y - x * y]),
-        "lead ends a lead": (ORD, [y * x * y - y * x * x + x * y * x, x * y - x * x]),
-        "duplicated lead": (ORD, [y * x - x * y, y * x - 2 * x * x, 3 * y * x + x * y]),
+        "lead inside a lead": (AB, [x * y * y * x - x * y * x * y + 2 * x * x * y * y,
+                                    y * y - x * y]),
+        "lead ends a lead": (AB, [y * x * y - y * x * x + x * y * x, x * y - x * x]),
+        "duplicated lead": (AB, [y * x - x * y, y * x - 2 * x * x, 3 * y * x + x * y]),
     }
 
 
@@ -243,39 +240,39 @@ def _random_poly(alphabet, field, rnd, max_degree, num=5, den=3):
     return NcPoly(alphabet, field, terms)
 
 
-def _make_rule(p, order):
+def _make_rule(p, alphabet):
     """The rule lead -> rhs of p, with lead its largest word."""
-    lead = max(p.terms, key=order.key)
+    lead = max(p.terms, key=alphabet.key)
     c = p.terms[lead]
     rest = p - NcPoly.word(p.alphabet, p.field, lead, c)
     return RewriteRule(lead, (-rest).scale(p.field.one / c))
 
 
-def _rule_lists(order, rels):
-    raw = [_make_rule(r, order) for r in rels]
-    yield "completed", list(complete_truncated(rels, 7, order).rules)
+def _rule_lists(alphabet, rels):
+    raw = [_make_rule(r, alphabet) for r in rels]
+    yield "completed", list(complete_truncated(rels, 7).rules)
     yield "raw", raw
     yield "raw reversed", raw[::-1]
 
 
 @pytest.mark.parametrize("name", list(_relations()))
 def test_reduce_matches_restarting_reference(name):
-    order, rels = _relations()[name]
+    alphabet, rels = _relations()[name]
     rnd = random.Random(f"reduce {name}")
-    for kind, rules in _rule_lists(order, rels):
+    for kind, rules in _rule_lists(alphabet, rels):
         for _ in range(25):
-            p = _random_poly(order.alphabet, rels[0].field, rnd, 7)
-            assert _reduce(p, NormalWordAutomaton(rules, len(order.alphabet)), order) == \
-                _reduce_restarting(p, rules, order), kind
+            p = _random_poly(alphabet, rels[0].field, rnd, 7)
+            assert _reduce(p, NormalWordAutomaton(rules, len(alphabet))) == \
+                _reduce_restarting(p, rules, alphabet), kind
     if name == "Sklyanin":
         # rule denominators D of about 244 bits and inputs with 40-digit
         # numerators and denominators: gcd(c, D) != D, so _reduce rescales
-        rules = list(complete_truncated(rels, 8, order).rules)
-        automaton = NormalWordAutomaton(rules, len(order.alphabet))
+        rules = list(complete_truncated(rels, 8).rules)
+        automaton = NormalWordAutomaton(rules, len(alphabet))
         assert max(D for D, _ in automaton.forms).bit_length() > 200
         for _ in range(10):
-            p = _random_poly(order.alphabet, QQ, rnd, 8, 10 ** 40, 10 ** 40)
-            assert _reduce(p, automaton, order) == _reduce_restarting(p, rules, order)
+            p = _random_poly(alphabet, QQ, rnd, 8, 10 ** 40, 10 ** 40)
+            assert _reduce(p, automaton) == _reduce_restarting(p, rules, alphabet)
 
 
 def _coefficients(R):
@@ -286,7 +283,7 @@ def _coefficients(R):
     for _ in range(20):
         p = _random_poly(R.alphabet, QQ, rnd, R.cutoff, 10 ** 6, 10 ** 6)
         p = NcPoly(R.alphabet, R.field, [(w, R.field.coerce(c)) for w, c in p.terms.items()])
-        yield from _reduce(p, R.cache.automaton, R.order).terms.values()
+        yield from _reduce(p, R.cache.automaton).terms.values()
         yield from normal_form(p, R).terms.values()
     for x in range(len(R.alphabet)):
         for d in range(R.cutoff):
@@ -298,8 +295,8 @@ def _coefficients(R):
                                                 ("QP", 8, RatFunc)])
 def test_coefficients_stay_in_their_field(name, cutoff, kind):
     """Over Q, _reduce works on ints; none of them may leave it."""
-    order, rels = _relations()[name]
-    R = complete_truncated(rels, cutoff, order)
+    alphabet, rels = _relations()[name]
+    R = complete_truncated(rels, cutoff)
     assert {type(c) for c in _coefficients(R)} == {kind}
 
 
@@ -318,7 +315,7 @@ def _gaussian_binomials(n):
 
 
 def test_quantum_plane_binomial_powers():
-    R = complete_truncated([quantum_relation()], 12, ORD)
+    R = complete_truncated([quantum_relation()], 12)
     x, y = gens(QQ_Q)
     power = NcPoly.one(AB, QQ_Q)
     for n in range(1, 13):
@@ -329,7 +326,7 @@ def test_quantum_plane_binomial_powers():
         assert normal_form(power, R) == want, n
 
 
-def _interreduce(rules, order):
+def _interreduce(rules, alphabet):
     """Reference interreduction: rewrite one rule by the others, restart."""
     changed = True
     while changed:
@@ -338,47 +335,46 @@ def _interreduce(rules, order):
             others = rules[:i] + rules[i + 1:]
             r = rules[i]
             p = _reduce(NcPoly.word(r.rhs.alphabet, r.rhs.field, r.lead) - r.rhs,
-                        NormalWordAutomaton(others, len(order.alphabet)), order)
+                        NormalWordAutomaton(others, len(alphabet)))
             if p.is_zero():
                 rules = others
                 changed = True
                 break
-            newr = _make_rule(p, order)
+            newr = _make_rule(p, alphabet)
             if newr != rules[i]:
                 rules = others + [newr]
                 changed = True
                 break
-    return sorted(rules, key=lambda r: order.key(r.lead))
+    return sorted(rules, key=lambda r: alphabet.key(r.lead))
 
 
-def _complete_restarting(relations, cutoff, order, field):
+def _complete_restarting(relations, cutoff, alphabet, field):
     """Reference completion: after every new rule, rebuild and sort the whole
     overlap queue, reduce it again from the lowest degree, and interreduce
     every rule from scratch."""
-    alphabet = order.alphabet
-    rules = _interreduce([_make_rule(r, order) for r in relations], order)
+    rules = _interreduce([_make_rule(r, alphabet) for r in relations], alphabet)
     while True:
         pending = []
         for r1 in rules:
             for r2 in rules:
                 for w, a, c in _overlaps(r1, r2, alphabet, cutoff):
-                    pending.append((alphabet.degree(w), order.key(w), r1, r2, a, c))
+                    pending.append((alphabet.degree(w), alphabet.key(w), r1, r2, a, c))
         pending.sort(key=lambda t: (t[0], t[1]))
         new_rule = None
         for _, _, r1, r2, a, c in pending:
             s = _reduce(_spoly(r1, r2, a, c, alphabet, field),
-                        NormalWordAutomaton(rules, len(alphabet)), order)
+                        NormalWordAutomaton(rules, len(alphabet)))
             if not s.is_zero():
-                new_rule = _make_rule(s, order)
+                new_rule = _make_rule(s, alphabet)
                 break
         if new_rule is None:
             break
-        rules = _interreduce(rules + [new_rule], order)
-    return RewriteSystem(rules, cutoff, order, field)
+        rules = _interreduce(rules + [new_rule], alphabet)
+    return RewriteSystem(rules, cutoff, alphabet, field)
 
 
 def _completion_cases():
-    """name -> (order, relations, cutoff, field) for the completion test."""
+    """name -> (alphabet, relations, cutoff, field) for the completion test."""
     x, y = gens(QQ)
     qx, qy = gens(QQ_Q)
     q = RatFunc.q()
@@ -391,41 +387,40 @@ def _completion_cases():
     hx, hy = (NcPoly.gen(heavy, QQ, i) for i in range(2))
     c3 = [Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X]
     return {
-        "plane": (ORD, [y * x - x * y], 10, QQ),
-        "quantum plane": (ORD, [qy * qx - (qx * qy).scale(q)], 10, QQ_Q),
-        "C3": (MonomialOrder(xyz), c3, 8, QQ),
-        "Sklyanin": (MonomialOrder(xyz), [Y * Z + 2 * Z * Y + 3 * X * X,
-                                          Z * X + 2 * X * Z + 3 * Y * Y,
-                                          X * Y + 2 * Y * X + 3 * Z * Z], 7, QQ),
-        "braid": (ORD, [x * y * x - y * x * y], 16, QQ),
-        "cyclic": (MonomialOrder(xyz), [qY * qZ - (qZ * qY).scale(q) + qX * qX,
-                                        qZ * qX - (qX * qZ).scale(q) + qY * qY,
-                                        qX * qY - (qY * qX).scale(q) + qZ * qZ], 6, QQ_Q),
-        "weighted": (MonomialOrder(weighted), [wy * wx - wx * wy, wz * wx - wx * wz], 10, QQ),
-        "weighted x:1 y:2": (MonomialOrder(heavy), [hy * hx - hx * hy - 2 * hx * hx * hx,
-                                                    hy * hy - hx * hy * hx + hx * hx * hy],
+        "plane": (AB, [y * x - x * y], 10, QQ),
+        "quantum plane": (AB, [qy * qx - (qx * qy).scale(q)], 10, QQ_Q),
+        "C3": (xyz, c3, 8, QQ),
+        "Sklyanin": (xyz, [Y * Z + 2 * Z * Y + 3 * X * X,
+                           Z * X + 2 * X * Z + 3 * Y * Y,
+                           X * Y + 2 * Y * X + 3 * Z * Z], 7, QQ),
+        "braid": (AB, [x * y * x - y * x * y], 16, QQ),
+        "cyclic": (xyz, [qY * qZ - (qZ * qY).scale(q) + qX * qX,
+                         qZ * qX - (qX * qZ).scale(q) + qY * qY,
+                         qX * qY - (qY * qX).scale(q) + qZ * qZ], 6, QQ_Q),
+        "weighted": (weighted, [wy * wx - wx * wy, wz * wx - wx * wz], 10, QQ),
+        "weighted x:1 y:2": (heavy, [hy * hx - hx * hy - 2 * hx * hx * hx,
+                                     hy * hy - hx * hy * hx + hx * hx * hy],
                              10, QQ),
-        "cubic": (ORD, [y * x * x - x * x * y, y * y * x - x * y * y], 12, QQ),
-        "free": (ORD, [], 8, QQ),
-        "duplicated": (ORD, [y * x - x * y, y * x - x * y, (x * y - y * x).scale(QQ.coerce(3))],
+        "cubic": (AB, [y * x * x - x * x * y, y * y * x - x * y * y], 12, QQ),
+        "free": (AB, [], 8, QQ),
+        "duplicated": (AB, [y * x - x * y, y * x - x * y, (x * y - y * x).scale(QQ.coerce(3))],
                        8, QQ),
-        "dependent": (MonomialOrder(xyz), c3 + [c3[0] + 2 * c3[1] - c3[2]], 7, QQ),
+        "dependent": (xyz, c3 + [c3[0] + 2 * c3[1] - c3[2]], 7, QQ),
         # the cubic is in the ideal of the quadric, the quartic is not
-        "mixed degree": (ORD, [y * x * x - x * x * y, y * y - x * y,
-                               x * x * x * y - y * x * y * x + x * x * x * x], 10, QQ),
-        "linear and quadratic": (MonomialOrder(xyz), [X - Z, Y * Y - X * Y, Z * Y * X], 7, QQ),
+        "mixed degree": (AB, [y * x * x - x * x * y, y * y - x * y,
+                              x * x * x * y - y * x * y * x + x * x * x * x], 10, QQ),
+        "linear and quadratic": (xyz, [X - Z, Y * Y - X * Y, Z * Y * X], 7, QQ),
     }
 
 
 @pytest.mark.parametrize("name", list(_completion_cases()))
 def test_completion_matches_restarting_reference(name):
-    order, rels, cutoff, field = _completion_cases()[name]
-    got = complete_truncated_over(rels, cutoff, order, field)
-    want = _complete_restarting(rels, cutoff, order, field)
+    alphabet, rels, cutoff, field = _completion_cases()[name]
+    got = complete_truncated_over(rels, cutoff, alphabet, field)
+    want = _complete_restarting(rels, cutoff, alphabet, field)
     assert [(r.lead, r.rhs.terms) for r in got.rules] == \
         [(r.lead, r.rhs.terms) for r in want.rules]
-    assert [r.render(got.order) for r in got.rules] == \
-        [r.render(want.order) for r in want.rules]
+    assert [r.render() for r in got.rules] == [r.render() for r in want.rules]
     assert confluence_audit(got)
 
 
@@ -440,7 +435,7 @@ def test_sklyanin_reduces_each_overlap_once(monkeypatch):
     xyz = Alphabet(["x", "y", "z"])
     X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
     R = complete_truncated([Y * Z + 2 * Z * Y + 3 * X * X, Z * X + 2 * X * Z + 3 * Y * Y,
-                            X * Y + 2 * Y * X + 3 * Z * Z], 9, MonomialOrder(xyz))
+                            X * Y + 2 * Y * X + 3 * Z * Z], 9)
     overlaps = sum(1 for r1 in R.rules for r2 in R.rules
                    for _ in _overlaps(r1, r2, xyz, 9))
     assert len(R.rules) == 26
@@ -448,7 +443,7 @@ def test_sklyanin_reduces_each_overlap_once(monkeypatch):
 
 
 def _benchmark_systems():
-    """name -> (order, relations, cutoff, field, rule count, sha256 of the
+    """name -> (alphabet, relations, cutoff, field, rule count, sha256 of the
     rendered rules joined by newlines), for the three completions of the
     rewrite-cold benchmark workload.  The digests were recorded before the
     automaton took over rule finding in _reduce; Sklyanin's rules carry
@@ -459,23 +454,23 @@ def _benchmark_systems():
     X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
     qX, qY, qZ = (NcPoly.gen(xyz, QQ_Q, i) for i in range(3))
     return {
-        "Sklyanin": (MonomialOrder(xyz), [Y * Z + 2 * Z * Y + 3 * X * X,
-                                          Z * X + 2 * X * Z + 3 * Y * Y,
-                                          X * Y + 2 * Y * X + 3 * Z * Z], 9, QQ, 26,
+        "Sklyanin": (xyz, [Y * Z + 2 * Z * Y + 3 * X * X,
+                           Z * X + 2 * X * Z + 3 * Y * Y,
+                           X * Y + 2 * Y * X + 3 * Z * Z], 9, QQ, 26,
                      "121c333d954f390e13de166353a9e73e61b2194d2e0dac473d75d289325c696b"),
-        "cyclic": (MonomialOrder(xyz), [qY * qZ - (qZ * qY).scale(q) + qX * qX,
-                                        qZ * qX - (qX * qZ).scale(q) + qY * qY,
-                                        qX * qY - (qY * qX).scale(q) + qZ * qZ], 7, QQ_Q, 18,
+        "cyclic": (xyz, [qY * qZ - (qZ * qY).scale(q) + qX * qX,
+                         qZ * qX - (qX * qZ).scale(q) + qY * qY,
+                         qX * qY - (qY * qX).scale(q) + qZ * qZ], 7, QQ_Q, 18,
                    "5e3c7938bed83288d7c9efeba474ba853eb4c8db61d2a4884a1957702ad92eb9"),
-        "braid": (ORD, [x * y * x - y * x * y], 40, QQ, 37,
+        "braid": (AB, [x * y * x - y * x * y], 40, QQ, 37,
                   "68f2dc4a1122f0318e5ff32571ca434e7d0f2ff21a1cefa91466b4e7386222b2"),
     }
 
 
 @pytest.mark.parametrize("name", list(_benchmark_systems()))
 def test_benchmark_systems_pinned(name):
-    order, rels, cutoff, field, count, digest = _benchmark_systems()[name]
-    R = complete_truncated_over(rels, cutoff, order, field)
-    text = "\n".join(r.render(R.order) for r in R.rules)
+    alphabet, rels, cutoff, field, count, digest = _benchmark_systems()[name]
+    R = complete_truncated_over(rels, cutoff, alphabet, field)
+    text = "\n".join(r.render() for r in R.rules)
     assert (len(R.rules), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
     assert confluence_audit(R)

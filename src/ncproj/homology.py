@@ -8,7 +8,8 @@ spectral machinery; each graded piece is computed exactly.
 Every product goes through the letter tables (rewriting.letter_table): a.v
 for a normal word a = x.a' is x times a'.v, so spans, kernels and Hom maps
 are built one degree at a time from the degrees below, each rank in the one
-SpanTracker.
+SpanTracker.  P^1 of a truncation A/A_{>=n} is A_{>=n}, whose rank in each
+degree is read off the Hilbert function once its generators are found.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ class AtLeast:
 
 def _apply(images, v, one):
     """The sparse sum of s * images[c] over the entries c: s of v, where
-    images[c] lists (coordinate, coefficient) pairs; one is never multiplied."""
+    images[c] lists (coordinate, coefficient) pairs; one is never a factor."""
     out = {}
     for c, s in v.items():
         for t, a in images[c]:
-            y = s if a is one else s * a
+            y = s if a is one else a if s is one else s * a
             out[t] = out[t] + y if t in out else y
     return {t: y for t, y in out.items() if y}
 
@@ -91,7 +92,8 @@ class GradedModulePresentation:
 
     The free cover is ⊕_i A(-shifts[i]); each row is a homogeneous vector
     (one NcPoly per cover summand) and the module is the cokernel of the
-    submodule those rows generate.
+    submodule those rows generate.  truncation is n for A/A_{>=n} made by
+    quotient_truncation, None for every other presentation.
     """
 
     def __init__(self, ambient, shifts, rows):
@@ -106,6 +108,7 @@ class GradedModulePresentation:
                 raise ValueError("relation row is not homogeneous w.r.t. the shifts")
             if degs:
                 self.rows.append((degs.pop(), row))
+        self.truncation = None
         self._slice_cache = {}
         self._span_cache = {}
         self._free_cache = {}
@@ -136,6 +139,7 @@ class GradedModulePresentation:
         top = min(n + max(R.alphabet.weights) - 1, R.cutoff)
         module.rows = [(d, [NcPoly.word(R.alphabet, R.field, w)])
                        for d in range(n, top + 1) for w in normal_words(R, d)]
+        module.truncation = n
         return module
 
     # -- graded slices ------------------------------------------------------
@@ -227,21 +231,34 @@ class GradedModulePresentation:
         # the residue is zero at every pivot, so each of its columns is free
         return {position[c]: x for c, x in span.residue(vec).items()}
 
-    def _times(self, poly, v, d):
-        """poly . v for a sparse degree-d cover vector v: each word of poly
-        acts through the letter maps, one letter at a time from the right."""
+    def _free_products(self, poly, d):
+        """poly . e_c for each free column c of degree d (see _free_columns),
+        in order, as sparse cover vectors: each word of poly acts through the
+        whole letter maps, one letter at a time from the right, and the
+        images of each word suffix are made once.  Entries may be zero."""
         R = self.ambient
-        one = R.field.one
-        out = {}
-        for w, c in poly.terms.items():
-            u, e = v, d
-            for x in reversed(w):
-                u = _apply(self._letter_map(x, e), u, one)
-                e += R.alphabet.weights[x]
-            if c is not one and c != one:
-                u = {t: y * c for t, y in u.items()}
-            for t, y in u.items():
-                out[t] = out[t] + y if t in out else y
+        one, weights = R.field.one, R.alphabet.weights
+        images = {(): [{c: one} for c in self._free_columns(d)]}
+        terms = []
+        for w, a in poly.terms.items():
+            k, e = len(w), d
+            while k and w[k - 1:] in images:
+                k -= 1
+                e += weights[w[k]]
+            for k in range(k - 1, -1, -1):
+                m = self._letter_map(w[k], e)
+                images[w[k:]] = [_apply(m, u, one) for u in images[w[k + 1:]]]
+                e += weights[w[k]]
+            terms.append((images[w], a if a != one else one))
+        if len(terms) == 1 and terms[0][1] is one:
+            return terms[0][0]
+        out = [{} for _ in images[()]]
+        for us, a in terms:
+            for v, u in zip(out, us):
+                for t, y in u.items():
+                    if a is not one:
+                        y = y * a
+                    v[t] = v[t] + y if t in v else y
         return out
 
     def __repr__(self):
@@ -291,17 +308,31 @@ def _continue_level(level, degrees, R, candidates, grow):
         del level.spans[d]
 
 
-def _first_syzygy(R, shifts, relations, level, N):
+def _first_syzygy(R, shifts, relations, truncation, level, N):
     """Continue P^1, the minimal generators of the submodule of free(shifts)
-    that the relations generate, to degree N."""
+    that the relations generate, to degree N.
+
+    For A/A_{>=n} (truncation n) that submodule is A_{>=n}, so its rank in
+    each degree d >= n is dim A_d; above n + w - 1, w the largest letter
+    weight, a normal word is a letter times a normal word of degree >= n,
+    so no generator lies there.  Those degrees take their ranks from the
+    Hilbert function and keep no span: _next_syzygy reads only the
+    generators and the ranks.
+    """
     if level.done is None:
         start = min((D for D, _ in relations), default=N + 1)
     else:
         start = level.done + 1
-    if start <= N:
+    top = N if truncation is None else min(N, truncation + max(R.alphabet.weights) - 1)
+    if start <= top:
         cover = GradedModulePresentation.free(R, shifts)
-        _continue_level(level, range(start, N + 1), R,
+        _continue_level(level, range(start, top + 1), R,
                         _relation_candidates(cover, relations), cover._grow)
+    if top < N:
+        dims = hilbert_function(R, N)
+        level.ranks.update((d, dims[d]) for d in range(max(start, top + 1), N + 1))
+        level.spans.clear()
+        level.done = N
 
 
 def _next_syzygy(R, shifts, below, level, N):
@@ -373,27 +404,29 @@ class ResolutionReport:
 class _Syzygies:
     """A minimal free resolution as far as it is built, as plain data.
 
-    shifts are those of P^0 and relations the rows (degree, row) of the
-    module; levels[i] is the _Level of P^{i+1}.  Every level is built to
-    the degree built, the deepest bound read so far, and goes on upward
-    when a deeper one is read.  Nothing here refers to the rewrite system
+    shifts are those of P^0, relations the rows (degree, row) of the module
+    and truncation its own (see GradedModulePresentation); levels[i] is the
+    _Level of P^{i+1}.  Every level is built to the degree built, the
+    deepest bound read so far, and goes on upward when a deeper one is read.  Nothing here refers to the rewrite system
     or to a module, so it can be cached on one.
     """
     shifts: list
     relations: list
+    truncation: object
     levels: list
     built: int
 
     @staticmethod
     def start(module):
         """Nothing built yet: every generator has degree >= min(shifts)."""
-        return _Syzygies(list(module.shifts), list(module.rows), [_Level()],
-                         min(module.shifts, default=0) - 1)
+        return _Syzygies(list(module.shifts), list(module.rows), module.truncation,
+                         [_Level()], min(module.shifts, default=0) - 1)
 
     def _build(self, R, i, N):
         """Level i continued to N; the levels below it are built to N."""
         if i == 0:
-            _first_syzygy(R, self.shifts, self.relations, self.levels[0], N)
+            _first_syzygy(R, self.shifts, self.relations, self.truncation,
+                          self.levels[0], N)
         else:
             shifts = self.shifts if i == 1 else [D for D, _ in self.levels[i - 2].gens]
             _next_syzygy(R, shifts, self.levels[i - 1], self.levels[i], N)
@@ -474,21 +507,21 @@ def _hom_rank(P, shifts, rows, d):
     F = ⊕_i A(-shifts[i]); G has one summand A(-D) for each (D, row) in
     rows, sent to row.  Sending e_i to one quotient basis element of
     P_{shifts[i]+d} gives, over all rows, the sparse vector of the images
-    row[i] . element side by side in the slices P_{D+d}.
+    row[i] . element side by side in the slices P_{D+d}; the images of
+    every element of P_{shifts[i]+d} under row[i] are made at once.
     """
-    one = P.ambient.field.one
     offsets, ncols = [], 0
     for D, _ in rows:
         offsets.append(ncols)
         ncols += P.dim(D + d)
     span = linalg.SpanTracker(ncols, P.ambient.field)
     for i, l in enumerate(shifts):
-        hits = [(offset, D, row[i]) for offset, (D, row) in zip(offsets, rows) if row[i]]
-        for c in P._free_columns(l + d):
+        hits = [(offset, D + d, P._free_products(row[i], l + d))
+                for offset, (D, row) in zip(offsets, rows) if row[i]]
+        for k in range(len(P._free_columns(l + d))):
             v = {}
-            for offset, D, f in hits:
-                image = P.quotient_coords(P._times(f, {c: one}, l + d), D + d)
-                v.update((offset + t, x) for t, x in image.items())
+            for offset, e, images in hits:
+                v.update((offset + t, x) for t, x in P.quotient_coords(images[k], e).items())
             span.add(v)
     return span.dim()
 

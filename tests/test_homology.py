@@ -15,6 +15,7 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              proj_cohomology, proj_cutoff, proj_depth, _ext_dims_from_resolution,
                              _ext_k_A, _quotient_resolution, _stabilize)
 from ncproj.dsl import parse_presentation
+from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
 from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated,
                               normal_words)
@@ -269,6 +270,123 @@ def test_a_resolution_continued_upward_equals_one_built_there(name):
             Q = GradedModulePresentation.quotient_truncation(systems[N], n)
             assert _quotient_resolution(R, n, p, N) == minimal_resolution(Q, p, N), (n, p, N)
         assert R.cache.resolutions[n].built == C
+
+
+def without_truncation(Q):
+    """The rows of Q on a presentation not marked as a truncation, whose
+    resolution takes the generic route to P^1 in every degree."""
+    generic = GradedModulePresentation.free(Q.ambient, Q.shifts)
+    generic.rows = list(Q.rows)
+    return generic
+
+
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_a_truncation_resolves_as_its_rows_do(name):
+    """P^1 of A/A_{>=n} takes its ranks above degree n + w - 1, w the
+    largest letter weight, from the Hilbert function and keeps no span
+    there.  The resolution equals that of the same rows not marked as a
+    truncation, read below, at and above n + w - 1 and continued from a
+    shallow bound to a deep one; over the weighted algebras w = 2, so the
+    generic route still runs in degree n + 1."""
+    R = build(parse_presentation(ORACLE[name]), 7 if name == "Sklyanin" else 9)
+    C, w = R.cutoff, max(R.alphabet.weights)
+    k = GradedModulePresentation.trivial(R)
+    assert k.truncation == 1 and without_truncation(k).truncation is None
+    for N in range(C + 1):
+        assert minimal_resolution(k, 4, N) == minimal_resolution(without_truncation(k), 4, N), N
+    for n in range(6):
+        Q = GradedModulePresentation.quotient_truncation(R, n)
+        assert Q.truncation == n
+        generic = without_truncation(Q)
+        bounds = sorted({N for N in (n + w - 2, n + w - 1, n + w, C) if 0 <= N <= C})
+        for N in bounds:
+            assert minimal_resolution(Q, 4, N) == minimal_resolution(generic, 4, N), (n, N)
+        closed, open_ = homology._Syzygies.start(Q), homology._Syzygies.start(generic)
+        for N in (bounds[0], C):
+            assert closed.report(R, 4, N) == open_.report(R, 4, N), (n, N)
+            assert closed.levels[0].ranks == open_.levels[0].ranks, (n, N)
+        assert not any(D > n + w - 1 for D in closed.levels[0].spans), n
+
+
+def test_the_top_degree_of_each_level_is_resolved():
+    """k over k[x]/(x^3) has its P^2 generator exactly at degree 3 and its
+    P^3 one at degree 4: each level built to N takes degree N itself,
+    whether fresh, cached or continued from N = 3 to N = 4."""
+    text = "algebra D over Q { gens: x; rels: x*x*x; }"
+    want = {3: [[0], [1], [3]], 4: [[0], [1], [3], [4]]}
+    continued = build(parse_presentation(text), 4)
+    for N, betti in want.items():
+        R = build(parse_presentation(text), 4)
+        assert minimal_resolution(GradedModulePresentation.trivial(R), 4, N).betti == betti, N
+        assert _quotient_resolution(R, 1, 4, N).betti == betti, N
+        assert _quotient_resolution(continued, 1, 4, N).betti == betti, N
+
+
+def times_column_by_column(P, poly, v, d):
+    """poly . v for a sparse degree-d cover vector v: each word of poly acts
+    through the letter maps, one letter at a time from the right, on v
+    alone."""
+    R = P.ambient
+    one = R.field.one
+    out = {}
+    for w, c in poly.terms.items():
+        u, e = v, d
+        for x in reversed(w):
+            u = homology._apply(P._letter_map(x, e), u, one)
+            e += R.alphabet.weights[x]
+        if c != one:
+            u = {t: y * c for t, y in u.items()}
+        for t, y in u.items():
+            out[t] = out[t] + y if t in out else y
+    return out
+
+
+def hom_rank_column_by_column(P, shifts, rows, d):
+    """_hom_rank with each image row[i] . e_c made one free column at a time."""
+    offsets, ncols = [], 0
+    for D, _ in rows:
+        offsets.append(ncols)
+        ncols += P.dim(D + d)
+    span = SpanTracker(ncols, P.ambient.field)
+    for i, l in enumerate(shifts):
+        for c in P._free_columns(l + d):
+            v = {}
+            for offset, (D, row) in zip(offsets, rows):
+                if row[i]:
+                    image = times_column_by_column(P, row[i], {c: P.ambient.field.one}, l + d)
+                    v.update((offset + t, x) for t, x in P.quotient_coords(image, D + d).items())
+            span.add(v)
+    return span.dim()
+
+
+@pytest.mark.parametrize("name", ["plane", "QP", "C3", "weighted C3"])
+def test_hom_ranks_equal_the_column_by_column_route(name):
+    """_hom_rank makes row[i] . e_c for every free column c at once; its
+    ranks equal those of one free column at a time, over Q and Q(q), into
+    modules with relations (so quotient coordinates are not the cover's),
+    for the differentials of A/A_{>=3}, whose P^1 -> P^0 entries are the
+    words of degree 3 (of length 2 or 3 when y has weight 2), and for the
+    rows of the modules themselves."""
+    R = build(parse_presentation(ORACLE[name]), 8)
+    x = NcPoly.gen(R.alphabet, R.field, 0)
+    tail = _quotient_resolution(R, 2, 2, R.cutoff)
+    modules = [GradedModulePresentation.algebra(R), GradedModulePresentation.trivial(R),
+               GradedModulePresentation(R, [0], [[x]]),
+               GradedModulePresentation.quotient_truncation(R, 3),
+               GradedModulePresentation(R, tail.betti[1], tail.differentials[1])]
+    rep = _quotient_resolution(R, 3, 3, 6)
+    assert min(len(w) for row in rep.differentials[0] for w in row[0].terms) >= 2
+    maps = [(rep.betti[i], list(zip(rep.betti[i + 1], rep.differentials[i])))
+            for i in range(len(rep.differentials))]
+    ranks = []
+    for P in modules:
+        for shifts, rows in maps + [(M.shifts, M.rows) for M in modules if M.rows]:
+            for d in range(-4, 2):
+                if max(D for D, _ in rows) + d <= R.cutoff:
+                    got = homology._hom_rank(P, shifts, rows, d)
+                    assert got == hom_rank_column_by_column(P, shifts, rows, d)
+                    ranks.append(got)
+    assert any(ranks)
 
 
 @pytest.mark.parametrize("name", list(TRUNCATED))

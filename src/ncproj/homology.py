@@ -109,10 +109,8 @@ class GradedModulePresentation:
             if degs:
                 self.rows.append((degs.pop(), row))
         self.truncation = None
-        self._slice_cache = {}
         self._span_cache = {}
         self._free_cache = {}
-        self._letter_cache = {}
 
     # -- canonical constructors --------------------------------------------
 
@@ -148,13 +146,13 @@ class GradedModulePresentation:
         return self._slice(d)[0]
 
     def _slice(self, d):
-        """The degree-d basis (summand, word) of the free cover and its index."""
-        hit = self._slice_cache.get(d)
-        if hit is None:
+        """The degree-d basis (summand, word) of the free cover and its index,
+        kept on the rewrite system under the shifts."""
+        slices, key = self.ambient.cache.slices, (self.shifts, d)
+        if (hit := slices.get(key)) is None:
             basis = [(i, w) for i, l in enumerate(self.shifts) if d - l >= 0
                      for w in normal_words(self.ambient, d - l)]
-            hit = (basis, {bw: k for k, bw in enumerate(basis)})
-            self._slice_cache[d] = hit
+            hit = slices[key] = (basis, {bw: k for k, bw in enumerate(basis)})
         return hit
 
     def _expand(self, vec_polys, d):
@@ -164,21 +162,19 @@ class GradedModulePresentation:
                 for w, c in p.terms.items()}
 
     def _letter_map(self, x, d):
-        """Multiplication by the letter x from cover degree d to d + w(x): per
-        column, the letter table entry of its word, offset to its summand."""
-        hit = self._letter_cache.get((x, d))
-        if hit is None:
-            R = self.ambient
-            e = d + R.alphabet.weights[x]
-            hit = []
-            offset = 0                 # the summand's first column in degree e
+        """Multiplication by the letter x from cover degree d to d + w(x), kept
+        on the rewrite system under the shifts: per column, the letter table
+        entry of its word, offset to its summand (shared as is at offset 0)."""
+        R, key = self.ambient, (self.shifts, x, d)
+        if (hit := R.cache.letter_maps.get(key)) is None:
+            hit, offset = [], 0        # offset: the summand's first column in degree d + w(x)
             for l in self.shifts:
                 if d >= l:
-                    hit.extend(tuple((offset + k, a) for k, a in entry)
-                               for entry in letter_table(R, x, d - l))
-                if e >= l:
-                    offset += len(normal_words(R, e - l))
-            self._letter_cache[(x, d)] = hit
+                    table = letter_table(R, x, d - l)
+                    hit.extend(table if not offset else
+                               (tuple((offset + k, a) for k, a in entry) for entry in table))
+                offset += len(normal_words(R, d + R.alphabet.weights[x] - l))
+            R.cache.letter_maps[key] = hit
         return hit
 
     def _grow(self, spans, d):
@@ -407,8 +403,9 @@ class _Syzygies:
     shifts are those of P^0, relations the rows (degree, row) of the module
     and truncation its own (see GradedModulePresentation); levels[i] is the
     _Level of P^{i+1}.  Every level is built to the degree built, the
-    deepest bound read so far, and goes on upward when a deeper one is read.  Nothing here refers to the rewrite system
-    or to a module, so it can be cached on one.
+    deepest bound read so far, and goes on upward when a deeper one is
+    read.  Nothing here refers to the rewrite system or to a module, so it
+    can be cached on one.
     """
     shifts: list
     relations: list
@@ -482,7 +479,8 @@ def minimal_resolution(module, p_max, N):
     """Minimal free resolution of the module, to homological degree p_max,
     built to the degree bound N only, as _quotient_resolution builds (see
     _Syzygies.report): an empty kernel in every degree <= N is reported as
-    termination.  Not cached on R."""
+    termination.  Its levels are not cached on R; the slices and letter maps
+    it reads are."""
     return _Syzygies.start(module).report(module.ambient, p_max, N)
 
 
@@ -524,20 +522,6 @@ def _hom_rank(P, shifts, rows, d):
                 v.update((offset + t, x) for t, x in P.quotient_coords(images[k], e).items())
             span.add(v)
     return span.dim()
-
-
-def graded_hom_dim(M, P, d):
-    """dim of degree-0 module maps M -> P[d].
-
-    A map is a choice of images of the free-cover generators annihilating
-    every relation row, which is a finite exact linear system.
-    """
-    if M.ambient is not P.ambient and M.ambient != P.ambient:
-        raise ValueError("modules over different ambient systems")
-    nvars = sum(P.dim(l + d) for l in M.shifts)
-    if nvars == 0:
-        return 0
-    return nvars - _hom_rank(P, M.shifts, M.rows, d)
 
 
 def _ext_dims_from_resolution(rep, M, d, i, ranks=None):

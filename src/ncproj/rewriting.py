@@ -94,10 +94,12 @@ class RewriteCache:
     state each one ends in; position[d]: normal word -> its index in
     words[d]; dims: the longest Hilbert function computed; letters[(x, d)]:
     the letter table of x in degree d (see letter_table), the structure
-    constants of A in the normal-word basis.  resolutions: n -> the one
-    minimal resolution of A/A_{>=n} built so far, only as deep as the
-    deepest degree bound read and continued upward when a deeper one is
-    read, kept by the homology layer;
+    constants of A in the normal-word basis.  Kept by the homology layer:
+    slices[(shifts, d)], the degree-d basis of the free module
+    ⊕_i A(-shifts[i]) and its index, and letter_maps[(shifts, x, d)],
+    multiplication by x on it; resolutions: n -> the one minimal
+    resolution of A/A_{>=n} built so far, only as deep as the deepest
+    degree bound read and continued upward when a deeper one is read;
     A_{>=n} is generated by the normal words of degrees n .. n + (largest
     letter weight) - 1, and the trivial module k is A/A_{>=1}.
     """
@@ -109,6 +111,8 @@ class RewriteCache:
         self.position = {}
         self.dims = []
         self.letters = {}
+        self.slices = {}
+        self.letter_maps = {}
         self.resolutions = {}
 
 

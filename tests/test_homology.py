@@ -10,8 +10,7 @@ from ncproj import homology
 from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate,
-                             global_dimension, gorenstein_check,
-                             graded_hom_dim, minimal_resolution,
+                             global_dimension, gorenstein_check, minimal_resolution,
                              proj_cohomology, proj_cutoff, proj_depth, _ext_dims_from_resolution,
                              _ext_k_A, _quotient_resolution, _stabilize)
 from ncproj.dsl import parse_presentation
@@ -20,7 +19,7 @@ from ncproj.presentations import build
 from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated,
                               normal_words)
 from ncproj.words import Alphabet, NcPoly
-from test_letter_tables import TRUNCATED
+from test_letter_tables import TRUNCATED, hom_dim
 
 AB1 = Alphabet(["x"])
 AB2 = Alphabet(["x", "y"])
@@ -92,14 +91,14 @@ def test_graded_hom_dims():
     R = plane()
     A = GradedModulePresentation.algebra(R)
     for d in range(4):
-        assert graded_hom_dim(A, A, d) == A.dim(d)
+        assert hom_dim(A, A, d) == A.dim(d)
     k = GradedModulePresentation.trivial(R)
-    assert graded_hom_dim(k, k, 0) == 1
-    assert graded_hom_dim(k, A, 0) == 0
+    assert hom_dim(k, k, 0) == 1
+    assert hom_dim(k, A, 0) == 0
     # cyclic quotient A/(x): identity map survives
     x = NcPoly.gen(AB2, QQ, 0)
     M = GradedModulePresentation(R, [0], [[x]])
-    assert graded_hom_dim(M, M, 0) >= 1
+    assert hom_dim(M, M, 0) >= 1
     assert [M.dim(d) for d in range(4)] == [1, 1, 1, 1]
 
 
@@ -117,7 +116,7 @@ def test_ext0_does_not_depend_on_the_order_of_summands():
         assert rep.betti == [[0, 1], [1]] and rep.terminated
         assert rep.differentials[0] == [[x, zero]]
         assert [_ext_dims_from_resolution(rep, A, d, 0) for d in range(3)] == \
-            [graded_hom_dim(M, A, d) for d in range(3)] == [2, 3, 4]
+            [hom_dim(M, A, d) for d in range(3)] == [2, 3, 4]
 
 
 def ext_k_A(R, i, N):
@@ -324,15 +323,16 @@ def test_the_top_degree_of_each_level_is_resolved():
 
 def times_column_by_column(P, poly, v, d):
     """poly . v for a sparse degree-d cover vector v: each word of poly acts
-    through the letter maps, one letter at a time from the right, on v
-    alone."""
+    through the letter maps of the free cover, which the rewrite system
+    keeps, one letter at a time from the right, on v alone."""
     R = P.ambient
     one = R.field.one
+    cover = GradedModulePresentation.free(R, P.shifts)
     out = {}
     for w, c in poly.terms.items():
         u, e = v, d
         for x in reversed(w):
-            u = homology._apply(P._letter_map(x, e), u, one)
+            u = homology._apply(cover._letter_map(x, e), u, one)
             e += R.alphabet.weights[x]
         if c != one:
             u = {t: y * c for t, y in u.items()}
@@ -538,9 +538,11 @@ def test_sklyanin_is_gorenstein(sklyanin):
     assert gorenstein_check(sklyanin, 7, 4) == {"passes": True, "d": 3}
 
 
-def test_a_resolution_read_below_the_cutoff_builds_no_deeper(sklyanin, monkeypatch):
+def test_a_resolution_read_below_the_cutoff_builds_no_deeper(monkeypatch):
     """The resolution of k on Sklyanin at cutoff 10, read at degree bound 6,
-    takes no letter table into a degree above 6."""
+    takes no letter table into a degree above 6.  The letter maps are kept
+    on the rewrite system, so a fresh one reads every table it needs."""
+    sklyanin = build(parse_presentation(SKLYANIN), 10)
     read = []
     table = homology.letter_table
     monkeypatch.setattr(homology, "letter_table",
@@ -548,6 +550,35 @@ def test_a_resolution_read_below_the_cutoff_builds_no_deeper(sklyanin, monkeypat
     rep = minimal_resolution(GradedModulePresentation.trivial(sklyanin), 4, 6)
     assert rep.betti == [[0], [1, 1, 1], [2, 2, 2], [3]] and rep.terminated
     assert read and max(read) <= 6
+
+
+def test_each_letter_map_is_built_once_per_rewrite_system(monkeypatch):
+    """The P^1 jobs of the proj-colimit benchmark on one R (H^0(O(d)) for
+    d = 0..5 at n_max = d + 3, H^1(O(-d)) for d = 2..5, cd and global
+    dimension) build one letter map per (shifts, letter, degree): every
+    continuation of a resolution and every module with those shifts reads
+    the same map object."""
+    R = plane(17)
+    built = {}
+    letter_map = GradedModulePresentation._letter_map
+
+    def spy(self, x, d):
+        m = letter_map(self, x, d)
+        built.setdefault((self.shifts, x, d), {})[id(m)] = m
+        return m
+
+    monkeypatch.setattr(GradedModulePresentation, "_letter_map", spy)
+    A = GradedModulePresentation.algebra(R)
+    assert [proj_cohomology(R, A, 0, d, d + 3).stabilized_dim for d in range(6)] == \
+        [1, 2, 3, 4, 5, 6]
+    assert [proj_cohomology(R, A, 1, -d, d + 3).stabilized_dim for d in range(2, 6)] == \
+        [1, 2, 3, 4]
+    assert cd_estimate(R, 2, range(-3, 2), 6) == 1
+    assert global_dimension(R, 4, 10) == 2
+    builds = sum(map(len, built.values()))
+    assert built and builds == len(built), (builds, len(built))
+    F, G = GradedModulePresentation.free(R, [0, 1]), GradedModulePresentation.free(R, [0, 1])
+    assert F._letter_map(1, 3) is G._letter_map(1, 3)
 
 
 def count_hom_ranks(monkeypatch):

@@ -629,7 +629,12 @@ def _quotient_resolution(R, n, p_max, N):
 def proj_cutoff(n_max, j, *twists):
     """The degree proj_cohomology resolves to for H^j up to truncation n_max,
     over the given twists d: n_max + j + 2 + the largest |d|.  For d > 0 the
-    Hom step reads A past it; proj_depth covers that too."""
+    Hom step reads A past it; proj_depth covers that too.  The bound does
+    not follow the syzygies: over weighted or high-degree algebras it can
+    fall below generators of A/A_{>=n}'s resolution that the value needs.
+    Over k[x, y] with y of weight 4, k's P^2 is A(-5), and value 1 of
+    H^0(O(-1)), read at degree 4, misses it: the values to n_max 5 are
+    [0, 2, 2, 2, 2, 6], where Hom(A_{>=1}, A(-1))_0 = A_{-1} = 0."""
     return n_max + j + 2 + max(map(abs, twists), default=0)
 
 
@@ -653,6 +658,19 @@ def proj_cohomology(R, M, j, d, n_max):
     the degree proj_cutoff(n, j, d), so it is built no deeper.  The check up
     front covers those reads only: for d > 0 the Hom step reads A in degree
     D + d, past them, and only an R built to proj_depth covers both.
+
+    Neighbouring truncations differ by copies of k: 0 -> A_{>=n} ->
+    A_{>=n-1} -> k(-(n-1))^{dim A_{n-1}} -> 0.  Where Ext^j and Ext^{j+1}
+    of (k, M[n-1+d]) both vanish, the long exact sequence makes the
+    transition map an isomorphism, so value n is value n-1 and takes no
+    Hom rank.  Both are read off the one cached resolution of k, at the
+    same bound proj_cutoff(n, j, d) as value n.  A/A_{>=n} is filtered by
+    copies of k(-m), m < n, so its P^i has generators of degree at most
+    n - 1 + t_i, t_i the top generator degree of k's P^i; the step is taken
+    only when t_i <= j + 3 + |d| for i = j, j+1, j+2, where the resolution
+    of A/A_{>=n} read at proj_cutoff(n, j, d) holds every generator the
+    value needs, and the check reads M no deeper than value n does.
+    Otherwise value n is read off A/A_{>=n} as above.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -661,9 +679,16 @@ def proj_cohomology(R, M, j, d, n_max):
         raise CutoffExceededError(
             f"cutoff {R.cutoff} insufficient for (j={j}, d={d}, n_max={n_max}); "
             f"need {needed}")
-    values = []
+    values, ranks = [], {}     # ranks: the memo of the Ext(k, M) ranks, by twist
     for n in range(n_max + 1):
-        rep = _quotient_resolution(R, n, j + 2, proj_cutoff(n, j, d))
+        N = proj_cutoff(n, j, d)
+        if n:
+            k = _quotient_resolution(R, 1, j + 2, N)
+            if all(D <= j + 3 + abs(d) for b in k.betti[j:j + 3] for D in b) and not any(
+                    _ext_dims_from_resolution(k, M, n - 1 + d, i, ranks) for i in (j, j + 1)):
+                values.append(values[-1])
+                continue
+        rep = _quotient_resolution(R, n, j + 2, N)
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
         values.append(_ext_dims_from_resolution(tail, M, d, j))
     dim, at = _stabilize(values)

@@ -194,7 +194,7 @@ def test_proj_cohomology_twist_reads_past_proj_cutoff():
     """For d > 0 the Hom step reads A in degree D + d, past proj_cutoff: an
     R completed only to proj_cutoff passes the check up front and then
     stops cleanly mid-query; one completed to proj_depth answers."""
-    y4 = parse_presentation("algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }")
+    y4 = parse_presentation(Y4)
     R = build(y4, proj_cutoff(8, 0, 2))
     with pytest.raises(CutoffExceededError):
         proj_cohomology(R, GradedModulePresentation.algebra(R), 0, 2, 8)
@@ -389,16 +389,25 @@ def test_hom_ranks_equal_the_column_by_column_route(name):
     assert any(ranks)
 
 
+# the degree each cached resolution of A/A_{>=n} is built to, by n, after
+# the queries of the test below: k (n = 1) is read at proj_cutoff(n, j, d)
+# before each value n >= 1, and A/A_{>=n} only where the exact sequence of
+# k does not carry value n - 1 over
+RESOLVED = {"plane": {0: 7, 1: 10, 2: 9}, "QP": {0: 7, 1: 10, 2: 9}, "C3": {0: 7, 1: 10},
+            "Sklyanin": {0: 4, 1: 7}, "weighted plane": {0: 7, 1: 10}, "cubic": {0: 7, 1: 10},
+            "weighted C3": {0: 7, 1: 10}, "weighted x, z, y:2": {0: 7, 1: 10, 2: 9, 3: 10}}
+
+
 @pytest.mark.parametrize("name", list(TRUNCATED))
 def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
     """Value n of H^j(A[d]) is read off a resolution built only to
-    proj_cutoff(n, j, d); it equals the value read off one built to the
-    cutoff of a second system, through the same Ext assembly."""
+    proj_cutoff(n, j, d), or carried over from value n - 1; it equals the
+    value read off one built to the cutoff of a second system, through the
+    same Ext assembly."""
     text = TRUNCATED[name]
     C = 7 if name == "Sklyanin" else 10
     R, deep = build(parse_presentation(text), C), build(parse_presentation(text), C)
     A, A_deep = GradedModulePresentation.algebra(R), GradedModulePresentation.algebra(deep)
-    deepest = {}               # n -> the deepest degree its values read
     for j in range(3):
         for d in (-3, -1, 0, 2):
             if proj_cutoff(3, j, d) > C:
@@ -408,29 +417,105 @@ def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
                 rep = _quotient_resolution(deep, n, j + 2, deep.cutoff)
                 tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
                 want.append(_ext_dims_from_resolution(tail, A_deep, d, j))
-                deepest[n] = max(deepest.get(n, 0), proj_cutoff(n, j, d))
             assert proj_cohomology(R, A, j, d, 3).values == want, (j, d)
-    assert {n: res.built for n, res in R.cache.resolutions.items()} == deepest
+    assert {n: res.built for n, res in R.cache.resolutions.items()} == RESOLVED[name]
 
 
 def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch):
-    """On P^1 at cutoff 17, Proj cohomology caches one resolution per n,
-    each built only as deep as its value reads: k = A/A_{>=1} to degree 8.
-    Global dimension at degree bound 10 continues that one from degree 9,
-    without adding a key or starting afresh."""
+    """On P^1 at cutoff 17, H^2(O(-3)) to n_max 6 resolves A/A_{>=n} only
+    for n = 0 and n = 2, each only as deep as its value reads, and reads k =
+    A/A_{>=1} before each value n >= 1, at proj_cutoff(n, 2, -3), so to
+    degree 13.  Global dimension at degree bound 10 reads that one without
+    building on it; at 15 it continues it from degree 14, without adding a
+    key or starting afresh."""
     R = plane(17)
     assert proj_cohomology(R, GradedModulePresentation.algebra(R), 2, -3, 6).stabilized_dim == 0
-    assert list(R.cache.resolutions) == list(range(7))
+    assert {n: res.built for n, res in R.cache.resolutions.items()} == {0: 7, 1: 13, 2: 9}
     k = R.cache.resolutions[1]
-    assert k.built == 8
     degrees = []
     minimal_generators = homology._minimal_generators
     monkeypatch.setattr(homology, "_minimal_generators",
                         lambda ds, *rest: degrees.extend(ds) or minimal_generators(ds, *rest))
     assert global_dimension(R, 4, 10) == 2
-    assert list(R.cache.resolutions) == list(range(7))
-    assert R.cache.resolutions[1] is k and k.built == 10
-    assert degrees and min(degrees) == 9 and max(degrees) == 10
+    assert R.cache.resolutions[1] is k and k.built == 13 and not degrees
+    assert global_dimension(R, 4, 15) == 2
+    assert list(R.cache.resolutions) == [0, 1, 2]
+    assert R.cache.resolutions[1] is k and k.built == 15
+    assert degrees and min(degrees) == 14 and max(degrees) == 15
+
+
+def proj_cohomology_n_by_n(R, M, j, d, n_max):
+    """proj_cohomology with every value n read off the resolution of
+    A/A_{>=n} at proj_cutoff(n, j, d): no value is carried over from n - 1."""
+    values = []
+    for n in range(n_max + 1):
+        rep = _quotient_resolution(R, n, j + 2, proj_cutoff(n, j, d))
+        tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
+        values.append(_ext_dims_from_resolution(tail, M, d, j))
+    return homology.CohomologyReport(j, d, *_stabilize(values), values)
+
+
+Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
+X5 = "algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }"
+PROJ_GRID = dict(ORACLE, Y4=Y4, X5=X5)
+
+
+@pytest.mark.parametrize("name", list(PROJ_GRID))
+def test_proj_cohomology_equals_the_route_that_reads_every_n(name):
+    """Every report of H^j(A[d]), j = 0..2, d = -4..2 and n_max 5 (d <= 1
+    and n_max 3 on Sklyanin, whose every-n route takes seconds per query
+    there), carried across truncations by the exact sequence of k where it
+    applies, equals the one that reads every A/A_{>=n}, on a second system;
+    over Y4 and X5, whose resolutions of k reach degree 5, the degree check
+    keeps the steps whose generators the bound would miss."""
+    p = parse_presentation(PROJ_GRID[name])
+    n_max, twists = (3, range(-4, 2)) if name == "Sklyanin" else (5, range(-4, 3))
+    R, every_n = (build(p, proj_depth(p, n_max, 2, *twists)) for _ in range(2))
+    A, A_every_n = (GradedModulePresentation.algebra(S) for S in (R, every_n))
+    for j in range(3):
+        for d in twists:
+            assert proj_cohomology(R, A, j, d, n_max) == \
+                proj_cohomology_n_by_n(every_n, A_every_n, j, d, n_max), (j, d)
+
+
+def resolved(monkeypatch):
+    """The (n, N) of every _quotient_resolution read, in order."""
+    calls = []
+    quotient_resolution = homology._quotient_resolution
+    monkeypatch.setattr(homology, "_quotient_resolution",
+                        lambda R, n, p, N: calls.append((n, N)) or quotient_resolution(R, n, p, N))
+    return calls
+
+
+def test_a_step_the_exact_sequence_does_not_carry_resolves_its_truncation(monkeypatch):
+    """The plane's H^1(O(-3)) moves at the step 1 -> 2, where Ext^2(k, A) is
+    nonzero at twist -2: value 2 is read off A/A_{>=2}, and the other steps
+    read only k, at proj_cutoff(n, 1, -3) before each value n >= 1."""
+    R = plane(12)
+    calls = resolved(monkeypatch)
+    assert proj_cohomology(R, GradedModulePresentation.algebra(R), 1, -3, 4).values == \
+        [0, 0, 2, 2, 2]
+    assert calls == [(0, 6), (1, 7), (1, 8), (2, 8), (1, 9), (1, 10)]
+
+
+def test_a_step_past_the_degree_check_resolves_its_truncation(monkeypatch):
+    """Over Y4 (y of weight 4) k's P^2 is A(-5), above j + 3 + |d| = 4 for
+    H^0(O(-1)), so no step is carried over and every A/A_{>=n} is resolved.
+    There Ext^0 and Ext^1 of (k, A[-1]) vanish, yet value 1 differs from
+    value 0: read at proj_cutoff(1, 0, -1) = 4, A/A_{>=1} misses k's P^2."""
+    p = parse_presentation(Y4)
+    R, every_n = (build(p, proj_depth(p, 5, 0, -1)) for _ in range(2))
+    A = GradedModulePresentation.algebra(R)
+    k = _quotient_resolution(R, 1, 2, R.cutoff)
+    assert k.betti == [[0], [1, 4], [5]]
+    assert [_ext_dims_from_resolution(k, A, -1, i) for i in (0, 1)] == [0, 0]
+    calls = resolved(monkeypatch)
+    report = proj_cohomology(R, A, 0, -1, 5)
+    assert report == proj_cohomology_n_by_n(every_n, GradedModulePresentation.algebra(every_n),
+                                            0, -1, 5)
+    assert report.values[0] != report.values[1]
+    assert calls == [(0, 3), (1, 4), (1, 4), (1, 5), (2, 5), (1, 6), (3, 6), (1, 7), (4, 7),
+                     (1, 8), (5, 8)]
 
 
 def test_cd_estimate_plane():
@@ -532,6 +617,17 @@ def test_sklyanin_proj_cohomology(sklyanin):
     assert proj_cohomology(sklyanin, A, 0, 1, 3).stabilized_dim == 3
     # H^2(O(-3)) is dual to H^0(O) = A_0: Serre duality with omega = O(-3)
     assert proj_cohomology(sklyanin, A, 2, -3, 3).stabilized_dim == 1
+
+
+def test_sklyanin_proj_cohomology_to_deep_truncations():
+    """Carried across truncations by the exact sequence of k, H^0(O(1))
+    stays dim A_1 = 3 up to n_max 5, and H^2(O(-3)) stays dim A_0 = 1
+    (Serre duality with omega = O(-3)) up to n_max 4."""
+    p = parse_presentation(SKLYANIN)
+    R = build(p, max(proj_depth(p, 5, 0, 1), proj_depth(p, 4, 2, -3)))
+    A = GradedModulePresentation.algebra(R)
+    assert proj_cohomology(R, A, 0, 1, 5).values == [3] * 6
+    assert proj_cohomology(R, A, 2, -3, 4).values == [0, 1, 1, 1, 1]
 
 
 def test_sklyanin_is_gorenstein(sklyanin):

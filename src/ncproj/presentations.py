@@ -34,6 +34,8 @@ class AlgebraPresentation:
                 raise ValueError("zero relation in presentation")
             if not rel.is_homogeneous():
                 raise ValueError("relations must be homogeneous")
+            if rel.degree() == 0:
+                raise ValueError("relation of degree 0 in presentation: the algebra would be zero")
 
     def generators(self):
         return list(zip(self.alphabet.symbols, self.alphabet.weights))

@@ -4,9 +4,12 @@ The completion closes one degree at a time, lowest first, in the batched
 manner of Faugere's F4: the input relations and the S-polynomials of the
 overlap ambiguities of degree d are reduced against the rules found so far,
 and the reduced row echelon form of the results gives the new degree-d rules
-in one step.  It stops at the degree cutoff.  A completed system is
-confluent for all words of degree <= cutoff, so normal forms, normal-word
-bases and Hilbert functions are exact in that range.
+in one step.  An overlap whose word holds a lead strictly inside is left
+out unbuilt: by the chain criterion it resolves through two shorter
+overlaps, which lower degrees have already resolved.  It stops at the
+degree cutoff.  A completed system is confluent for all words of degree
+<= cutoff, so normal forms, normal-word bases and Hilbert functions are
+exact in that range.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 
 from .fields import QQ
@@ -33,6 +37,10 @@ class RewriteRule:
     """lead -> rhs, with lead the order-maximal word of the homogeneous rule."""
     lead: tuple
     rhs: NcPoly
+
+    @cached_property
+    def degree(self):
+        return self.rhs.alphabet.degree(self.lead)
 
     def render(self):
         lead = NcPoly.word(self.rhs.alphabet, self.rhs.field, self.lead)
@@ -206,16 +214,17 @@ def _reduce(p, automaton):
 def _overlaps(r1, r2, alphabet, cutoff):
     """Proper overlap ambiguities lead1 = A B, lead2 = B C (B nonempty).
 
-    Yields (overlap_word, A, C) with overlap_word = lead1 + C = A + lead2,
-    restricted to total degree <= cutoff.
+    Yields (degree, A, C, w) with w = lead1 + C = A + lead2, restricted to
+    degree <= cutoff; a shift past the cutoff is dropped before any slice.
     """
-    l1, l2 = r1.lead, r2.lead
-    for k in range(1, min(len(l1), len(l2))):
-        if l1[len(l1) - k:] == l2[:k]:
-            a, c = l1[:len(l1) - k], l2[k:]
-            w = l1 + c
-            if alphabet.degree(w) <= cutoff:
-                yield w, a, c
+    l1, l2, n1 = r1.lead, r2.lead, len(r1.lead)
+    weights = alphabet.weights
+    d = r1.degree + r2.degree
+    for k in range(1, min(n1, len(l2))):
+        d -= weights[l2[k - 1]]
+        if d <= cutoff and l1[n1 - k] == l2[0] and l1[n1 - k:] == l2[:k]:
+            c = l2[k:]
+            yield d, l1[:n1 - k], c, l1 + c
 
 
 def _pairs(new, old):
@@ -229,10 +238,19 @@ def _pairs(new, old):
 
 
 def _spoly(rule1, rule2, a, c, alphabet, field):
-    # overlap word w = lead1 . c = a . lead2
-    left = rule1.rhs * NcPoly.word(alphabet, field, c)
-    right = NcPoly.word(alphabet, field, a) * rule2.rhs
-    return left - right
+    """rhs1.c - a.rhs2, for the overlap word lead1.c = a.lead2."""
+    return NcPoly(alphabet, field, [(u + c, x) for u, x in rule1.rhs.terms.items()]
+                  + [(a + u, -x) for u, x in rule2.rhs.terms.items()])
+
+
+def _holds_lead(word, step):
+    """Whether a rule lead occurs in word, walked through the automaton's step."""
+    s = 0
+    for a in word:
+        s = step[s][a]
+        if s is None:
+            return True
+    return False
 
 
 def complete_truncated(relations, cutoff):
@@ -257,27 +275,41 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
     already reduced against one another and against the older leads.  Each
     ordered pair of rules is queued once, when the later of the two is made.
 
+    An overlap is queued as (r1, r2, a, c, w), and its S-polynomial is built
+    only if no lead of degree < d occurs in w[1:-1] (the chain criterion).
+    The leads are interreduced, so a lead k inside w lies strictly inside,
+    at [s, e) with 0 < s and e < |w|; then S(r1, r2) = S(r1, k).w[e:] +
+    w[:s].S(k, r2), two overlaps of proper subwords of w, already resolved.
+
     The reduced Groebner basis is unique, so the rules do not depend on the
     order of the work; they come out sorted by alphabet.key of their leads,
     because the degrees ascend and each degree's pivots are taken from the
     smallest word up.
     """
-    pending = {}                   # degree -> polynomials still to resolve
+    relations_of = {}              # degree -> input relations
+    overlaps_of = {}               # degree -> queued overlaps (r1, r2, a, c, w)
     for rel in relations:
         if rel.is_zero():
             raise ValueError("zero relation")
         if not rel.is_homogeneous():
             raise ValueError(f"inhomogeneous relation: {rel.render()}")
+        if rel.degree() == 0:
+            raise ValueError("relation of degree 0: the algebra would be zero")
         if rel.field != field:
             raise ValueError("relations over mixed coefficient fields")
         if rel.degree() > cutoff:
             raise ValueError("cutoff smaller than a relation degree")
-        pending.setdefault(rel.degree(), []).append(rel)
+        relations_of.setdefault(rel.degree(), []).append(rel)
 
     rules = []
-    while pending:
+    while relations_of or overlaps_of:
+        d = min(relations_of.keys() | overlaps_of.keys())
         automaton = NormalWordAutomaton(rules, len(alphabet))
-        residues = [_reduce(p, automaton) for p in pending.pop(min(pending))]
+        batch = relations_of.pop(d, [])
+        batch += [_spoly(r1, r2, a, c, alphabet, field)
+                  for r1, r2, a, c, w in overlaps_of.pop(d, ())
+                  if not _holds_lead(w[1:-1], automaton.step)]
+        residues = [_reduce(p, automaton) for p in batch]
         words = sorted({w for p in residues for w in p.terms}, key=alphabet.key, reverse=True)
         column = {w: j for j, w in enumerate(words)}
         span = SpanTracker(len(words), field)
@@ -288,9 +320,8 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
             rhs = NcPoly(alphabet, field, [(words[j], -row[j]) for j in sorted(row) if j != pivot])
             new.append(RewriteRule(words[pivot], rhs))
         for r1, r2 in _pairs(new, rules):
-            for w, a, c in _overlaps(r1, r2, alphabet, cutoff):
-                pending.setdefault(alphabet.degree(w), []).append(
-                    _spoly(r1, r2, a, c, alphabet, field))
+            for e, *overlap in _overlaps(r1, r2, alphabet, cutoff):
+                overlaps_of.setdefault(e, []).append((r1, r2, *overlap))
         rules.extend(new)
 
     return RewriteSystem(rules, cutoff, alphabet, field)

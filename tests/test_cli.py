@@ -380,8 +380,9 @@ def test_deep_nesting_exits_2(args):
 
 
 # Zero and singular sigmas, degenerate radicands, 1/0, an out-of-range
-# option, an empty twist window, a missing input and a digit that int() does
-# not read (²): each exits cleanly with one message line,
+# option, an empty twist window, a missing input, a digit that int() does
+# not read (²) and a constant relation, which would make the algebra zero:
+# each exits cleanly with one message line,
 # "error: ..." from the program or click's one "Error: ..." usage line.
 @pytest.mark.parametrize("args, code, usage", [
     (["algebra", "twist", "--input", PLANE, "--sigma", "0,0,0,0"], 1, False),
@@ -397,9 +398,11 @@ def test_deep_nesting_exits_2(args):
     (["algebra", "hilbert", "--input", "algebra A over Q { gens: x; rels: x^²; }"], 2, False),
     (["heart", "euler", "--z1", "1:²", "--z2", "1:0"], 2, False),
     (["rm", "cf", "--theta", "sqrt(²)"], 2, False),
+    (["algebra", "hilbert", "-N", "3", "--input", "algebra S over Q { gens: x; rels: 1; }"],
+     2, False),
 ], ids=["twist-zero", "twist-singular", "thcr-zero", "thcr-singular", "cf-sqrt0",
         "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input", "cd-empty-window",
-        "superscript-relation", "superscript-charge", "superscript-theta"])
+        "superscript-relation", "superscript-charge", "superscript-theta", "constant-relation"])
 def test_cli_edge_exits_cleanly(args, code, usage):
     res = run(*args)
     assert res.exit_code == code

@@ -24,7 +24,7 @@ def confluence_audit(R):
     """All overlap ambiguities of degree <= cutoff must reduce to zero."""
     return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), R.cache.automaton).is_zero()
                for r1, r2 in _pairs(R.rules, [])
-               for w, a, c in _overlaps(r1, r2, R.alphabet, R.cutoff))
+               for _, a, c, _ in _overlaps(r1, r2, R.alphabet, R.cutoff))
 
 
 def gens(field):
@@ -118,6 +118,12 @@ def test_inhomogeneous_rejected():
     x, y = gens(QQ)
     with pytest.raises(ValueError):
         complete_truncated([x * y - x], 5)
+
+
+def test_constant_relation_rejected():
+    # 1 = 0 makes the algebra zero; the empty word must not become a lead
+    with pytest.raises(ValueError, match="degree 0"):
+        complete_truncated([NcPoly.one(AB, QQ)], 3)
 
 
 def test_gk_estimates():
@@ -357,8 +363,8 @@ def _complete_restarting(relations, cutoff, alphabet, field):
         pending = []
         for r1 in rules:
             for r2 in rules:
-                for w, a, c in _overlaps(r1, r2, alphabet, cutoff):
-                    pending.append((alphabet.degree(w), alphabet.key(w), r1, r2, a, c))
+                for d, a, c, w in _overlaps(r1, r2, alphabet, cutoff):
+                    pending.append((d, alphabet.key(w), r1, r2, a, c))
         pending.sort(key=lambda t: (t[0], t[1]))
         new_rule = None
         for _, _, r1, r2, a, c in pending:
@@ -424,22 +430,39 @@ def test_completion_matches_restarting_reference(name):
     assert confluence_audit(got)
 
 
+def _recording_spoly(monkeypatch):
+    """The list that records (lead1, lead2, a, c) of each S-polynomial
+    completion builds, in the order it builds them."""
+    built = []
+
+    def recording_spoly(r1, r2, a, c, alphabet, field):
+        built.append((r1.lead, r2.lead, a, c))
+        return _spoly(r1, r2, a, c, alphabet, field)
+
+    monkeypatch.setattr(rewriting, "_spoly", recording_spoly)
+    return built
+
+
+def _final_overlaps(R):
+    """(lead1, lead2, a, c) -> (rule1, rule2, overlap word), for every
+    overlap of R's rules up to its cutoff."""
+    return {(r1.lead, r2.lead, a, c): (r1, r2, w) for r1, r2 in _pairs(R.rules, [])
+            for _, a, c, w in _overlaps(r1, r2, R.alphabet, R.cutoff)}
+
+
 def test_sklyanin_reduces_each_overlap_once(monkeypatch):
-    calls = []
-
-    def counting_spoly(*args):
-        calls.append(args)
-        return _spoly(*args)
-
-    monkeypatch.setattr(rewriting, "_spoly", counting_spoly)
+    built = _recording_spoly(monkeypatch)
     xyz = Alphabet(["x", "y", "z"])
     X, Y, Z = (NcPoly.gen(xyz, QQ, i) for i in range(3))
     R = complete_truncated([Y * Z + 2 * Z * Y + 3 * X * X, Z * X + 2 * X * Z + 3 * Y * Y,
                             X * Y + 2 * Y * X + 3 * Z * Z], 9)
-    overlaps = sum(1 for r1 in R.rules for r2 in R.rules
-                   for _ in _overlaps(r1, r2, xyz, 9))
+    overlaps = _final_overlaps(R)
     assert len(R.rules) == 26
-    assert len(calls) == overlaps == 126
+    assert len(overlaps) == 126
+    assert len(built) == len(set(built)) == 89
+    assert set(built) <= overlaps.keys()
+    interior = {key for key, (_, _, w) in overlaps.items() if not _is_normal(w[1:-1], R)}
+    assert overlaps.keys() - set(built) == interior and len(interior) == 37
 
 
 def _benchmark_systems():
@@ -474,3 +497,58 @@ def test_benchmark_systems_pinned(name):
     text = "\n".join(r.render() for r in R.rules)
     assert (len(R.rules), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
     assert confluence_audit(R)
+
+
+def _criterion_cases():
+    """name -> (alphabet, relations, cutoff, field): every completion case
+    and the three pinned benchmark systems."""
+    cases = _completion_cases()
+    cases.update((f"pinned {name}", case[:4]) for name, case in _benchmark_systems().items())
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_criterion_cases()))
+def test_completion_builds_the_overlaps_with_no_interior_lead(monkeypatch, name):
+    """The chain criterion: exactly the overlaps of the final rules whose
+    word holds no lead strictly inside are built, each once, and each one
+    left out reduces to zero by the final rules."""
+    alphabet, rels, cutoff, field = _criterion_cases()[name]
+    built = _recording_spoly(monkeypatch)
+    R = complete_truncated_over(rels, cutoff, alphabet, field)
+    overlaps = _final_overlaps(R)
+    assert sorted(built) == sorted(key for key, (_, _, w) in overlaps.items()
+                                   if _is_normal(w[1:-1], R))
+    for key in overlaps.keys() - set(built):
+        r1, r2, _ = overlaps[key]
+        assert _reduce(_spoly(r1, r2, *key[2:], alphabet, field), R.cache.automaton).is_zero()
+
+
+def _random_presentation(rnd):
+    """2 or 3 letters, weighted about one time in three with x of weight 1,
+    and 1 to 3 relations of degree 2 or 3 over Q with small integer
+    coefficients on 2 or 3 distinct words."""
+    n = rnd.choice([2, 3])
+    weights = [1] + [rnd.choice([1, 2]) for _ in range(n - 1)] if rnd.random() < 0.3 else None
+    alphabet = Alphabet(["x", "y", "z"][:n], weights)
+    rels = []
+    for _ in range(rnd.randint(1, 3)):
+        words = _all_words(alphabet, rnd.randint(2, 3))
+        picked = rnd.sample(words, min(len(words), rnd.randint(2, 3)))
+        rels.append(NcPoly(alphabet, QQ, [(w, Fraction(rnd.choice([-3, -2, -1, 1, 2, 3])))
+                                          for w in picked]))
+    return alphabet, rels, rnd.randint(6, 7)
+
+
+def test_completion_matches_restarting_reference_on_random_presentations(monkeypatch):
+    rnd = random.Random("chain criterion")
+    built = _recording_spoly(monkeypatch)
+    skipped = 0
+    for _ in range(25):
+        alphabet, rels, cutoff = _random_presentation(rnd)
+        built.clear()
+        got = complete_truncated_over(rels, cutoff, alphabet, QQ)
+        want = _complete_restarting(rels, cutoff, alphabet, QQ)
+        assert [(r.lead, r.rhs.terms) for r in got.rules] == \
+            [(r.lead, r.rhs.terms) for r in want.rules], [r.render() for r in rels]
+        skipped += len(_final_overlaps(got)) - len(built)
+    assert skipped > 0

@@ -6,18 +6,21 @@ The presentation grammar is
 
 whitespace-insensitive, weights defaulting to 1, expressions over
 ``+ - * / ^ ( )`` with integer and fraction literals (and the parameter q
-over Q(q)).  Parse errors carry a (line, column) span.  The same expression
-grammar reads scalars (over the empty alphabet) and section polynomials
-(over the one-letter alphabet of their variable); the same tokenizer backs
-the theta, charge, multiset and matrix literals used on the command line.
+over Q(q)).  Parse errors carry a (line, column) span.  One expression
+grammar reads every literal, each straight into its own value through a
+target: relations into ``NcPoly``, scalars into the field's elements,
+section polynomials in u into ``UPoly``, and thetas, which read sqrt(D) and
+take no ``^``, into ``Fraction`` or ``QuadExt``.  The same tokenizer backs
+the charge, multiset and matrix literals used on the command line.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
-from .fields import UPoly, QuadExt, field_by_name, RatFunc
+from .fields import QQ, QQ_Q, UPoly, QuadExt, RatFunc
 from .heart import Charge, SheafClass
 from .words import Alphabet, NcPoly
 from .presentations import AlgebraPresentation
@@ -125,20 +128,129 @@ class TokenStream:
         raise ParseError(message, t.line, t.col)
 
 
-def _parse_all(text, rule, what):
-    """rule(ts) over the tokens of text, which must end where rule stops.
+def _parse_all(text, rule, what, *args):
+    """rule(ts, *args) over the tokens of text, which must end where rule stops.
 
     Nesting deeper than the interpreter's recursion limit is a parse error
     at the token where the descent stopped, not a traceback.
     """
     ts = TokenStream(tokenize(text))
     try:
-        value = rule(ts)
+        value = rule(ts, *args)
     except RecursionError:
         t = ts.peek()
         raise ParseError("expression nested too deeply", t.line, t.col) from None
     ts.expect("EOF", what)
     return value
+
+
+# ---------------------------------------------------------------------------
+# the expression grammar and its targets
+# ---------------------------------------------------------------------------
+
+# What the expression grammar reads into: leaf(ts) reads a number or a name
+# at the next token and reports anything else, divide(ts, a, b) is a / b or
+# a ParseError at the token after b, and a power a^e starts from one; a
+# target whose one is None takes no ``^``.
+_Target = namedtuple("_Target", "leaf divide one")
+_Q = RatFunc.q()
+
+
+def _parse_expr(ts, target):
+    acc = _parse_term(ts, target)
+    while ts.peek().kind in ("+", "-"):
+        op = ts.next().kind
+        rhs = _parse_term(ts, target)
+        acc = acc + rhs if op == "+" else acc - rhs
+    return acc
+
+
+def _parse_term(ts, target):
+    acc = _parse_factor(ts, target)
+    while ts.peek().kind in ("*", "/"):
+        op = ts.next().kind
+        rhs = _parse_factor(ts, target)
+        acc = acc * rhs if op == "*" else target.divide(ts, acc, rhs)
+    return acc
+
+
+def _parse_factor(ts, target):
+    # the atom is read here, not in a rule of its own, so that each level of
+    # parentheses costs three frames
+    t = ts.peek()
+    if t.kind == "-":
+        ts.next()
+        base = -_parse_factor(ts, target)
+    elif t.kind == "(":
+        ts.next()
+        base = _parse_expr(ts, target)
+        ts.expect(")")
+    else:
+        base = target.leaf(ts)
+    if target.one is None or ts.peek().kind != "^":
+        return base
+    ts.next()
+    e = int(ts.expect("INT", "an exponent").text)
+    acc = target.one
+    for bit in f"{e:b}":            # square and multiply from the top bit:
+        acc = acc * acc             # every product but the squares is by the
+        if bit == "1":              # base itself, the smallest factor
+            acc = acc * base
+    return acc
+
+
+def _field_target(field, const, names, scalar_of):
+    """The target of relations, scalars or sections over field.
+
+    const(c) is the value of a scalar c, names maps each variable to its
+    value (q over Q(q) unless a variable is called q), and scalar_of(v) is
+    the scalar of a nonzero constant v, else None: only those divide.
+    """
+    if field == QQ_Q:
+        names = {"q": const(_Q), **names}
+
+    def leaf(ts):
+        t = ts.next()
+        if t.kind == "INT":
+            return const(field.coerce(int(t.text)))
+        if t.kind != "NAME":
+            raise ParseError(f"expected a term, found {t.text!r}" if t.kind != "EOF"
+                             else "unexpected end of input", t.line, t.col)
+        if t.text not in names:
+            raise ParseError(f"unknown symbol {t.text!r}", t.line, t.col)
+        return names[t.text]
+
+    def divide(ts, a, b):
+        c = scalar_of(b)
+        if c is None:
+            ts.error("division is only defined by nonzero scalars")
+        return a * const(field.one / c)
+
+    return _Target(leaf, divide, const(field.one))
+
+
+def _theta_leaf(ts):
+    t = ts.next()
+    if t.kind == "INT":
+        return Fraction(int(t.text))
+    if t.kind != "NAME" or t.text != "sqrt":
+        raise ParseError("expected a number, sqrt(D), or a parenthesized expression",
+                         t.line, t.col)
+    ts.expect("(")
+    d = int(ts.expect("INT", "a radicand").text)
+    ts.expect(")")
+    if d <= 0:
+        raise ParseError("radicand must be positive", t.line, t.col)
+    return QuadExt.sqrt(d)
+
+
+def _theta_divide(ts, a, b):
+    if not b:
+        ts.error("division by zero in theta literal")
+    return a / b
+
+
+_THETA = _Target(_theta_leaf, _theta_divide, None)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +276,17 @@ def _presentation(ts):
     ts.expect(":")
     symbols, weights = [], []
     while True:
-        symbols.append(ts.expect("NAME", "a generator symbol").text)
+        t = ts.expect("NAME", "a generator symbol")
+        if t.text in symbols:
+            raise ParseError("generator symbols must be distinct", t.line, t.col)
+        symbols.append(t.text)
         if ts.peek().kind == ":":
             ts.next()
-            weights.append(int(ts.expect("INT", "a weight").text))
+            t = ts.expect("INT", "a weight")
+            if int(t.text) < 1:
+                raise ParseError("weights must be positive (connected convention)",
+                                 t.line, t.col)
+            weights.append(int(t.text))
         else:
             weights.append(1)
         if ts.peek().kind == ",":
@@ -180,9 +299,12 @@ def _presentation(ts):
     alphabet = Alphabet(symbols, weights)
     ts.expect_name("rels")
     ts.expect(":")
+    target = _field_target(field, lambda c: NcPoly(alphabet, field, [((), c)]),
+                           {s: NcPoly.gen(alphabet, field, i) for s, i in alphabet.index.items()},
+                           lambda p: p.terms[()] if list(p.terms) == [()] else None)
     relations = []
     while ts.peek().kind not in ("}", "EOF"):
-        rel = _parse_expr(ts, alphabet, field)
+        rel = _parse_expr(ts, target)
         ts.expect(";", "';' after a relation")
         relations.append(rel)
     ts.expect("}")
@@ -193,108 +315,31 @@ def _parse_field(ts):
     t = ts.expect("NAME", "a field name")
     if t.text != "Q":
         raise ParseError(f"unknown field {t.text!r}", t.line, t.col)
-    if ts.peek().kind == "(":
-        ts.next()
-        p = ts.expect("NAME", "the parameter q")
-        if p.text != "q":
-            raise ParseError(f"unknown field parameter {p.text!r}", p.line, p.col)
-        ts.expect(")")
-        return field_by_name("Q(q)")
-    return field_by_name("Q")
-
-
-def _parse_expr(ts, alphabet, field):
-    acc = _parse_term(ts, alphabet, field)
-    while ts.peek().kind in ("+", "-"):
-        op = ts.next().kind
-        rhs = _parse_term(ts, alphabet, field)
-        acc = acc + rhs if op == "+" else acc - rhs
-    return acc
-
-
-def _parse_term(ts, alphabet, field):
-    acc = _parse_factor(ts, alphabet, field)
-    while ts.peek().kind in ("*", "/"):
-        op = ts.next().kind
-        rhs = _parse_factor(ts, alphabet, field)
-        if op == "*":
-            acc = acc * rhs
-        else:
-            acc = acc * _invert_constant(ts, rhs)
-    return acc
-
-
-def _invert_constant(ts, p):
-    if list(p.terms) != [()]:
-        ts.error("division is only defined by nonzero scalars")
-    return NcPoly(p.alphabet, p.field, [((), p.field.one / p.terms[()])])
-
-
-def _parse_factor(ts, alphabet, field):
-    base = _parse_atom(ts, alphabet, field)
-    if ts.peek().kind == "^":
-        ts.next()
-        e = int(ts.expect("INT", "an exponent").text)
-        acc = NcPoly.one(alphabet, field)
-        while e:                        # square and multiply
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
-    return base
-
-
-def _parse_atom(ts, alphabet, field):
-    t = ts.peek()
-    if t.kind == "-":
-        ts.next()
-        return -_parse_factor(ts, alphabet, field)
-    if t.kind == "INT":
-        ts.next()
-        return NcPoly(alphabet, field, [((), field.coerce(int(t.text)))])
-    if t.kind == "NAME":
-        ts.next()
-        if t.text in alphabet.index:
-            return NcPoly.gen(alphabet, field, alphabet.index[t.text])
-        if t.text == "q" and field.name == "Q(q)":
-            return NcPoly(alphabet, field, [((), RatFunc.q())])
-        raise ParseError(f"unknown symbol {t.text!r}", t.line, t.col)
-    if t.kind == "(":
-        ts.next()
-        inner = _parse_expr(ts, alphabet, field)
-        ts.expect(")")
-        return inner
-    ts.error(f"expected a term, found {t.text!r}" if t.kind != "EOF"
-             else "unexpected end of input")
+    if ts.peek().kind != "(":
+        return QQ
+    ts.next()
+    p = ts.expect("NAME", "the parameter q")
+    if p.text != "q":
+        raise ParseError(f"unknown field parameter {p.text!r}", p.line, p.col)
+    ts.expect(")")
+    return QQ_Q
 
 
 # ---------------------------------------------------------------------------
-# scalar, theta, section-polynomial literals
+# scalar, section-polynomial and theta literals
 # ---------------------------------------------------------------------------
 
 def parse_scalar(text, field):
     """A single coefficient (rational, or rational function of q over Q(q))."""
-    p = _parse_all(text, lambda ts: _parse_expr(ts, Alphabet([]), field),
-                   "end of the scalar")
-    return p.terms.get((), field.zero)
+    target = _field_target(field, lambda c: c, {}, lambda c: c or None)
+    return _parse_all(text, _parse_expr, "end of the scalar", target)
 
 
 def parse_upoly(text, field):
-    """Polynomial in the one commuting variable u, used for section literals.
-
-    One grammar reads algebras, scalars and sections: this is the
-    presentation's expression grammar over the one-letter alphabet {u}.
-    Its words u^k commute, so the coefficient of u^k is the coefficient of
-    the word of length k.
-    """
-    p = _parse_all(text, lambda ts: _parse_expr(ts, Alphabet(["u"]), field),
-                   "end of the polynomial")
-    coeffs = [field.zero] * (max(map(len, p.terms), default=-1) + 1)
-    for w, c in p.terms.items():
-        coeffs[len(w)] = c
-    return UPoly(coeffs)
+    """Polynomial in the one commuting variable u, used for section literals."""
+    target = _field_target(field, lambda c: UPoly((c,)), {"u": UPoly((field.zero, field.one))},
+                           lambda f: f.coeffs[0] if len(f.coeffs) == 1 else None)
+    return _parse_all(text, _parse_expr, "end of the polynomial", target)
 
 
 def parse_theta(text):
@@ -304,54 +349,7 @@ def parse_theta(text):
     Fraction for rational input and a QuadExt otherwise; a Fraction meets a
     QuadExt through the QuadExt's reflected operators, which coerce it.
     """
-    return _parse_all(text, _theta_expr, "end of the theta literal")
-
-
-def _theta_expr(ts):
-    acc = _theta_term(ts)
-    while ts.peek().kind in ("+", "-"):
-        op = ts.next().kind
-        rhs = _theta_term(ts)
-        acc = acc + rhs if op == "+" else acc - rhs
-    return acc
-
-
-def _theta_term(ts):
-    acc = _theta_factor(ts)
-    while ts.peek().kind in ("*", "/"):
-        op = ts.next().kind
-        rhs = _theta_factor(ts)
-        if op == "*":
-            acc = acc * rhs
-        elif not rhs:
-            ts.error("division by zero in theta literal")
-        else:
-            acc = acc / rhs
-    return acc
-
-
-def _theta_factor(ts):
-    t = ts.peek()
-    if t.kind == "-":
-        ts.next()
-        return -_theta_factor(ts)
-    if t.kind == "INT":
-        ts.next()
-        return Fraction(int(t.text))
-    if t.kind == "NAME" and t.text == "sqrt":
-        ts.next()
-        ts.expect("(")
-        d = int(ts.expect("INT", "a radicand").text)
-        ts.expect(")")
-        if d <= 0:
-            raise ParseError("radicand must be positive", t.line, t.col)
-        return QuadExt.sqrt(d)
-    if t.kind == "(":
-        ts.next()
-        inner = _theta_expr(ts)
-        ts.expect(")")
-        return inner
-    ts.error("expected a number, sqrt(D), or a parenthesized expression")
+    return _parse_all(text, _parse_expr, "end of the theta literal", _THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +412,8 @@ def _multiset(ts):
 
 def parse_int_matrix(text):
     """Comma-separated row-major integer entries; must form a square matrix."""
-    return _square([_parse_all(p.strip(), lambda ts: _signed_int(ts, "an integer entry"),
-                               "end of the entry") for p in text.split(",")])
+    return _square([_parse_all(p.strip(), _signed_int, "end of the entry", "an integer entry")
+                    for p in text.split(",")])
 
 
 def parse_scalar_matrix(text, field):

@@ -681,26 +681,17 @@ QQ_Q = FieldTag("Q(q)", RatFunc(0), RatFunc(1),
                 lambda x: x if isinstance(x, RatFunc) else RatFunc(x))
 
 
-def field_by_name(name):
-    name = name.strip()
-    if name == "Q":
-        return QQ
-    if name.replace(" ", "") == "Q(q)":
-        return QQ_Q
-    raise ValueError(f"unknown field {name!r}")
-
-
 def render_terms(terms):
     """Text of a sum of (coefficient, monomial text or None) terms, in order.
 
-    A composite coefficient is parenthesized; a coefficient 1 in front of a
-    monomial is omitted.
+    A composite Q(q) coefficient is parenthesized; a coefficient 1 in front
+    of a monomial is omitted.
     """
     parts = []
     for c, mono in terms:
         cs = str(c)
         neg = False
-        if scalar_is_composite(c):
+        if isinstance(c, RatFunc) and c.is_composite():
             cs = f"({cs})"
         elif cs.startswith("-"):
             neg, cs = True, cs[1:]
@@ -710,14 +701,3 @@ def render_terms(terms):
         else:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
-
-
-def scalar_is_composite(x):
-    """Whether a coefficient needs parentheses in front of a monomial."""
-    if isinstance(x, Fraction):
-        return False
-    if isinstance(x, RatFunc):
-        return x.is_composite()
-    if isinstance(x, QuadExt):
-        return x.s != 0
-    return False

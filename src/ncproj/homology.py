@@ -347,8 +347,6 @@ def _next_syzygy(R, shifts, below, level, N):
     done, so it still finds the images of the degrees skipped.
     """
     dom_shifts = [D for D, _ in below.gens]
-    if not dom_shifts:
-        return
     low = dom_shifts[0]
     start = low if level.done is None else level.done + 1
     dims = hilbert_function(R, max(N - low, 0))
@@ -553,11 +551,10 @@ def _ext_dims_from_resolution(rep, M, d, i, ranks=None):
 def _ext_k_A(rep, A, i, N, ranks):
     """Nonzero graded dims of Ext^i(k, A) over the exactly computable degree
     window, read off the resolution rep of k, with A the algebra as a module
-    and ranks the memo of _ext_dims_from_resolution."""
+    and ranks the memo of _ext_dims_from_resolution.  It is read for i up to
+    the length of a terminated rep, so betti[i] is not empty."""
     involved = [s for b in rep.betti[max(i - 1, 0):i + 2] for s in b]
-    if not involved:
-        return {}
-    lo = -max(rep.betti[i]) if i < len(rep.betti) else 0
+    lo = -max(rep.betti[i])
     return {e: dim for e in range(lo, N - max(involved) + 1)
             if (dim := _ext_dims_from_resolution(rep, A, e, i, ranks))}
 

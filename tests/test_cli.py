@@ -381,8 +381,9 @@ def test_deep_nesting_exits_2(args):
 
 # Zero and singular sigmas, degenerate radicands, 1/0, an out-of-range
 # option, an empty twist window, a missing input, a digit that int() does
-# not read (²) and a constant relation, which would make the algebra zero:
-# each exits cleanly with one message line,
+# not read (²), a constant relation, which would make the algebra zero, and
+# a zero weight or a repeated generator: each exits cleanly with one message
+# line,
 # "error: ..." from the program or click's one "Error: ..." usage line.
 @pytest.mark.parametrize("args, code, usage", [
     (["algebra", "twist", "--input", PLANE, "--sigma", "0,0,0,0"], 1, False),
@@ -400,9 +401,14 @@ def test_deep_nesting_exits_2(args):
     (["rm", "cf", "--theta", "sqrt(²)"], 2, False),
     (["algebra", "hilbert", "-N", "3", "--input", "algebra S over Q { gens: x; rels: 1; }"],
      2, False),
+    (["algebra", "hilbert", "-N", "3", "--input", "algebra A over Q { gens: x:0; rels: x*x; }"],
+     2, False),
+    (["algebra", "hilbert", "-N", "3", "--input", "algebra A over Q { gens: x, x; rels: x*x; }"],
+     2, False),
 ], ids=["twist-zero", "twist-singular", "thcr-zero", "thcr-singular", "cf-sqrt0",
         "cf-sqrt4", "fix-1/0", "cohomology-nmax2", "cohomology-no-input", "cd-empty-window",
-        "superscript-relation", "superscript-charge", "superscript-theta", "constant-relation"])
+        "superscript-relation", "superscript-charge", "superscript-theta", "constant-relation",
+        "zero-weight", "repeated-generator"])
 def test_cli_edge_exits_cleanly(args, code, usage):
     res = run(*args)
     assert res.exit_code == code

@@ -62,6 +62,18 @@ def test_unknown_symbol_span():
     assert "w" in str(e.value) and e.value.col == 37
 
 
+@pytest.mark.parametrize("gens, message, line, col", [
+    ("x:0", "weights must be positive", 1, 28),
+    ("x, y:2,\n  z:0", "weights must be positive", 2, 5),
+    ("x, x", "generator symbols must be distinct", 1, 29),
+    ("x:2,\n y:1, x:1", "generator symbols must be distinct", 2, 7),
+], ids=["zero-weight", "zero-weight-line-2", "repeated", "repeated-line-2"])
+def test_bad_generator_list_span(gens, message, line, col):
+    with pytest.raises(ParseError, match=message) as e:
+        parse_presentation("algebra A over Q { gens: %s; rels: x*x; }" % gens)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_q_only_over_ratfunc_field():
     with pytest.raises(ParseError):
         parse_presentation("algebra A over Q { gens: x, y; rels: y*x - q*x*y; }")
@@ -178,6 +190,15 @@ def test_deep_nesting_is_a_parse_error(parse):
         parse("(" * 3000 + "1" + ")" * 3000)
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("-" * 5000 + "1")
+
+
+def test_nesting_within_the_recursion_limit_parses():
+    # each level of parentheses costs the grammar three frames (expression,
+    # term, factor); a fourth would stop these short of the default limit
+    assert parse_theta("(" * 280 + "sqrt(5)" + ")" * 280) == QuadExt.sqrt(5)
+    p = parse_presentation("algebra A over Q { gens: x; rels: %s*x; }"
+                           % ("(" * 240 + "x" + ")" * 240))
+    assert p.relations[0].render() == "x^2"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncproj.dsl import parse_theta, parse_upoly
-from ncproj.fields import (QQ, QQ_Q, FieldMismatchError, QuadExt, RatFunc,
-                           UPoly, field_by_name, squarefree_part)
+from ncproj.fields import (QQ_Q, FieldMismatchError, QuadExt, RatFunc,
+                           UPoly, squarefree_part)
 
 rng = random.Random(20240817)
 
@@ -412,13 +412,6 @@ def test_quadext_sign_and_inverse():
 def test_quadext_rational_detection():
     assert QuadExt(3, 0, 2, 5).is_rational()
     assert not QuadExt(0, 1, 1, 2).is_rational()
-
-
-def test_field_tags():
-    assert field_by_name("Q") is QQ
-    assert field_by_name("Q(q)") is QQ_Q
-    with pytest.raises(ValueError):
-        field_by_name("GF(7)")
 
 
 def test_mixed_radicand_rejected():

@@ -366,14 +366,21 @@ def test_hom_ranks_equal_the_column_by_column_route(name):
     modules with relations (so quotient coordinates are not the cover's),
     for the differentials of A/A_{>=3}, whose P^1 -> P^0 entries are the
     words of degree 3 (of length 2 or 3 when y has weight 2), and for the
-    rows of the modules themselves."""
+    rows of the modules themselves.  The row x*y + y*y (x*y + z*y when y
+    has weight 2) has two normal words with one last letter, so the second
+    word's image starts from the suffix image the first one made."""
     R = build(parse_presentation(ORACLE[name]), 8)
-    x = NcPoly.gen(R.alphabet, R.field, 0)
+    gen = {s: NcPoly.gen(R.alphabet, R.field, i) for s, i in R.alphabet.index.items()}
+    x, y = gen["x"], gen["y"]
+    first = gen["z"] if name == "weighted C3" else y
+    shared = GradedModulePresentation(R, [0], [[(x + first) * y]])
+    words = shared.rows[0][1][0].terms
+    assert len(words) == 2 and {w[-1] for w in words} == {R.alphabet.index["y"]}
     tail = _quotient_resolution(R, 2, 2, R.cutoff)
     modules = [GradedModulePresentation.algebra(R), GradedModulePresentation.trivial(R),
                GradedModulePresentation(R, [0], [[x]]),
                GradedModulePresentation.quotient_truncation(R, 3),
-               GradedModulePresentation(R, tail.betti[1], tail.differentials[1])]
+               GradedModulePresentation(R, tail.betti[1], tail.differentials[1]), shared]
     rep = _quotient_resolution(R, 3, 3, 6)
     assert min(len(w) for row in rep.differentials[0] for w in row[0].terms) >= 2
     maps = [(rep.betti[i], list(zip(rep.betti[i + 1], rep.differentials[i])))

@@ -179,9 +179,11 @@ def _parse_factor(ts, target):
     # parentheses costs three frames
     t = ts.peek()
     if t.kind == "-":
+        # the negated factor has read its own power: -u^2 is -(u^2), and a
+        # second ^ is left to the caller, as after u^2
         ts.next()
-        base = -_parse_factor(ts, target)
-    elif t.kind == "(":
+        return -_parse_factor(ts, target)
+    if t.kind == "(":
         ts.next()
         base = _parse_expr(ts, target)
         ts.expect(")")

@@ -10,10 +10,14 @@ Every scalar used anywhere in the package is one of
 
 All three support ``+ - * /``, equality and ``bool`` (nonzero test), so the
 generic linear algebra in :mod:`ncproj.linalg` works over any of them.
-No floating point enters any computation.  Python ints stand for elements
-of Q only inside ``rewriting._reduce``, which works fraction-free on integer
-numerators over one denominator; they never leave it, and every Q scalar
-it returns is a ``Fraction``.
+No floating point enters any computation.  Bare integers stand for
+scalars only inside ``rewriting._reduce``, which works fraction-free on
+numerators over one common denominator: Python ints over an int for Q, and
+integer Laurent polynomials (valuation, list of ints) over a denominator in
+Z[q] for Q(q).  They never leave it: every Q scalar it returns is a
+``Fraction`` and every Q(q) scalar a ``RatFunc``.  The integer coefficient
+lists of Z[q] (low degree first) also carry ``UPoly`` products over Q and
+the remainder sequence behind ``UPoly.gcd``.
 """
 
 from __future__ import annotations
@@ -100,6 +104,13 @@ class UPoly:
         if len(b_nz) == 1:
             j, b = b_nz[0]
             return UPoly(other.coeffs[:j] + tuple(a * b if a else a for a in self.coeffs))
+        if all(c.__class__ is Fraction for c in self.coeffs + other.coeffs):
+            # over Q, fraction-free: integer numerators over the product of
+            # the two common denominators, one Fraction per coefficient
+            m, a = _over_lcm(self.coeffs)
+            n, b = _over_lcm(other.coeffs)
+            m *= n
+            return UPoly(tuple(Fraction(c, m) for c in _zmul(a, b)))
         zero = self.coeffs[-1] * 0
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in a_nz:
@@ -139,9 +150,7 @@ class UPoly:
         integers grow no further than the gcd needs, where Euclid over Q
         swells.  The last nonzero remainder is made monic over Q.
         """
-        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
-        while b:
-            a, b = b, _primitive(_pseudo_remainder(a, b))
+        a = _zgcd(_primitive(self.coeffs), _primitive(other.coeffs))
         if not a:
             return UPoly()
         lead = a[-1]
@@ -158,16 +167,32 @@ class UPoly:
 
 
 # ---------------------------------------------------------------------------
-# Z[q]: the integer remainder sequence behind UPoly.gcd
+# Z[q]: integer coefficient lists, low degree first
 # ---------------------------------------------------------------------------
+
+def _over_lcm(cs):
+    """(m, ns): the least common denominator m of the rationals (or
+    integers) cs, and their numerators ns over it."""
+    m = math.lcm(*(c.denominator for c in cs))
+    return m, [c.numerator * (m // c.denominator) for c in cs]
+
+
+def _zmul(a, b):
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
 
 def _primitive(cs):
     """The primitive integer coefficient list proportional to the rational
     (or integer) coefficients cs, low degree first."""
     if not cs:
         return []
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
+    ints = _over_lcm(cs)[1]
     g = math.gcd(*ints)
     return ints if g == 1 else [c // g for c in ints]
 
@@ -191,6 +216,26 @@ def _pseudo_remainder(a, b):
         while r and not r[-1]:
             r.pop()
     return r
+
+
+def _zquo(a, b):
+    """The quotient a / b of integer coefficient lists, b dividing a in Z[q]."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    out = [0] * (len(a) - db)
+    for k in reversed(range(len(out))):
+        c = out[k] = r[k + db] // lb
+        if c:
+            for i, y in enumerate(b, k):
+                r[i] -= c * y
+    return out
+
+
+def _zgcd(a, b):
+    """The gcd of two primitive integer coefficient lists, primitive and up
+    to sign, by the remainder sequence of UPoly.gcd; [] when both are zero."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +493,56 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def _laurent_numerators(cs):
+    """(S, ns) with cs[i] = q^v N(q) / S(q) for (v, N) = ns[i], for nonzero
+    RatFuncs cs: S and every N are integer coefficient lists with nonzero
+    constant terms, S the least common integer denominator times the
+    product of the distinct primitive polynomial denominators."""
+    # letter tables read normal forms of one word at a time, so the common
+    # case of monomials c q^e costs one pass and one int each
+    m = 1
+    for c in cs:
+        if c.d is not None or c.n.__class__ is UPoly:
+            break
+        m = math.lcm(m, c.n.denominator)
+    else:
+        return [m], [(c.e, [c.n.numerator * (m // c.n.denominator)]) for c in cs]
+    cs = [(c.e, c.n.coeffs if c.n.__class__ is UPoly else (c.n,), c.d) for c in cs]
+    m = math.lcm(*(x.denominator for _, n, _ in cs for x in n))
+    ns = [(e, [x.numerator * (m // x.denominator) for x in n]) for e, n, _ in cs]
+    primitive = {d: tuple(_primitive(d.coeffs)) for _, _, d in cs if d is not None}
+    if not primitive:
+        return [m], ns
+    # n / d = n lead(D) / D for the primitive D of the monic d; over the
+    # product of the distinct D, its numerator takes the other D's
+    dens = dict.fromkeys(primitive.values())
+    cofactor = {D: functools.reduce(_zmul, (E for E in dens if E != D), [1])
+                for D in [None, *dens]}
+    for i, (_, _, d) in enumerate(cs):
+        D = primitive.get(d)
+        e, N = ns[i]
+        if D is not None:
+            N = [x * D[-1] for x in N]
+        if D is None or len(dens) > 1:
+            N = _zmul(N, cofactor[D])
+        ns[i] = e, N
+    return [m * x for x in cofactor[None]], ns
+
+
+def _ratfunc_over(v, N, S):
+    """The RatFunc q^v N(q) / S(q), for nonzero integer coefficient lists N
+    and S with nonzero constant terms: exact Fractions and the trusted
+    constructor when S is a constant, else the normalizing one."""
+    if len(S) == 1:
+        s = S[0]
+        if len(N) == 1:
+            return RatFunc._raw(v, Fraction(N[0], s), None)
+        return RatFunc._raw(v, UPoly(tuple(Fraction(x, s) for x in N)), None)
+    out = RatFunc(UPoly(N), UPoly(S))
+    out.e += v          # N / S has valuation 0
+    return out
 
 
 # ---------------------------------------------------------------------------

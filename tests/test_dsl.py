@@ -172,12 +172,16 @@ def test_parse_matrices():
 
 
 def test_new_section_forms():
-    # the presentation grammar also reads powers of numbers and of negated
-    # powers, which the former section grammar rejected
+    # the presentation grammar also reads powers of numbers, which the
+    # former section grammar rejected; a power takes one exponent, negated
+    # or not, and a negation binds looser than its power
     assert parse_upoly("2^3", QQ) == UPoly((Fraction(8),))
-    assert parse_upoly("-u^2^3", QQ).render("u") == "-u^6"
-    with pytest.raises(ParseError):
-        parse_upoly("u^2^3", QQ)
+    assert parse_upoly("-u^2", QQ).render("u") == "-u^2"
+    assert parse_upoly("-2^2", QQ) == UPoly((Fraction(-4),))
+    for text, col in [("u^2^3", 4), ("-u^2^3", 5)]:
+        with pytest.raises(ParseError, match="expected end of the polynomial, found '\\^'") as err:
+            parse_upoly(text, QQ)
+        assert (err.value.line, err.value.col) == (1, col)
 
 
 @pytest.mark.parametrize("parse", [

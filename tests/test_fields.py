@@ -309,12 +309,24 @@ def schoolbook(a, b):
     return UPoly(out)
 
 
+def rand_wide_upoly(max_degree=8):
+    """Zeros inside, negatives, and denominators up to 10^40."""
+    cs = [Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** rng.randint(0, 40)))
+          if rng.random() < 0.7 else Fraction(0) for _ in range(rng.randint(1, max_degree + 1))]
+    return UPoly(cs)
+
+
 def test_upoly_mul_matches_schoolbook():
-    makers = [rand_monomial, rand_upoly, lambda: UPoly()]
+    """The product over Q, fraction-free on integer numerators, against
+    the pairwise Fraction product."""
+    makers = [rand_monomial, rand_upoly, rand_wide_upoly, lambda: UPoly(),
+              lambda: UPoly.const(rand_nonzero_fraction())]
     for _ in range(3000):
         a, b = rng.choice(makers)(), rng.choice(makers)()
-        assert a * b == schoolbook(a, b), (a, b)
-        assert b * a == schoolbook(a, b), (a, b)
+        want = schoolbook(a, b)
+        for got in (a * b, b * a):
+            assert got == want, (a, b)
+            assert all(type(c) is Fraction for c in got.coeffs), (a, b)
 
 
 def test_ratfunc_q_renders():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncproj.dsl import parse_scalar
 from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
 from ncproj import rewriting
 from ncproj.rewriting import (INFINITE, CutoffExceededError, NormalWordAutomaton,
@@ -281,6 +282,123 @@ def test_reduce_matches_restarting_reference(name):
             assert _reduce(p, automaton) == _reduce_restarting(p, rules, alphabet)
 
 
+def _qq_relations():
+    """name -> (alphabet, relations over Q(q)) for the differential test of
+    _reduce over Q(q): monomial, polynomial-numerator and polynomial-
+    denominator rules."""
+    x, y = gens(QQ_Q)
+    q = RatFunc.q()
+    xyz = Alphabet(["x", "y", "z"])
+    X, Y, Z = (NcPoly.gen(xyz, QQ_Q, i) for i in range(3))
+
+    def s(text):
+        return parse_scalar(text, QQ_Q)
+
+    return {
+        "QP": (AB, [y * x - (x * y).scale(q)]),
+        "cyclic": (xyz, [Y * Z - (Z * Y).scale(q) + X * X,
+                         Z * X - (X * Z).scale(q) + Y * Y,
+                         X * Y - (Y * X).scale(q) + Z * Z]),
+        "polynomial numerators": (AB, [2 * y * x - (x * y).scale(s("1 + q^2"))
+                                       - (x * x).scale(s("q - 3")),
+                                       3 * y * y * y - (x * y * y).scale(s("q^2 - q"))]),
+        "polynomial denominators": (AB, [(y * x).scale(s("1 + q")) - x * y,
+                                         y * y - (x * y).scale(s("(q^2 - 2)/(q + 3)"))]),
+    }
+
+
+def _q_power(k):
+    out, q = QQ_Q.one, RatFunc.q()
+    for _ in range(abs(k)):
+        out = out * q if k > 0 else out / q
+    return out
+
+
+def _random_qq(rnd):
+    """c q^k with k in [-3, 3], a dense polynomial times q^k, or a quotient
+    of two dense polynomials times q^k."""
+    def dense():
+        return UPoly([Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                      for _ in range(rnd.randint(1, 3))]
+                     + [Fraction(rnd.choice([-3, -1, 1, 2]), rnd.randint(1, 3))])
+
+    kind = rnd.randrange(3)
+    c = (RatFunc(Fraction(rnd.choice([-3, -2, -1, 1, 2, 5]), rnd.randint(1, 4))) if kind == 0
+         else RatFunc(dense()) if kind == 1 else RatFunc(dense(), dense()))
+    return c * _q_power(rnd.randint(-3, 3))
+
+
+def _random_qq_poly(alphabet, rules, rnd, max_degree):
+    """Random words with _random_qq coefficients, or c.u.(lead - rhs).v for
+    a rule, which a confluent system reduces to zero."""
+    if rnd.random() < 0.7:
+        p = _random_poly(alphabet, QQ_Q, rnd, max_degree)
+        return NcPoly(alphabet, QQ_Q, [(w, _random_qq(rnd)) for w in p.terms])
+    r = rnd.choice(rules)
+    side = [(), (rnd.randrange(len(alphabet)),)]
+    u, v = rnd.choice(side), rnd.choice(side)
+    return (NcPoly.word(alphabet, QQ_Q, u, _random_qq(rnd))
+            * (NcPoly.word(alphabet, QQ_Q, r.lead) - r.rhs) * NcPoly.word(alphabet, QQ_Q, v))
+
+
+def _internal_form(p):
+    """Each coefficient's (e, n, d), after checking its types: n a Fraction
+    or a UPoly of Fractions, d None or a monic UPoly of Fractions."""
+    for c in p.terms.values():
+        assert type(c) is RatFunc
+        n, d = c.n, c.d
+        assert type(n) is Fraction or (type(n) is UPoly and len(n.coeffs) > 1
+                                       and all(type(a) is Fraction for a in n.coeffs))
+        assert d is None or (type(d) is UPoly and len(d.coeffs) > 1 and d.coeffs[-1] == 1
+                             and all(type(a) is Fraction for a in d.coeffs))
+    return {w: (c.e, c.n, c.d) for w, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("name", list(_qq_relations()))
+def test_reduce_over_qq_matches_restarting_reference(name):
+    """Over Q(q) _reduce walks integer Laurent polynomials over one
+    denominator; the restarting reference adds and multiplies RatFuncs."""
+    alphabet, rels = _qq_relations()[name]
+    rnd = random.Random(f"reduce over Q(q) {name}")
+    zeros = 0
+    for kind, rules in _rule_lists(alphabet, rels):
+        automaton = NormalWordAutomaton(rules, len(alphabet))
+        for _ in range(30):
+            p = _random_qq_poly(alphabet, rules, rnd, 6)
+            got = _reduce(p, automaton)
+            assert _internal_form(got) == _internal_form(
+                _reduce_restarting(p, rules, alphabet)), (kind, p)
+            zeros += kind == "completed" and not got
+    assert zeros > 0
+
+
+def test_normal_form_over_qq_makes_one_ratfunc_per_settled_word(monkeypatch):
+    made = []
+    raw, init = RatFunc._raw, RatFunc.__init__
+
+    def counting_raw(*args):
+        made.append(1)
+        return raw(*args)
+
+    def counting_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    rnd = random.Random("one RatFunc per word")
+    for name in ("cyclic", "polynomial denominators"):
+        alphabet, rels = _qq_relations()[name]
+        R = complete_truncated(rels, 6)
+        for _ in range(10):
+            p = _random_qq_poly(alphabet, R.rules, rnd, 6)
+            with monkeypatch.context() as m:
+                m.setattr(RatFunc, "_raw", staticmethod(counting_raw))
+                m.setattr(RatFunc, "__init__", counting_init)
+                made.clear()
+                nf = normal_form(p, R)
+                count = len(made)
+            assert count == len(nf.terms), (name, p)
+
+
 def _coefficients(R):
     """The coefficients _reduce, normal_form, letter_table and the rules of
     R hand out, on seeded random inputs."""
@@ -300,7 +418,7 @@ def _coefficients(R):
                                                 ("Sklyanin", 6, Fraction),
                                                 ("QP", 8, RatFunc)])
 def test_coefficients_stay_in_their_field(name, cutoff, kind):
-    """Over Q, _reduce works on ints; none of them may leave it."""
+    """Over Q and Q(q), _reduce works on ints; none of them may leave it."""
     alphabet, rels = _relations()[name]
     R = complete_truncated(rels, cutoff)
     assert {type(c) for c in _coefficients(R)} == {kind}

@@ -4,20 +4,24 @@ Every scalar used anywhere in the package is one of
 
 * ``fractions.Fraction`` -- the field Q,
 * ``RatFunc``            -- the field Q(q) of univariate rational functions,
-  normalized as q^e n(q)/d(q), so a monomial c q^e carries no coefficient
-  list and general gcds run as primitive remainder sequences over Z[q],
+  stored over Z[q] as q^e N(q)/D(q) with N and D coprime tuples of ints,
 * ``QuadExt``            -- a real quadratic field Q(sqrt(D)).
 
 All three support ``+ - * /``, equality and ``bool`` (nonzero test), so the
 generic linear algebra in :mod:`ncproj.linalg` works over any of them.
-No floating point enters any computation.  Bare integers stand for
-scalars only inside ``rewriting._reduce``, which works fraction-free on
-numerators over one common denominator: Python ints over an int for Q, and
-integer Laurent polynomials (valuation, list of ints) over a denominator in
-Z[q] for Q(q).  They never leave it: every Q scalar it returns is a
-``Fraction`` and every Q(q) scalar a ``RatFunc``.  The integer coefficient
-lists of Z[q] (low degree first) also carry ``UPoly`` products over Q and
-the remainder sequence behind ``UPoly.gcd``.
+No floating point enters any computation.
+
+Z[q], as integer coefficient sequences low degree first, has one kernel
+here: product, Laurent sum, exact quotient and "make coprime", whose gcd of
+two polynomials of positive degree is the primitive remainder sequence of
+``UPoly.gcd``.  ``RatFunc`` arithmetic runs on it, and so does
+``rewriting._reduce``, which works fraction-free on numerators over one
+common denominator: Python ints over an int for Q, and integer Laurent
+polynomials (valuation, tuple of ints) over a denominator in Z[q] for
+Q(q), read off each ``RatFunc``'s (e, N, D) as it is stored.  Bare integers
+never leave the walk: every Q scalar it returns is a ``Fraction`` and every
+Q(q) scalar a ``RatFunc``.  ``UPoly`` products over Q also run on the
+kernel's product, on integer numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -49,14 +53,6 @@ class UPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c):
-        return UPoly((c,)) if c else UPoly()
-
-    @staticmethod
-    def var():
-        return UPoly((Fraction(0), Fraction(1)))
 
     def degree(self):
         """Degree, with the convention deg 0 = -1."""
@@ -121,38 +117,26 @@ class UPoly:
     def scale(self, c):
         return UPoly(tuple(x * c for x in self.coeffs))
 
-    def divmod(self, other):
-        """Euclidean division; requires an invertible leading coefficient."""
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dd = other.degree()
-        quo = [dlead * 0] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < dd or not rem:
-                break
-            c = rem[-1] / dlead
-            k = len(rem) - 1 - dd
-            quo[k] = quo[k] + c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-        return UPoly(quo), UPoly(rem)
-
     def gcd(self, other):
-        """Monic gcd over Q of two polynomials with rational coefficients.
+        """The gcd of two polynomials in its unit-normal form: in Z[q] when
+        every coefficient of both is an int, content included and with a
+        positive leading coefficient; otherwise in Q[q], monic.
 
         A primitive remainder sequence over Z[q] (Collins 1967; Brown and
         Traub 1971): both sides are cleared of denominators and contents,
         and every pseudo-remainder is divided by its content, so the
         integers grow no further than the gcd needs, where Euclid over Q
-        swells.  The last nonzero remainder is made monic over Q.
+        swells.
         """
-        a = _zgcd(_primitive(self.coeffs), _primitive(other.coeffs))
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
         if not a:
             return UPoly()
+        cs = self.coeffs + other.coeffs
+        if all(c.__class__ is int for c in cs):
+            c = math.gcd(*cs) if a[-1] > 0 else -math.gcd(*cs)
+            return UPoly(tuple(x * c for x in a))
         lead = a[-1]
         return UPoly(tuple(Fraction(c, lead) for c in a))
 
@@ -175,16 +159,6 @@ def _over_lcm(cs):
     integers) cs, and their numerators ns over it."""
     m = math.lcm(*(c.denominator for c in cs))
     return m, [c.numerator * (m // c.denominator) for c in cs]
-
-
-def _zmul(a, b):
-    """The product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
 
 
 def _primitive(cs):
@@ -218,24 +192,80 @@ def _pseudo_remainder(a, b):
     return r
 
 
+# The Z[q] kernel of RatFunc and of rewriting._reduce.  Its operands are
+# nonzero integer coefficient lists, low degree first, with a nonzero last
+# entry; a Laurent polynomial q^v N(q) is the pair (v, N) with N(0) != 0.
+# Results are tuples.
+
+def _neg(a):
+    """-a."""
+    return (-a[0],) if len(a) == 1 else tuple([-x for x in a])
+
+
+def _zmul(a, b):
+    """The product a b; a constant factor scales the other."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return tuple(b) if c == 1 else tuple([x * c for x in b])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
 def _zquo(a, b):
-    """The quotient a / b of integer coefficient lists, b dividing a in Z[q]."""
-    r, lb, db = list(a), b[-1], len(b) - 1
+    """The quotient a / b, b dividing a in Z[q]."""
+    lb, db = b[-1], len(b) - 1
+    if not db:
+        return tuple(a) if lb == 1 else tuple([x // lb for x in a])
+    r = list(a)
     out = [0] * (len(a) - db)
     for k in reversed(range(len(out))):
         c = out[k] = r[k + db] // lb
         if c:
             for i, y in enumerate(b, k):
                 r[i] -= c * y
-    return out
+    return tuple(out)
 
 
 def _zgcd(a, b):
-    """The gcd of two primitive integer coefficient lists, primitive and up
-    to sign, by the remainder sequence of UPoly.gcd; [] when both are zero."""
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return a
+    """The gcd of a and b in Z[q], content included, with a positive
+    leading coefficient; that of two polynomials of positive degree is
+    UPoly.gcd's."""
+    if len(a) == 1 or len(b) == 1:
+        return (math.gcd(*a, *b),)
+    return UPoly(a).gcd(UPoly(b)).coeffs
+
+
+def _coprime(a, b):
+    """(a / g, b / g) for the gcd g of a and b in Z[q], content included,
+    signed so that b / g has a positive leading coefficient."""
+    g = _zgcd(a, b)
+    if b[-1] < 0:
+        g = _neg(g)
+    return _zquo(a, g), _zquo(b, g)
+
+
+def _laurent_sum(x, y):
+    """x + y for Laurent polynomials (v, N); 0 when the sum vanishes."""
+    (e, A), (f, B) = (x, y) if x[0] <= y[0] else (y, x)
+    k = f - e
+    out = list(A)
+    out += [0] * (k + len(B) - len(A))
+    for i, b in enumerate(B, k):
+        out[i] += b
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return 0
+    i = 0
+    while not out[i]:
+        i += 1
+    return e + i, tuple(out[i:] if i else out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,68 +273,22 @@ def _zgcd(a, b):
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
-_QONE = UPoly((Fraction(1),))
-
-
-def _valuation(p):
-    """The q-adic valuation of a nonzero polynomial: its lowest degree."""
-    return next(i for i, c in enumerate(p.coeffs) if c)
-
-
-def _shifted(p, k):
-    """q^k p, for k >= 0."""
-    return UPoly((_ZERO,) * k + p.coeffs) if k else p
-
-
-def _as_qpoly(x):
-    if isinstance(x, UPoly):
-        if all(type(c) is Fraction for c in x.coeffs):
-            return x
-        if all(isinstance(c, (int, Fraction)) for c in x.coeffs):
-            return UPoly(tuple(Fraction(c) for c in x.coeffs))
-    elif isinstance(x, (int, Fraction)):
-        return UPoly.const(Fraction(x))
-    raise FieldMismatchError(f"cannot coerce {x!r} into Q[q]")
-
-
-def _cancel(num, den):
-    """num and den divided by their monic gcd, which is taken only when both
-    have positive degree."""
-    if len(num.coeffs) > 1 and len(den.coeffs) > 1:
-        g = num.gcd(den)
-        if len(g.coeffs) > 1:
-            return num.divmod(g)[0], den.divmod(g)[0]
-    return num, den
-
-
-def _normal(e, num, den):
-    """(e', n, d) with q^e num/den = q^e' n/d in RatFunc's normal form, for
-    nonzero polynomials num and den over Q that are coprime but for powers
-    of q: the valuations go into e', and d is made monic."""
-    vn, vd = _valuation(num), _valuation(den)
-    if vn:
-        num = UPoly(num.coeffs[vn:])
-    if vd:
-        den = UPoly(den.coeffs[vd:])
-    lead = den.coeffs[-1]
-    if lead != 1:
-        num = num.scale(1 / lead)
-        den = den.scale(1 / lead)
-    return (e + vn - vd, num.coeffs[0] if len(num.coeffs) == 1 else num,
-            None if len(den.coeffs) == 1 else den)
+_ONE = (1,)
 
 
 class RatFunc:
-    """Element of Q(q), normalized as q^e n(q)/d(q).
+    """Element of Q(q), stored over Z[q] as q^e N(q)/D(q).
 
-    e is an integer, n(0) != 0 != d(0), n and d are coprime and d is monic;
-    zero is e = 0, n = 0.  A constant n is kept as its Fraction and any
-    other n as a UPoly; d is None when it is 1, else a UPoly.  A monomial
-    c q^e is thus the pair (c, e) with no coefficient list: the product or
-    quotient of two monomials, and the sum of two with one exponent, is one
-    Fraction operation.  Otherwise gcds are taken only where factors can
-    cancel, each by the remainder sequence over Z[q] of UPoly.gcd.  `num`
-    and `den` give the reduced fraction as dense polynomials, the
+    N and D are tuples of ints, low degree first, with N(0) != 0 != D(0);
+    they are coprime in Z[q], contents included, and D's leading
+    coefficient is positive.  Zero is e = 0, N = (), D = (1,), and a
+    monomial (a/b) q^e, a/b in lowest terms, is N = (a,), D = (b,).  The
+    form is unique, so equality compares (e, N, D).  The arithmetic runs on
+    the Z[q] kernel above.  A product or quotient with a monomial, and the
+    sum of two monomials with one exponent, is integer arithmetic on
+    contents; elsewhere gcds are taken only where factors can cancel, a gcd
+    of two polynomials of positive degree through UPoly.gcd.  `num` and
+    `den` give the reduced fraction over Q as dense polynomials, the
     denominator monic.
     """
 
@@ -312,16 +296,19 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         if den is None and isinstance(num, (int, Fraction)):
-            self.e, self.n, self.d = 0, Fraction(num), None
+            self.e, self.n, self.d = 0, (num.numerator,) if num else (), (num.denominator,)
             return
-        num = _as_qpoly(num)
-        den = _QONE if den is None else _as_qpoly(den)
-        if den.is_zero():
+        m, N = _integer_numerators(num)
+        k, D = _integer_numerators(1 if den is None else den)
+        if not D:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if num.is_zero():
-            self.e, self.n, self.d = 0, _ZERO, None
-        else:
-            self.e, self.n, self.d = _normal(0, *_cancel(num, den))
+        if not N:
+            self.e, self.n, self.d = 0, (), _ONE
+            return
+        vn = next(i for i, x in enumerate(N) if x)
+        vd = next(i for i, x in enumerate(D) if x)
+        self.e = vn - vd
+        self.n, self.d = _coprime(_zmul(N[vn:], (k,)), _zmul(D[vd:], (m,)))
 
     @staticmethod
     def _raw(e, n, d):
@@ -334,25 +321,19 @@ class RatFunc:
 
     @staticmethod
     def q():
-        return RatFunc(UPoly.var())
+        return RatFunc._raw(1, _ONE, _ONE)
 
     @property
     def num(self):
-        """The numerator of the reduced fraction: q^e n, or n when e < 0."""
-        n = self.n if self.n.__class__ is UPoly else UPoly.const(self.n)
-        return _shifted(n, self.e) if self.e > 0 else n
+        """The numerator of the reduced fraction: q^e N / lead(D), or
+        N / lead(D) when e < 0."""
+        return _shifted_over(self.n, self.d[-1], self.e)
 
     @property
     def den(self):
-        """The monic denominator of the reduced fraction: d, or q^-e d when e < 0."""
-        d = _QONE if self.d is None else self.d
-        return _shifted(d, -self.e) if self.e < 0 else d
-
-    def _polys(self):
-        """(e, n, d) with n and d as polynomials."""
-        n = self.n
-        return (self.e, n if n.__class__ is UPoly else UPoly((n,)),
-                _QONE if self.d is None else self.d)
+        """The monic denominator of the reduced fraction: D / lead(D), or
+        q^-e D / lead(D) when e < 0."""
+        return _shifted_over(self.d, self.d[-1], -self.e)
 
     def __bool__(self):
         return bool(self.n)
@@ -378,49 +359,17 @@ class RatFunc:
     def __add__(self, other):
         if other.__class__ is not RatFunc:
             other = self._coerce(other)
-        a, b = self.n, other.n
-        if (self.e == other.e and self.d is None and other.d is None
-                and a.__class__ is Fraction and b.__class__ is Fraction):
-            c = a + b
-            return RatFunc._raw(self.e if c else 0, c, None)
-        if not a:
-            return other
-        if not b:
-            return self
-        e1, n1, d1 = self._polys()
-        e2, n2, d2 = other._polys()
-        e = min(e1, e2)
-        n1, n2 = _shifted(n1, e1 - e), _shifted(n2, e2 - e)
-        if d1 == d2:
-            num, den = _cancel(n1 + n2, d1)
-        else:
-            # over the lcm of d1 and d2, only g = gcd(d1, d2) can share a
-            # factor with the numerator (Henrici; Knuth, TAOCP vol. 2, 4.5.1)
-            g = d1.gcd(d2) if len(d1.coeffs) > 1 and len(d2.coeffs) > 1 else _QONE
-            if len(g.coeffs) == 1:
-                num, den = n1 * d2 + n2 * d1, d1 * d2
-            else:
-                c1, c2 = d1.divmod(g)[0], d2.divmod(g)[0]
-                num, g = _cancel(n1 * c2 + n2 * c1, g)
-                den = c1 * c2 * g
-        if not num:
-            return RatFunc._raw(0, _ZERO, None)
-        return RatFunc._raw(*_normal(e, num, den))
+        return _sum(self, other.e, other.n, other.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(self.e, -self.n, self.d)
+        return RatFunc._raw(self.e, _neg(self.n), self.d)
 
     def __sub__(self, other):
         if other.__class__ is not RatFunc:
             other = self._coerce(other)
-        a, b = self.n, other.n
-        if (self.e == other.e and self.d is None and other.d is None
-                and a.__class__ is Fraction and b.__class__ is Fraction):
-            c = a - b
-            return RatFunc._raw(self.e if c else 0, c, None)
-        return self + -other
+        return _sum(self, other.e, _neg(other.n), other.d)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -428,66 +377,43 @@ class RatFunc:
     def __mul__(self, other):
         if other.__class__ is not RatFunc:
             other = self._coerce(other)
-        a, b = self, other
-        if b.d is None and b.n.__class__ is Fraction:
-            a, b = b, a
-        c = a.n
-        if a.d is None and c.__class__ is Fraction:
-            # c q^e times anything: scale its numerator, add the exponents
-            n = b.n
-            if not c or not n:
-                return RatFunc._raw(0, _ZERO, None)
-            return RatFunc._raw(a.e + b.e, n * c if c != 1 else n, b.d)
-        e1, n1, d1 = a._polys()
-        e2, n2, d2 = b._polys()
-        # n1/d1 and n2/d2 are reduced: only the crosswise pairs can cancel
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
-        return RatFunc._raw(*_normal(e1 + e2, n1 * n2, d1 * d2))
+        return _product(self, other.e, other.n, other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is not RatFunc:
             other = self._coerce(other)
-        c = other.n
-        if not c:
-            raise ZeroDivisionError("division by zero in Q(q)")
-        if other.d is None and c.__class__ is Fraction:
-            n = self.n
-            if not n:
-                return self
-            return RatFunc._raw(self.e - other.e, n / c if n.__class__ is Fraction
-                                else n if c == 1 else n.scale(1 / c), self.d)
-        return self * other.inverse()
+        return _product(self, *other._inverted())
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def inverse(self):
+        return RatFunc._raw(*self._inverted())
+
+    def _inverted(self):
+        """(-e, D, N), the parts of the inverse, signed so that N's leading
+        coefficient is positive."""
         n, d = self.n, self.d
         if not n:
             raise ZeroDivisionError("division by zero in Q(q)")
-        if n.__class__ is Fraction:
-            inv = 1 / n
-            return RatFunc._raw(-self.e, inv if d is None else d.scale(inv), None)
-        inv = 1 / n.coeffs[-1]
-        return RatFunc._raw(-self.e, inv if d is None else d.scale(inv), n.scale(inv))
+        return (-self.e, d, n) if n[-1] > 0 else (-self.e, _neg(d), _neg(n))
 
     def is_composite(self):
         """True when rendering needs parentheses as a coefficient: the
         denominator has positive degree or the numerator two terms."""
-        return self.d is not None or self.e < 0 or self.n.__class__ is UPoly
+        return len(self.d) > 1 or self.e < 0 or len(self.n) > 1
 
     def __str__(self):
-        num, den = self.num, self.den
-        if den.degree() == 0:
-            return num.render()
-        n = num.render()
-        d = den.render()
-        if sum(1 for c in num.coeffs if c) > 1:
+        # N and D have nonzero ends, so a side of length > 1 has two terms
+        n = self.num.render()
+        if self.e >= 0 and len(self.d) == 1:
+            return n
+        d = self.den.render()
+        if len(self.n) > 1:
             n = f"({n})"
-        if sum(1 for c in den.coeffs if c) > 1:
+        if len(self.d) > 1:
             d = f"({d})"
         return f"{n}/{d}"
 
@@ -495,54 +421,99 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+_RZERO = RatFunc._raw(0, (), _ONE)
+
+
+def _shifted_over(cs, lead, k):
+    """q^k cs / lead as a UPoly over Q, or cs / lead when k < 0."""
+    cs = map(Fraction, cs) if lead == 1 else [Fraction(x, lead) for x in cs]
+    return UPoly((_ZERO,) * max(k, 0) + tuple(cs))
+
+
+def _integer_numerators(x):
+    """(m, N) with x = N(q) / m, N a list of ints, for an int, a Fraction or
+    a UPoly of them."""
+    if isinstance(x, (int, Fraction)):
+        return x.denominator, [x.numerator] if x else []
+    if isinstance(x, UPoly) and all(isinstance(c, (int, Fraction)) for c in x.coeffs):
+        return _over_lcm(x.coeffs)
+    raise FieldMismatchError(f"cannot coerce {x!r} into Q[q]")
+
+
+def _sum(x, f, B, E):
+    """x + q^f B/E, for RatFuncs x and q^f B/E in normal form."""
+    e, A, D = x.e, x.n, x.d
+    if not B:
+        return x
+    if not A:
+        return RatFunc._raw(f, B, E)
+    if e == f and len(A) == 1 == len(B) and len(D) == 1 == len(E):
+        # a/b + c/d as Fraction adds them: only gcd(b, d) can cancel
+        a, b, c, d = A[0], D[0], B[0], E[0]
+        g = math.gcd(b, d)
+        if g == 1:
+            n, m = a * d + b * c, b * d
+        else:
+            s = b // g
+            n = a * (d // g) + c * s
+            g = math.gcd(n, g)
+            n, m = n // g, s * (d // g)
+        return RatFunc._raw(e, (n,), (m,)) if n else _RZERO
+    # over the lcm of D and E, only g = gcd(D, E) can share a factor with
+    # the numerator (Henrici; Knuth, TAOCP vol. 2, 4.5.1)
+    g = D if D == E else _zgcd(D, E)
+    c1, c2 = _zquo(D, g), _zquo(E, g)
+    s = _laurent_sum((e, _zmul(A, c2)), (f, _zmul(B, c1)))
+    if not s:
+        return _RZERO
+    e, N = s
+    if g != _ONE:
+        N, g = _coprime(N, g)
+    return RatFunc._raw(e, N, _zmul(_zmul(c1, c2), g))
+
+
+def _product(x, f, B, E):
+    """x q^f B/E, for a RatFunc x and q^f B/E in normal form."""
+    e, A, D = x.e, x.n, x.d
+    if not A or not B:
+        return _RZERO
+    if len(A) == 1 == len(D):
+        # a monomial factor goes second
+        e, A, D, f, B, E = f, B, E, e, A, D
+    if len(B) == 1 == len(E):
+        # times the monomial (b/c) q^f: only contents can cancel
+        b, c = B[0], E[0]
+        g, h = math.gcd(b, *D), math.gcd(c, *A)
+        b //= g
+        c //= h
+        if len(A) == 1 == len(D):
+            return RatFunc._raw(e + f, (A[0] // h * b,), (D[0] // g * c,))
+        return RatFunc._raw(e + f, tuple([x // h * b for x in A]),
+                            tuple([x // g * c for x in D]))
+    # A/D and B/E are in lowest terms: only the crosswise pairs can cancel
+    A, E = _coprime(A, E)
+    B, D = _coprime(B, D)
+    return RatFunc._raw(e + f, _zmul(A, B), _zmul(D, E))
+
+
 def _laurent_numerators(cs):
     """(S, ns) with cs[i] = q^v N(q) / S(q) for (v, N) = ns[i], for nonzero
-    RatFuncs cs: S and every N are integer coefficient lists with nonzero
-    constant terms, S the least common integer denominator times the
-    product of the distinct primitive polynomial denominators."""
+    RatFuncs cs: S is the least common multiple of their denominators'
+    contents times the product of their distinct primitive parts."""
     # letter tables read normal forms of one word at a time, so the common
-    # case of monomials c q^e costs one pass and one int each
-    m = 1
-    for c in cs:
-        if c.d is not None or c.n.__class__ is UPoly:
-            break
-        m = math.lcm(m, c.n.denominator)
-    else:
-        return [m], [(c.e, [c.n.numerator * (m // c.n.denominator)]) for c in cs]
-    cs = [(c.e, c.n.coeffs if c.n.__class__ is UPoly else (c.n,), c.d) for c in cs]
-    m = math.lcm(*(x.denominator for _, n, _ in cs for x in n))
-    ns = [(e, [x.numerator * (m // x.denominator) for x in n]) for e, n, _ in cs]
-    primitive = {d: tuple(_primitive(d.coeffs)) for _, _, d in cs if d is not None}
-    if not primitive:
-        return [m], ns
-    # n / d = n lead(D) / D for the primitive D of the monic d; over the
-    # product of the distinct D, its numerator takes the other D's
-    dens = dict.fromkeys(primitive.values())
-    cofactor = {D: functools.reduce(_zmul, (E for E in dens if E != D), [1])
-                for D in [None, *dens]}
-    for i, (_, _, d) in enumerate(cs):
-        D = primitive.get(d)
-        e, N = ns[i]
-        if D is not None:
-            N = [x * D[-1] for x in N]
-        if D is None or len(dens) > 1:
-            N = _zmul(N, cofactor[D])
-        ns[i] = e, N
-    return [m * x for x in cofactor[None]], ns
-
-
-def _ratfunc_over(v, N, S):
-    """The RatFunc q^v N(q) / S(q), for nonzero integer coefficient lists N
-    and S with nonzero constant terms: exact Fractions and the trusted
-    constructor when S is a constant, else the normalizing one."""
-    if len(S) == 1:
-        s = S[0]
-        if len(N) == 1:
-            return RatFunc._raw(v, Fraction(N[0], s), None)
-        return RatFunc._raw(v, UPoly(tuple(Fraction(x, s) for x in N)), None)
-    out = RatFunc(UPoly(N), UPoly(S))
-    out.e += v          # N / S has valuation 0
-    return out
+    # case of integer denominators costs one lcm and one scale each
+    if all(len(c.d) == 1 for c in cs):
+        m = math.lcm(*(c.d[0] for c in cs))
+        return (m,), [(c.e, _zmul(c.n, (m // c.d[0],))) for c in cs]
+    contents = [math.gcd(*c.d) for c in cs]
+    m = math.lcm(*contents)
+    parts = [_zquo(c.d, (g,)) for c, g in zip(cs, contents)]
+    dens = dict.fromkeys(P for P in parts if P != _ONE)
+    cofactor = {P: functools.reduce(_zmul, (E for E in dens if E != P), _ONE)
+                for P in [_ONE, *dens]}
+    return _zmul(cofactor[_ONE], (m,)), [
+        (c.e, _zmul(_zmul(c.n, (m // g,)), cofactor[P]))
+        for c, g, P in zip(cs, contents, parts)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
 
-from .fields import (QQ, _laurent_numerators, _over_lcm, _primitive, _ratfunc_over, _zgcd,
-                     _zmul, _zquo)
+from .fields import (QQ, RatFunc, _ONE, _coprime, _laurent_numerators, _laurent_sum, _over_lcm,
+                     _zmul)
 from .linalg import SpanTracker
 from .words import NcPoly
 
@@ -60,8 +60,9 @@ class NormalWordAutomaton:
     forms[i] is the rhs of rules[i] as _reduce uses it, (D, N) with N its
     (word, numerator) pairs, so that rhs = N / D: over Q, D is the least
     common denominator of its coefficients and each numerator an int; over
-    Q(q), D is in Z[q] with D(0) != 0, a list of ints, and each numerator an
-    integer Laurent polynomial (v, list of ints), so that a rewrite by
+    Q(q), D is in Z[q] with D(0) != 0, a tuple of ints, and each numerator
+    an integer Laurent polynomial (v, tuple of ints): a coefficient's
+    stored q^v N times D over its stored denominator, so that a rewrite by
     q^v c is a shift and an integer scale.
     """
 
@@ -94,8 +95,9 @@ class NormalWordAutomaton:
 def _integer_form(p):
     """(S, numerators) with p = numerators / S, for _reduce: over Q, S an
     int and each coefficient of p an int over it; over Q(q), S in Z[q] and
-    each coefficient an integer Laurent polynomial (v, N) over it; the
-    numerators as (word, numerator) pairs."""
+    each coefficient an integer Laurent polynomial (v, N) over it, read
+    from its RatFunc's (e, N, D); the numerators as (word, numerator)
+    pairs."""
     S, ns = (_over_lcm if p.field == QQ else _laurent_numerators)(p.terms.values())
     return S, tuple(zip(p.terms, ns))
 
@@ -158,14 +160,17 @@ def _reduce(p, automaton):
     The walk is fraction-free in the manner of Bareiss: every pending and
     settled coefficient is a numerator over one common denominator S.  Over
     Q the numerators are Python ints and S is an int; over Q(q) they are
-    integer Laurent polynomials (v, N), q^v N(q) with N a list of ints,
+    integer Laurent polynomials (v, N), q^v N(q) with N a tuple of ints,
     N(0) != 0, and S is in Z[q].  A word with numerator c rewritten by a
     rule rhs N / D adds (c / g) N, with g = gcd(c, D), after every
-    numerator and S are multiplied by D / g; over Q(q), g is the content
-    gcd when D is a constant, else the gcd in Z[q] by the primitive
-    remainder sequence.  So a rewrite by q^e c is a shift and an integer
-    scale.  The numerators never leave: the result's coefficients are the
-    Fractions c / S over Q and the RatFuncs c / S over Q(q).
+    numerator and S are multiplied by D / g; over Q(q), the product, the
+    Laurent sum and the gcd (the content gcd when D is a constant, else
+    the gcd in Z[q] by UPoly.gcd) are the Z[q] kernel of ncproj.fields
+    that RatFunc arithmetic runs on.  So a rewrite by q^e c is a shift and
+    an integer scale.  The numerators never leave: the result's
+    coefficients are the Fractions c / S over Q and, over Q(q), for each
+    settled word one RatFunc q^v N / S made coprime by that kernel and
+    built by RatFunc._raw.
     """
     rules, forms, goto, first = automaton.rules, automaton.forms, automaton.goto, automaton.rule
     weight = [-a for a in p.alphabet.weights]
@@ -179,7 +184,7 @@ def _reduce(p, automaton):
 
     S, pending = _integer_form(p)
     pending = dict(pending)
-    laurent = S.__class__ is list
+    laurent = S.__class__ is tuple
     heap = [entry(w) for w in pending]
     heapq.heapify(heap)
     terms = {}
@@ -200,15 +205,16 @@ def _reduce(p, automaton):
         pre, post = w[:end - len(rules[best].lead)], w[end:]
         if laurent:
             e, C = c
-            if D != [1]:
-                k, C = _cancelled(D, C)
-                if k != [1]:
+            if D != _ONE:
+                C, k = _coprime(C, D)
+                if k != _ONE:
                     S = _zmul(S, k)
-                    pending = {v: _scaled(x, k) for v, x in pending.items()}
-                    terms = {v: _scaled(x, k) for v, x in terms.items()}
+                    # a pending sum that cancelled stays 0
+                    pending = {v: x and (x[0], _zmul(x[1], k)) for v, x in pending.items()}
+                    terms = {v: (f, _zmul(N, k)) for v, (f, N) in terms.items()}
             for u, (f, A) in rhs:
                 v = pre + u + post
-                x = (e + f, [y * A[0] for y in C] if len(A) == 1 else _zmul(C, A))
+                x = (e + f, _zmul(C, A))
                 old = pending.get(v)
                 if old is None:
                     heapq.heappush(heap, entry(v))
@@ -230,50 +236,12 @@ def _reduce(p, automaton):
                 heapq.heappush(heap, entry(v))
             pending[v] = c * a if old is None else old + c * a
     if laurent:
-        terms = {w: _ratfunc_over(e, C, S) for w, (e, C) in terms.items()}
+        terms = {w: RatFunc._raw(e, *_coprime(C, S)) for w, (e, C) in terms.items()}
     else:
         terms = {w: Fraction(c, S) for w, c in terms.items()}
     out = NcPoly.zero(p.alphabet, p.field)
     out.terms = terms
     return out
-
-
-def _cancelled(D, C):
-    """(D / g, C / g) for g the gcd of D and C in Z[q], with a positive
-    leading coefficient: the content gcd when D is a constant."""
-    if len(D) == 1:
-        g = math.gcd(D[0], *C)
-        return [D[0] // g], C if g == 1 else [x // g for x in C]
-    g = _zgcd(_primitive(D), _primitive(C))
-    content = math.gcd(*D, *C) if g[-1] > 0 else -math.gcd(*D, *C)
-    g = [x * content for x in g]
-    return _zquo(D, g), _zquo(C, g)
-
-
-def _scaled(x, k):
-    """The integer Laurent polynomial x (or 0) times k in Z[q]."""
-    if not x:
-        return x
-    e, N = x
-    return e, [y * k[0] for y in N] if len(k) == 1 else _zmul(N, k)
-
-
-def _laurent_sum(x, y):
-    """x + y for nonzero integer Laurent polynomials (v, N), N(0) != 0 and
-    N's last entry nonzero; 0 when the sum vanishes."""
-    (e, A), (f, B) = (x, y) if x[0] <= y[0] else (y, x)
-    k = f - e
-    out = A + [0] * (k + len(B) - len(A))
-    for i, b in enumerate(B, k):
-        out[i] += b
-    while out and not out[-1]:
-        out.pop()
-    if not out:
-        return 0
-    i = 0
-    while not out[i]:
-        i += 1
-    return e + i, out[i:] if i else out
 
 
 def _overlaps(r1, r2, alphabet, cutoff):

@@ -50,11 +50,14 @@ def test_field_axioms(make):
 def test_upoly_divmod_and_gcd():
     f = UPoly([Fraction(x) for x in (2, 0, -3, 1)])   # x^3 - 3x^2 + 2
     g = UPoly([Fraction(x) for x in (-1, 1)])         # x - 1
-    q, r = f.divmod(g)
+    q, r = euclid_divmod(f, g)
     assert q * g + r == f
     assert r.degree() < g.degree()
     d = f.gcd(g)
-    assert f.divmod(d)[1].is_zero() and g.divmod(d)[1].is_zero()
+    assert euclid_divmod(f, d)[1].is_zero() and euclid_divmod(g, d)[1].is_zero()
+    # over Z[q] the gcd keeps its content and a positive leading coefficient
+    assert UPoly((-4, 0, 6, -2)).gcd(UPoly((6, -6))) == UPoly((-2, 2))
+    assert UPoly((3,)).gcd(UPoly((0, -6))) == UPoly((3,))
 
 
 def test_ratfunc_normalization():
@@ -76,16 +79,32 @@ def gcd_normalized(num, den):
     """(num, den) divided by their gcd, the denominator made monic."""
     g = euclid_gcd(num, den)
     if g.degree() > 0:
-        num, den = num.divmod(g)[0], den.divmod(g)[0]
+        num, den = euclid_divmod(num, g)[0], euclid_divmod(den, g)[0]
     lead = den.coeffs[-1]
     return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def euclid_divmod(a, b):
+    """Euclidean division over Q, b != 0: the reference's own division."""
+    rem = list(a.coeffs)
+    lead, db = b.coeffs[-1], b.degree()
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    while rem and len(rem) - 1 >= db:
+        c = rem[-1] / lead
+        k = len(rem) - 1 - db
+        quo[k] += c
+        for i, x in enumerate(b.coeffs):
+            rem[k + i] -= c * x
+        while rem and not rem[-1]:
+            rem.pop()
+    return UPoly(quo), UPoly(rem)
 
 
 def euclid_gcd(a, b):
     """Euclid's remainder sequence over Q, made monic: the reference for the
     remainder sequence over Z[q] in UPoly.gcd."""
     while b.coeffs:
-        a, b = b, a.divmod(b)[1]
+        a, b = b, euclid_divmod(a, b)[1]
     if not a.coeffs:
         return a
     lead = a.coeffs[-1]
@@ -98,7 +117,7 @@ class RefRatFunc:
     q^e n/d replaced, kept as the reference for RatFunc."""
 
     def __init__(self, num, den=None):
-        num = num if isinstance(num, UPoly) else UPoly.const(Fraction(num))
+        num = num if isinstance(num, UPoly) else UPoly((Fraction(num),))
         den = UPoly((Fraction(1),)) if den is None else den
         if den.is_zero():
             raise ZeroDivisionError
@@ -106,7 +125,7 @@ class RefRatFunc:
             den = UPoly((Fraction(1),))
         else:
             g = euclid_gcd(num, den)
-            num, den = num.divmod(g)[0], den.divmod(g)[0]
+            num, den = euclid_divmod(num, g)[0], euclid_divmod(den, g)[0]
         lead = den.coeffs[-1]
         self.num, self.den = num.scale(1 / lead), den.scale(1 / lead)
 
@@ -202,6 +221,22 @@ def qq_pairs(draw):
     return num * shared, draw(qpolys(nonzero=True)) * shared
 
 
+def assert_normal_form(x):
+    """q^e N/D over Z[q]: N and D tuples of ints, N(0) != 0 != D(0), coprime
+    in Z[q] (coprime over Q, content gcd 1), D's leading coefficient
+    positive; zero only as (0, (), (1,)), a constant D for a monomial."""
+    e, n, d = x.e, x.n, x.d
+    assert type(e) is int and type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in n + d)
+    assert d and d[0] and d[-1] > 0
+    if not n:
+        assert (e, d) == (0, (1,))
+        return
+    assert n[0] and n[-1]
+    assert math.gcd(*n, *d) == 1
+    assert euclid_gcd(UPoly([Fraction(c) for c in n]), UPoly([Fraction(c) for c in d])).degree() == 0
+
+
 def assert_same(new, ref):
     """A RatFunc and a RefRatFunc agree on everything visible."""
     assert (new.num, new.den) == (ref.num, ref.den)
@@ -211,13 +246,7 @@ def assert_same(new, ref):
     assert hash(new) == hash(ref)
     assert new.is_composite() == ref.is_composite()
     assert bool(new) == bool(ref.num)
-    # q^e n/d with n(0) != 0 != d(0), d monic, zero only as e = 0, n = 0
-    if new.d is not None:
-        assert new.d.degree() > 0 and new.d.coeffs[0] and new.d.coeffs[-1] == 1
-    if isinstance(new.n, UPoly):
-        assert new.n.degree() > 0 and new.n.coeffs[0]
-    elif not new.n:
-        assert (new.e, new.d) == (0, None)
+    assert_normal_form(new)
     assert new == RatFunc(ref.num, ref.den)
     assert hash(new) == hash(RatFunc(ref.num, ref.den))
 
@@ -248,13 +277,33 @@ def test_ratfunc_matches_reference(a, b, k):
         assert_same(k / x, k / rx)
 
 
+@st.composite
+def zpolys(draw):
+    """A nonzero h in Z[q]: a power of q times a content of either sign
+    times integer coefficients."""
+    cs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any))
+    c = draw(st.sampled_from([-6, -2, -1, 1, 3]))
+    return UPoly([0] * draw(st.integers(0, 2)) + [c * x for x in cs])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(qq_pairs(), zpolys())
+def test_ratfunc_form_is_unique(pair, h):
+    """N h over D h has the (e, n, d) of N over D: the stored form is
+    unique, whatever common factor, content or sign the input carries."""
+    num, den = pair
+    x, y = RatFunc(num, den), RatFunc(num * h, den * h)
+    assert_normal_form(x)
+    assert (y.e, y.n, y.d) == (x.e, x.n, x.d)
+
+
 def test_ratfunc_cancellation_is_zero():
     """Sums that cancel are the zero of RatFunc(0), exponent and hash too."""
     q, zero = RatFunc.q(), RatFunc(0)
     for z in (q - q, 2 * q * q.inverse() - 2, q * q / q - q, (q + 1) / (q - 1) - (q + 1) / (q - 1),
               -q + q, q / (q * q + 1) - q / (q * q + 1), RatFunc(UPoly()) * q):
         assert z == zero and hash(z) == hash(zero) and not z
-        assert (z.e, z.n, z.d) == (0, 0, None)
+        assert (z.e, z.n, z.d) == (0, (), (1,))
         assert str(z) == "0"
 
 
@@ -320,7 +369,7 @@ def test_upoly_mul_matches_schoolbook():
     """The product over Q, fraction-free on integer numerators, against
     the pairwise Fraction product."""
     makers = [rand_monomial, rand_upoly, rand_wide_upoly, lambda: UPoly(),
-              lambda: UPoly.const(rand_nonzero_fraction())]
+              lambda: UPoly((rand_nonzero_fraction(),))]
     for _ in range(3000):
         a, b = rng.choice(makers)(), rng.choice(makers)()
         want = schoolbook(a, b)

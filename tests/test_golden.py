@@ -33,6 +33,9 @@ WEIGHTED = "algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }"
 WEIGHTED3 = "algebra T over Q { gens: x, z, y:2; rels: z*x - x*z; x*y; }"
 DUAL = "algebra D over Q { gens: x; rels: x*x; }"
 FREE = "algebra F over Q { gens: x, y; rels: }"
+# rule denominators q + 3 and 1 + q, which a normal form carries as polynomials
+POLYDEN = ("algebra R over Q(q) { gens: x, y; "
+           "rels: (1+q)*y*x - x*y; y*y - (q^2-2)/(q+3)*x*y; }")
 
 CASES = [
     ["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "2", "--nmax", "5"],
@@ -106,6 +109,16 @@ CASES = [
     # H^0 at the default --nmax, and at a positive twist that the cutoff covers
     ["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "1"],
     ["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "3", "--nmax", "9"],
+    # Q(q) scalars with polynomial denominators and negative powers of q
+    ["thcr", "multiply", "--sigma", "q,1,0,1", "-f", "1:u/(q+1)", "-g", "2:u^2/(1-q^2)"],
+    ["thcr", "multiply", "--sigma", "1/q,0,0,1", "-f", "2:(u - 1/q)/(q^2+1)",
+     "-g", "1:q*u/(q-1)", "--rule", "gamma"],
+    ["thcr", "present", "--sigma", "1/q,1,q,1", "--dmax", "3"],
+    ["thcr", "present", "--sigma", "q,1,0,1/(q+1)", "--dmax", "3"],
+    ["algebra", "twist", "--input", QP, "--sigma", "1/q,0,0,(q-1)/(q^2+1)"],
+    ["algebra", "hilbert", "--input", POLYDEN],
+    ["algebra", "gorenstein", "--input", POLYDEN],
+    ["proj", "cohomology", "--input", POLYDEN, "-j", "0", "-d", "1", "--nmax", "3"],
 ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -342,15 +343,14 @@ def _random_qq_poly(alphabet, rules, rnd, max_degree):
 
 
 def _internal_form(p):
-    """Each coefficient's (e, n, d), after checking its types: n a Fraction
-    or a UPoly of Fractions, d None or a monic UPoly of Fractions."""
+    """Each coefficient's (e, n, d), after checking its form: n and d tuples
+    of ints with nonzero constant terms, d's leading coefficient positive
+    and the two contents coprime."""
     for c in p.terms.values():
         assert type(c) is RatFunc
         n, d = c.n, c.d
-        assert type(n) is Fraction or (type(n) is UPoly and len(n.coeffs) > 1
-                                       and all(type(a) is Fraction for a in n.coeffs))
-        assert d is None or (type(d) is UPoly and len(d.coeffs) > 1 and d.coeffs[-1] == 1
-                             and all(type(a) is Fraction for a in d.coeffs))
+        assert type(n) is tuple and type(d) is tuple and all(type(a) is int for a in n + d)
+        assert n[0] and n[-1] and d[0] and d[-1] > 0 and math.gcd(*n, *d) == 1
     return {w: (c.e, c.n, c.d) for w, c in p.terms.items()}
 
 

@@ -354,7 +354,10 @@ class RatFunc:
         return self.e == other.e and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant equals its Fraction and int, so it hashes as they do
+        if self.e == 0 and len(self.n) <= 1 and len(self.d) == 1:
+            return hash(Fraction(self.n[0], self.d[0])) if self.n else 0
+        return hash((self.e, self.n, self.d))
 
     def __add__(self, other):
         if other.__class__ is not RatFunc:

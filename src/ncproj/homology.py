@@ -648,26 +648,30 @@ def proj_depth(p, n_max, j, *twists):
 def proj_cohomology(R, M, j, d, n_max):
     """Stabilized dim of H^j(M[d]) over the truncation filtration.
 
-    H^j(M[d]) is read as Ext^j(A_{>=n}, M[d]) for n <= n_max, from the tail
-    P^1 <- P^2 <- ... of the minimal resolution of A/A_{>=n}, which is a
-    minimal resolution of A_{>=n}; for j >= 1 these are the groups
-    Ext^{j+1}(A/A_{>=n}, M[d]).  Value n reads the resolution only up to
-    the degree proj_cutoff(n, j, d), so it is built no deeper.  The check up
-    front covers those reads only: for d > 0 the Hom step reads A in degree
-    D + d, past them, and only an R built to proj_depth covers both.
+    H^j(M[d]) is read as Ext^j(A_{>=n}, M[d]) for n <= n_max.  Value 0 is
+    Ext^j(A, M[d]): dim M_d for j = 0, else 0.  Value n >= 1 comes from the
+    exact sequence 0 -> A_{>=n} -> A_{>=n-1} -> k(-(n-1))^{dim A_{n-1}} ->
+    0.  With e = n - 1 + d, where Ext^j(k, M[e]) = 0 its long exact sequence
+    reads 0 -> value n-1 -> value n -> Ext^{j+1}(k, M[e])^{dim A_{n-1}} ->
+    Ext^{j+1}(A_{>=n-1}, M[d]), so value n = value n-1 + dim A_{n-1} . up,
+    up = dim Ext^{j+1}(k, M[e]), when up = 0 or the last group is 0.  That
+    group is 0 when k's resolution terminates with length pd <= j + 1:
+    A/A_{>=m} is filtered by copies of k(-i), i < m, so by the horseshoe
+    lemma its resolution is no longer than k's, and A_{>=m}, its first
+    syzygy, has pd(A_{>=m}) <= pd(k) - 1.  Both Ext groups and pd are read
+    off the one cached resolution of k, to homological degree j + 2 at the
+    bound proj_cutoff(n, j, d).
 
-    Neighbouring truncations differ by copies of k: 0 -> A_{>=n} ->
-    A_{>=n-1} -> k(-(n-1))^{dim A_{n-1}} -> 0.  Where Ext^j and Ext^{j+1}
-    of (k, M[n-1+d]) both vanish, the long exact sequence makes the
-    transition map an isomorphism, so value n is value n-1 and takes no
-    Hom rank.  Both are read off the one cached resolution of k, at the
-    same bound proj_cutoff(n, j, d) as value n.  A/A_{>=n} is filtered by
-    copies of k(-m), m < n, so its P^i has generators of degree at most
-    n - 1 + t_i, t_i the top generator degree of k's P^i; the step is taken
-    only when t_i <= j + 3 + |d| for i = j, j+1, j+2, where the resolution
-    of A/A_{>=n} read at proj_cutoff(n, j, d) holds every generator the
-    value needs, and the check reads M no deeper than value n does.
-    Otherwise value n is read off A/A_{>=n} as above.
+    Every other value n is read off the tail P^1 <- P^2 <- ... of the
+    minimal resolution of A/A_{>=n}, a minimal resolution of A_{>=n} (for
+    j >= 1, Ext^{j+1}(A/A_{>=n}, M[d])), built only to proj_cutoff(n, j,
+    d).  By the same filtration its P^i has generators of degree at most
+    n - 1 + t_i, t_i the top generator degree of k's P^i, so the dimension
+    count is taken only when t_i <= j + 3 + |d| for i = j, j+1, j+2: there
+    that bound holds every generator the value needs, and the count reads M
+    no deeper than the resolution would.  The check up front covers the
+    resolutions' reads only: for d > 0 the Hom step reads A in degree D + d,
+    past them, and only an R built to proj_depth covers both.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -676,14 +680,15 @@ def proj_cohomology(R, M, j, d, n_max):
         raise CutoffExceededError(
             f"cutoff {R.cutoff} insufficient for (j={j}, d={d}, n_max={n_max}); "
             f"need {needed}")
-    values, ranks = [], {}     # ranks: the memo of the Ext(k, M) ranks, by twist
-    for n in range(n_max + 1):
-        N = proj_cutoff(n, j, d)
-        if n:
-            k = _quotient_resolution(R, 1, j + 2, N)
-            if all(D <= j + 3 + abs(d) for b in k.betti[j:j + 3] for D in b) and not any(
-                    _ext_dims_from_resolution(k, M, n - 1 + d, i, ranks) for i in (j, j + 1)):
-                values.append(values[-1])
+    values, ranks = [M.dim(d) if j == 0 else 0], {}     # ranks: the Ext(k, M) memo
+    for n in range(1, n_max + 1):
+        N, e = proj_cutoff(n, j, d), n - 1 + d
+        k = _quotient_resolution(R, 1, j + 2, N)
+        if all(D <= j + 3 + abs(d) for b in k.betti[j:j + 3] for D in b) and \
+                not _ext_dims_from_resolution(k, M, e, j, ranks):
+            up = _ext_dims_from_resolution(k, M, e, j + 1, ranks)
+            if not up or k.terminated:          # read to P^{j+2}: pd <= j + 1
+                values.append(values[-1] + len(normal_words(R, n - 1)) * up)
                 continue
         rep = _quotient_resolution(R, n, j + 2, N)
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])

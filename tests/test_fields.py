@@ -136,9 +136,6 @@ class RefRatFunc:
         other = self._coerce(other)
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __add__(self, other):
         other = self._coerce(other)
         return RefRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -243,12 +240,15 @@ def assert_same(new, ref):
     assert new.den.coeffs[-1] == 1
     assert str(new) == str(ref)
     assert repr(new) == f"RatFunc({ref})"
-    assert hash(new) == hash(ref)
     assert new.is_composite() == ref.is_composite()
     assert bool(new) == bool(ref.num)
     assert_normal_form(new)
+    # equal values hash equal: equal RatFuncs, and a constant with its Fraction
     assert new == RatFunc(ref.num, ref.den)
     assert hash(new) == hash(RatFunc(ref.num, ref.den))
+    if ref.den.degree() == 0 and ref.num.degree() <= 0:
+        c = ref.num.coeffs[0] if ref.num.coeffs else Fraction(0)
+        assert new == c and hash(new) == hash(c)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -305,6 +305,19 @@ def test_ratfunc_cancellation_is_zero():
         assert z == zero and hash(z) == hash(zero) and not z
         assert (z.e, z.n, z.d) == (0, (), (1,))
         assert str(z) == "0"
+
+
+def test_equal_scalars_of_every_type_are_one_dict_key():
+    """An int, a Fraction and a RatFunc of one value hash alike, so a dict
+    or set keyed by a mix of them holds one entry per value."""
+    q = RatFunc.q()
+    keys = {}
+    for k in (2, Fraction(2), RatFunc(2), 2 * q / q, Fraction(1, 3), RatFunc(Fraction(1, 3)),
+              q / (3 * q), 0, RatFunc(0), q - q, q, q * q / q, (q + 1) / (q - 1),
+              (2 * q + 2) / (2 * q - 2), -1, RatFunc(-1), Fraction(-2, 2)):
+        keys[k] = keys.get(k, 0) + 1
+    assert sorted(keys.values()) == [2, 2, 3, 3, 3, 4]
+    assert {RatFunc(5), 5, Fraction(10, 2)} == {5}
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

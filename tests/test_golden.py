@@ -36,6 +36,8 @@ FREE = "algebra F over Q { gens: x, y; rels: }"
 # rule denominators q + 3 and 1 + q, which a normal form carries as polynomials
 POLYDEN = ("algebra R over Q(q) { gens: x, y; "
            "rels: (1+q)*y*x - x*y; y*y - (q^2-2)/(q+3)*x*y; }")
+# y of weight 4: k's P^2 is A(-5), above the degree a value's step reads
+Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
 
 CASES = [
     ["proj", "cohomology", "--input", PLANE, "-j", "0", "-d", "2", "--nmax", "5"],
@@ -119,6 +121,14 @@ CASES = [
     ["algebra", "hilbert", "--input", POLYDEN],
     ["algebra", "gorenstein", "--input", POLYDEN],
     ["proj", "cohomology", "--input", POLYDEN, "-j", "0", "-d", "1", "--nmax", "3"],
+    # Proj values decided by the exact sequence of k: steps past k's length
+    # where Ext^{j+1}(k, A[n-1+d]) is nonzero, a step the degree check keeps
+    # on the truncation, and a cd scan
+    ["proj", "cohomology", "--input", C3, "-j", "2", "-d", "-3", "--nmax", "4"],
+    ["proj", "cohomology", "--input", QP, "-j", "1", "-d", "-4", "--nmax", "5"],
+    ["proj", "cohomology", "--input", Y4, "-j", "0", "-d", "-1", "--nmax", "5"],
+    ["proj", "cd", "--input", C3, "--jmax", "2", "--dmin", "-4", "--dmax", "1",
+     "--nmax", "4"],
 ]
 
 

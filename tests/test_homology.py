@@ -398,17 +398,17 @@ def test_hom_ranks_equal_the_column_by_column_route(name):
 
 # the degree each cached resolution of A/A_{>=n} is built to, by n, after
 # the queries of the test below: k (n = 1) is read at proj_cutoff(n, j, d)
-# before each value n >= 1, and A/A_{>=n} only where the exact sequence of
-# k does not carry value n - 1 over
-RESOLVED = {"plane": {0: 7, 1: 10, 2: 9}, "QP": {0: 7, 1: 10, 2: 9}, "C3": {0: 7, 1: 10},
-            "Sklyanin": {0: 4, 1: 7}, "weighted plane": {0: 7, 1: 10}, "cubic": {0: 7, 1: 10},
-            "weighted C3": {0: 7, 1: 10}, "weighted x, z, y:2": {0: 7, 1: 10, 2: 9, 3: 10}}
+# before each value n >= 1, A/A_{>=n} only where the exact sequence of k does
+# not decide value n, and A/A_{>=0} never
+RESOLVED = {"plane": {1: 10, 2: 9}, "QP": {1: 10, 2: 9}, "C3": {1: 10},
+            "Sklyanin": {1: 7}, "weighted plane": {1: 10}, "cubic": {1: 10},
+            "weighted C3": {1: 10}, "weighted x, z, y:2": {1: 10, 2: 9, 3: 10}}
 
 
 @pytest.mark.parametrize("name", list(TRUNCATED))
 def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
     """Value n of H^j(A[d]) is read off a resolution built only to
-    proj_cutoff(n, j, d), or carried over from value n - 1; it equals the
+    proj_cutoff(n, j, d), or decided by the exact sequence of k; it equals the
     value read off one built to the cutoff of a second system, through the
     same Ext assembly."""
     text = TRUNCATED[name]
@@ -430,14 +430,14 @@ def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
 
 def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch):
     """On P^1 at cutoff 17, H^2(O(-3)) to n_max 6 resolves A/A_{>=n} only
-    for n = 0 and n = 2, each only as deep as its value reads, and reads k =
-    A/A_{>=1} before each value n >= 1, at proj_cutoff(n, 2, -3), so to
-    degree 13.  Global dimension at degree bound 10 reads that one without
-    building on it; at 15 it continues it from degree 14, without adding a
-    key or starting afresh."""
+    for n = 2, only as deep as its value reads, and reads k = A/A_{>=1}
+    before each value n >= 1, at proj_cutoff(n, 2, -3), so to degree 13.
+    Global dimension at degree bound 10 reads that one without building on
+    it; at 15 it continues it from degree 14, without adding a key or
+    starting afresh."""
     R = plane(17)
     assert proj_cohomology(R, GradedModulePresentation.algebra(R), 2, -3, 6).stabilized_dim == 0
-    assert {n: res.built for n, res in R.cache.resolutions.items()} == {0: 7, 1: 13, 2: 9}
+    assert {n: res.built for n, res in R.cache.resolutions.items()} == {1: 13, 2: 9}
     k = R.cache.resolutions[1]
     degrees = []
     minimal_generators = homology._minimal_generators
@@ -446,7 +446,7 @@ def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch
     assert global_dimension(R, 4, 10) == 2
     assert R.cache.resolutions[1] is k and k.built == 13 and not degrees
     assert global_dimension(R, 4, 15) == 2
-    assert list(R.cache.resolutions) == [0, 1, 2]
+    assert list(R.cache.resolutions) == [1, 2]
     assert R.cache.resolutions[1] is k and k.built == 15
     assert degrees and min(degrees) == 14 and max(degrees) == 15
 
@@ -464,22 +464,24 @@ def proj_cohomology_n_by_n(R, M, j, d, n_max):
 
 Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
 X5 = "algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }"
-PROJ_GRID = dict(ORACLE, Y4=Y4, X5=X5)
+# k's P^2 and P^3 reach degrees 4 and 5, past j + 3 + |d| for H^0 and H^1 at d = 0
+Y3C3 = "algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; y*x - x*y; y*z - z*y; }"
+PROJ_GRID = dict(ORACLE, Y4=Y4, X5=X5, **{"weighted C3 y:3": Y3C3})
 
 
 @pytest.mark.parametrize("name", list(PROJ_GRID))
 def test_proj_cohomology_equals_the_route_that_reads_every_n(name):
-    """Every report of H^j(A[d]), j = 0..2, d = -4..2 and n_max 5 (d <= 1
+    """Every report of H^j(A[d]), j = 0..3, d = -4..2 and n_max 5 (d <= 1
     and n_max 3 on Sklyanin, whose every-n route takes seconds per query
-    there), carried across truncations by the exact sequence of k where it
-    applies, equals the one that reads every A/A_{>=n}, on a second system;
-    over Y4 and X5, whose resolutions of k reach degree 5, the degree check
-    keeps the steps whose generators the bound would miss."""
+    there), decided by the exact sequence of k where it applies, equals the
+    one that reads every A/A_{>=n}, on a second system; over Y4, X5 and
+    weighted C3 with y:3, whose resolutions of k reach past the bound, the
+    degree check keeps the steps whose generators the bound would miss."""
     p = parse_presentation(PROJ_GRID[name])
     n_max, twists = (3, range(-4, 2)) if name == "Sklyanin" else (5, range(-4, 3))
-    R, every_n = (build(p, proj_depth(p, n_max, 2, *twists)) for _ in range(2))
+    R, every_n = (build(p, proj_depth(p, n_max, 3, *twists)) for _ in range(2))
     A, A_every_n = (GradedModulePresentation.algebra(S) for S in (R, every_n))
-    for j in range(3):
+    for j in range(4):
         for d in twists:
             assert proj_cohomology(R, A, j, d, n_max) == \
                 proj_cohomology_n_by_n(every_n, A_every_n, j, d, n_max), (j, d)
@@ -495,34 +497,63 @@ def resolved(monkeypatch):
 
 
 def test_a_step_the_exact_sequence_does_not_carry_resolves_its_truncation(monkeypatch):
-    """The plane's H^1(O(-3)) moves at the step 1 -> 2, where Ext^2(k, A) is
-    nonzero at twist -2: value 2 is read off A/A_{>=2}, and the other steps
-    read only k, at proj_cutoff(n, 1, -3) before each value n >= 1."""
+    """The plane's H^1(O(-3)) moves at the step 1 -> 2, where Ext^1(k, A[-2])
+    is 0 and Ext^2(k, A[-2]) is k: past k's length 2, value 2 is 0 + dim A_1
+    . 1 = 2, and every step reads only k, at proj_cutoff(n, 1, -3) before
+    each value n >= 1.  Its H^2(O(-3)) has Ext^2(k, A[-2]) != 0 at that step,
+    which the exact sequence does not decide: value 2 is read off A/A_{>=2}."""
     R = plane(12)
+    A = GradedModulePresentation.algebra(R)
     calls = resolved(monkeypatch)
-    assert proj_cohomology(R, GradedModulePresentation.algebra(R), 1, -3, 4).values == \
-        [0, 0, 2, 2, 2]
-    assert calls == [(0, 6), (1, 7), (1, 8), (2, 8), (1, 9), (1, 10)]
+    assert proj_cohomology(R, A, 1, -3, 4).values == [0, 0, 2, 2, 2]
+    assert calls == [(1, 7), (1, 8), (1, 9), (1, 10)]
+    del calls[:]
+    assert proj_cohomology(R, A, 2, -3, 4).values == [0, 0, 0, 0, 0]
+    assert calls == [(1, 8), (1, 9), (2, 9), (1, 10), (1, 11)]
 
 
 def test_a_step_past_the_degree_check_resolves_its_truncation(monkeypatch):
     """Over Y4 (y of weight 4) k's P^2 is A(-5), above j + 3 + |d| = 4 for
-    H^0(O(-1)), so no step is carried over and every A/A_{>=n} is resolved.
-    There Ext^0 and Ext^1 of (k, A[-1]) vanish, yet value 1 differs from
-    value 0: read at proj_cutoff(1, 0, -1) = 4, A/A_{>=1} misses k's P^2."""
+    H^0(O(-1)), so every step n >= 2, where k is read to degree 5 or more,
+    resolves A/A_{>=n}.  There Ext^0 and Ext^1 of (k, A[-1]) vanish, yet
+    value 1 differs from value 0: read at proj_cutoff(1, 0, -1) = 4, A/A_{>=1}
+    misses k's P^2.  So does k read there, which looks terminated with
+    length 1, and the dimension count gives value 1 the same value."""
     p = parse_presentation(Y4)
     R, every_n = (build(p, proj_depth(p, 5, 0, -1)) for _ in range(2))
     A = GradedModulePresentation.algebra(R)
     k = _quotient_resolution(R, 1, 2, R.cutoff)
     assert k.betti == [[0], [1, 4], [5]]
     assert [_ext_dims_from_resolution(k, A, -1, i) for i in (0, 1)] == [0, 0]
+    at_4 = _quotient_resolution(R, 1, 2, 4)
+    assert at_4.betti == [[0], [1, 4]] and at_4.terminated
     calls = resolved(monkeypatch)
     report = proj_cohomology(R, A, 0, -1, 5)
     assert report == proj_cohomology_n_by_n(every_n, GradedModulePresentation.algebra(every_n),
                                             0, -1, 5)
     assert report.values[0] != report.values[1]
-    assert calls == [(0, 3), (1, 4), (1, 4), (1, 5), (2, 5), (1, 6), (3, 6), (1, 7), (4, 7),
-                     (1, 8), (5, 8)]
+    assert calls == [(1, 4), (1, 5), (2, 5), (1, 6), (3, 6), (1, 7), (4, 7), (1, 8), (5, 8)]
+
+
+@pytest.mark.parametrize("name", ["plane", "QP", "C3"])
+def test_a_gorenstein_query_resolves_only_where_k_does_not_decide(name, monkeypatch):
+    """Over the plane, QP and C3, no H^j(A[d]) with j = 0..2 and d = -5..3
+    resolves A/A_{>=n} for n != 1, except at a step where Ext^j(k,
+    A[n-1+d]) != 0, which the exact sequence of k does not decide; the
+    plane's and QP's H^2 at d <= -3 take such a step, C3 never does."""
+    p = parse_presentation(ORACLE[name])
+    R = build(p, proj_depth(p, 4, 2, -5, 3))
+    A = GradedModulePresentation.algebra(R)
+    k = _quotient_resolution(R, 1, 4, R.cutoff)
+    calls = resolved(monkeypatch)
+    steps = set()
+    for j in range(3):
+        for d in range(-5, 4):
+            del calls[:]
+            proj_cohomology(R, A, j, d, 4)
+            steps.update((j, d, n) for n, _ in calls if n != 1)
+    assert all(_ext_dims_from_resolution(k, A, n - 1 + d, j) for j, d, n in steps)
+    assert steps == (set() if name == "C3" else {(2, d, -1 - d) for d in range(-5, -2)})
 
 
 def test_cd_estimate_plane():

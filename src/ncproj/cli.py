@@ -188,6 +188,16 @@ def proj():
     """Cohomology of the noncommutative Proj via truncation colimits."""
 
 
+def _built_for_proj(p, nmax, js, dmax):
+    """p completed for H^j, j in js, at twists up to dmax: afresh while k's
+    resolution asks for more (proj_depth, which only grows), a loop that ends
+    whenever k's P^j..P^{j+2} are finitely generated."""
+    R = build(p, max(p.max_relation_degree(), nmax + max(js) + 1) + max(dmax, 0))
+    while (depth := max(proj_depth(R, nmax, j, dmax) for j in js)) > R.cutoff:
+        R = build(p, depth)
+    return R
+
+
 @_command(proj, "cohomology")
 @_algebra_input
 @click.option("-j", "j", type=click.IntRange(min=0), required=True,
@@ -198,7 +208,7 @@ def proj():
               show_default=True, help="Largest truncation index.")
 def proj_cohomology_cmd(p, j, d, nmax):
     """Stabilized dimension of H^j(R[d])."""
-    R = build(p, proj_depth(p, nmax, j, d))
+    R = _built_for_proj(p, nmax, [j], d)
     M = GradedModulePresentation.algebra(R)
     report = proj_cohomology(R, M, j, d, nmax).to_dict()
     report.update({"algebra": p.name, "n_max": nmax})
@@ -217,7 +227,7 @@ def proj_cd(p, jmax, dmin, dmax, nmax):
     """Cohomological-dimension estimate over a window of twists."""
     if dmin > dmax:
         raise click.UsageError(f"--dmin {dmin} exceeds --dmax {dmax}: no twist to scan")
-    R = build(p, proj_depth(p, nmax, jmax, dmin, dmax))
+    R = _built_for_proj(p, nmax, range(jmax + 1), dmax)
     cd = cd_estimate(R, jmax, range(dmin, dmax + 1), nmax)
     return {"algebra": p.name, "cd": cd, "d_range": [dmin, dmax],
             "j_max": jmax, "n_max": nmax}

@@ -141,10 +141,7 @@ class UPoly:
         return UPoly(tuple(Fraction(c, lead) for c in a))
 
     def render(self, sym="q"):
-        if not self.coeffs:
-            return "0"
-        return render_terms((c, None if i == 0 else sym if i == 1 else f"{sym}^{i}")
-                            for i, c in reversed(list(enumerate(self.coeffs))) if c)
+        return _render_powers(self.coeffs, sym)
 
     def __repr__(self):
         return f"UPoly({self.render()})"
@@ -409,11 +406,13 @@ class RatFunc:
         return len(self.d) > 1 or self.e < 0 or len(self.n) > 1
 
     def __str__(self):
-        # N and D have nonzero ends, so a side of length > 1 has two terms
-        n = self.num.render()
+        # num and den's text, read from N and D over lead(D); each has
+        # nonzero ends, so a side of length > 1 has two terms
+        lead = self.d[-1]
+        n, d = (_render_powers(cs if lead == 1 else [Fraction(c, lead) for c in cs], "q", k)
+                for cs, k in ((self.n, self.e), (self.d, -self.e)))
         if self.e >= 0 and len(self.d) == 1:
             return n
-        d = self.den.render()
         if len(self.n) > 1:
             n = f"({n})"
         if len(self.d) > 1:
@@ -748,6 +747,12 @@ class FieldTag:
 QQ = FieldTag("Q", Fraction(0), Fraction(1), lambda x: Fraction(x))
 QQ_Q = FieldTag("Q(q)", RatFunc(0), RatFunc(1),
                 lambda x: x if isinstance(x, RatFunc) else RatFunc(x))
+
+
+def _render_powers(cs, sym, low=0):
+    """Text of the sum of cs[i] sym^(low + i), low < 0 read as 0."""
+    return render_terms((c, None if i == 0 else sym if i == 1 else f"{sym}^{i}")
+                        for i, c in reversed(list(enumerate(cs, max(low, 0)))) if c) or "0"
 
 
 def render_terms(terms):

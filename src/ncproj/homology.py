@@ -489,8 +489,7 @@ def _minimality_audit(diffs):
 
 def global_dimension(R, p_max, N):
     """Projective dimension of the trivial module, or AT_LEAST(p_max)."""
-    rep = _quotient_resolution(R, 1, p_max, N)
-    return rep.length if rep.terminated else AtLeast(p_max)
+    return _quotient_resolution(R, 1, p_max, N).length
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +503,8 @@ def _hom_rank(P, shifts, rows, d):
     rows, sent to row.  Sending e_i to one quotient basis element of
     P_{shifts[i]+d} gives, over all rows, the sparse vector of the images
     row[i] . element side by side in the slices P_{D+d}; the images of
-    every element of P_{shifts[i]+d} under row[i] are made at once.
+    every element of P_{shifts[i]+d} under row[i] are made at once.  A
+    summand no row reaches adds nothing, and P is not read for it.
     """
     offsets, ncols = [], 0
     for D, _ in rows:
@@ -514,7 +514,7 @@ def _hom_rank(P, shifts, rows, d):
     for i, l in enumerate(shifts):
         hits = [(offset, D + d, P._free_products(row[i], l + d))
                 for offset, (D, row) in zip(offsets, rows) if row[i]]
-        for k in range(len(P._free_columns(l + d))):
+        for k in range(len(P._free_columns(l + d)) if hits else 0):
             v = {}
             for offset, e, images in hits:
                 v.update((offset + t, x) for t, x in P.quotient_coords(images[k], e).items())
@@ -597,15 +597,10 @@ class CohomologyReport:
 
 def _stabilize(values):
     """Value of the tail plateau (length >= 3) and where it starts."""
-    if len(values) < 3:
-        return UNSTABLE, -1
-    tail = values[-1]
     start = len(values)
-    while start > 0 and values[start - 1] == tail:
+    while start and values[start - 1] == values[-1]:
         start -= 1
-    if len(values) - start >= 3:
-        return tail, start
-    return UNSTABLE, -1
+    return (values[-1], start) if len(values) - start >= 3 else (UNSTABLE, -1)
 
 
 def _quotient_resolution(R, n, p_max, N):
@@ -623,74 +618,63 @@ def _quotient_resolution(R, n, p_max, N):
     return cache[n].report(R, p_max, N)
 
 
-def proj_cutoff(n_max, j, *twists):
-    """The degree proj_cohomology resolves to for H^j up to truncation n_max,
-    over the given twists d: n_max + j + 2 + the largest |d|.  For d > 0 the
-    Hom step reads A past it; proj_depth covers that too.  The bound does
-    not follow the syzygies: over weighted or high-degree algebras it can
-    fall below generators of A/A_{>=n}'s resolution that the value needs.
-    Over k[x, y] with y of weight 4, k's P^2 is A(-5), and value 1 of
-    H^0(O(-1)), read at degree 4, misses it: the values to n_max 5 are
-    [0, 2, 2, 2, 2, 6], where Hom(A_{>=1}, A(-1))_0 = A_{-1} = 0."""
-    return n_max + j + 2 + max(map(abs, twists), default=0)
+def _read_k(R, j, n_max):
+    """(T, k): k's resolution to P^{j+2} read at B = n_max - 1 + T, T the
+    top generator degree of its P^j..P^{j+2} there and at least max(j + 2,
+    R.relation_degree): a fixed point, read at the B of each T until no
+    generator lies in degrees T+1..B.  k is None when B passes the cutoff."""
+    T = max(j + 2, R.relation_degree)
+    while n_max - 1 + T <= R.cutoff:
+        k = _quotient_resolution(R, 1, j + 2, n_max - 1 + T)
+        top = max([T, *(D for b in k.betti[j:j + 3] for D in b)])
+        if top == T:
+            return T, k
+        T = top
+    return T, None
 
 
-def proj_depth(p, n_max, j, *twists):
-    """The degree to complete presentation p to for H^j up to truncation
-    n_max over the given twists d.  Value n resolves to degree
-    proj_cutoff(n, j, d), and its Hom step reads A in degree D + d for
-    generator degrees D up to that, hence the term max(d, 0); the depth is
-    never below p's largest relation degree."""
-    return max([p.max_relation_degree(),
-                *(proj_cutoff(n_max, j, d) + max(d, 0) for d in twists)])
+def proj_depth(R, n_max, j, d):
+    """The degree H^j(A[d]) to truncation n_max reads: n_max - 1 + T +
+    max(d, 0); over an R completed below it, the depth known so far."""
+    return n_max - 1 + _read_k(R, j, n_max)[0] + max(d, 0)
 
 
 def proj_cohomology(R, M, j, d, n_max):
     """Stabilized dim of H^j(M[d]) over the truncation filtration.
 
-    H^j(M[d]) is read as Ext^j(A_{>=n}, M[d]) for n <= n_max.  Value 0 is
-    Ext^j(A, M[d]): dim M_d for j = 0, else 0.  Value n >= 1 comes from the
-    exact sequence 0 -> A_{>=n} -> A_{>=n-1} -> k(-(n-1))^{dim A_{n-1}} ->
-    0.  With e = n - 1 + d, where Ext^j(k, M[e]) = 0 its long exact sequence
-    reads 0 -> value n-1 -> value n -> Ext^{j+1}(k, M[e])^{dim A_{n-1}} ->
-    Ext^{j+1}(A_{>=n-1}, M[d]), so value n = value n-1 + dim A_{n-1} . up,
-    up = dim Ext^{j+1}(k, M[e]), when up = 0 or the last group is 0.  That
-    group is 0 when k's resolution terminates with length pd <= j + 1:
-    A/A_{>=m} is filtered by copies of k(-i), i < m, so by the horseshoe
-    lemma its resolution is no longer than k's, and A_{>=m}, its first
-    syzygy, has pd(A_{>=m}) <= pd(k) - 1.  Both Ext groups and pd are read
-    off the one cached resolution of k, to homological degree j + 2 at the
-    bound proj_cutoff(n, j, d).
+    H^j(M[d]) is read as Ext^j(A_{>=n}, M[d]) for n <= n_max.  A/A_{>=n} is
+    filtered by copies of k(-m), m < n, so by the horseshoe lemma its P^i
+    has generators in degrees <= n - 1 + t_i, t_i the top generator degree
+    of k's P^i.  Value n reads P^j..P^{j+2}: k is read to P^{j+2} at B =
+    n_max - 1 + T (see _read_k), A/A_{>=n} at n - 1 + T, and M to B +
+    max(d, 0) in the Hom step.  The certificate is that k has no generator
+    of P^j..P^{j+2} in degrees T+1..B.  A cutoff below B + max(d, 0) is
+    refused, naming it, before any A/A_{>=n} with n >= 2 is resolved.
 
-    Every other value n is read off the tail P^1 <- P^2 <- ... of the
-    minimal resolution of A/A_{>=n}, a minimal resolution of A_{>=n} (for
-    j >= 1, Ext^{j+1}(A/A_{>=n}, M[d])), built only to proj_cutoff(n, j,
-    d).  By the same filtration its P^i has generators of degree at most
-    n - 1 + t_i, t_i the top generator degree of k's P^i, so the dimension
-    count is taken only when t_i <= j + 3 + |d| for i = j, j+1, j+2: there
-    that bound holds every generator the value needs, and the count reads M
-    no deeper than the resolution would.  The check up front covers the
-    resolutions' reads only: for d > 0 the Hom step reads A in degree D + d,
-    past them, and only an R built to proj_depth covers both.
+    Value 0 is Ext^j(A, M[d]): dim M_d for j = 0, else 0.  With e = n - 1 +
+    d, where Ext^j(k, M[e]) = 0 the long exact sequence of 0 -> A_{>=n} ->
+    A_{>=n-1} -> k(-(n-1))^{dim A_{n-1}} -> 0 gives value n = value n-1 +
+    dim A_{n-1} . dim Ext^{j+1}(k, M[e]) when that Ext is 0 or k's
+    resolution ends with length <= j + 1 (then pd(A_{>=n-1}) <= pd(k) - 1
+    <= j, so Ext^{j+1}(A_{>=n-1}, M[d]) = 0).  Any other value n is read off
+    the tail P^1 <- P^2 <- ... of A/A_{>=n}'s resolution, one of A_{>=n}.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    needed = proj_cutoff(n_max, j, d)
-    if needed > R.cutoff:
+    T, k = _read_k(R, j, n_max)
+    if (needed := n_max - 1 + T + max(d, 0)) > R.cutoff:
         raise CutoffExceededError(
             f"cutoff {R.cutoff} insufficient for (j={j}, d={d}, n_max={n_max}); "
             f"need {needed}")
     values, ranks = [M.dim(d) if j == 0 else 0], {}     # ranks: the Ext(k, M) memo
     for n in range(1, n_max + 1):
-        N, e = proj_cutoff(n, j, d), n - 1 + d
-        k = _quotient_resolution(R, 1, j + 2, N)
-        if all(D <= j + 3 + abs(d) for b in k.betti[j:j + 3] for D in b) and \
-                not _ext_dims_from_resolution(k, M, e, j, ranks):
+        e = n - 1 + d
+        if not _ext_dims_from_resolution(k, M, e, j, ranks):
             up = _ext_dims_from_resolution(k, M, e, j + 1, ranks)
             if not up or k.terminated:          # read to P^{j+2}: pd <= j + 1
                 values.append(values[-1] + len(normal_words(R, n - 1)) * up)
                 continue
-        rep = _quotient_resolution(R, n, j + 2, N)
+        rep = _quotient_resolution(R, n, j + 2, n - 1 + T)
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
         values.append(_ext_dims_from_resolution(tail, M, d, j))
     dim, at = _stabilize(values)

@@ -134,11 +134,12 @@ class RewriteCache:
 class RewriteSystem:
     """Interreduced rewrite rules, confluent up to the degree cutoff."""
 
-    def __init__(self, rules, cutoff, alphabet, field):
+    def __init__(self, rules, cutoff, alphabet, field, relation_degree=0):
         self.rules = tuple(rules)
         self.cutoff = cutoff
         self.alphabet = alphabet
         self.field = field
+        self.relation_degree = relation_degree     # the top degree of the relations completed
         self.cache = RewriteCache(self.rules, len(self.alphabet))
 
     def __repr__(self):
@@ -334,7 +335,7 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
             raise ValueError("cutoff smaller than a relation degree")
         relations_of.setdefault(rel.degree(), []).append(rel)
 
-    rules = []
+    top, rules = max(relations_of, default=0), []
     while relations_of or overlaps_of:
         d = min(relations_of.keys() | overlaps_of.keys())
         automaton = NormalWordAutomaton(rules, len(alphabet))
@@ -357,7 +358,7 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
                 overlaps_of.setdefault(e, []).append((r1, r2, *overlap))
         rules.extend(new)
 
-    return RewriteSystem(rules, cutoff, alphabet, field)
+    return RewriteSystem(rules, cutoff, alphabet, field, top)
 
 
 def normal_form(p, R):

@@ -12,8 +12,9 @@ from ncproj.cli import main
 from ncproj.dsl import parse_presentation, parse_upoly
 from ncproj.fields import QQ_Q, RatFunc, UPoly
 from ncproj.homology import (GradedModulePresentation, cd_estimate, proj_cohomology,
-                             proj_cutoff)
+                             proj_depth)
 from ncproj.presentations import build
+import test_golden
 
 QP = "algebra QP over Q(q) { gens: x:1, y:1; rels: y*x - q*x*y; }"
 PLANE = "algebra P over Q { gens: x, y; rels: y*x - x*y; }"
@@ -136,15 +137,16 @@ def test_every_command_has_one_shape():
 
 X5 = "algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }"
 Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
-# (presentation, j, d, n_max): small cases of every shape of algebra, of both
-# signs of d, and one whose relation degree (8) is deeper than its query reads
+# (presentation, j, d, n_max, the degrees the command completes to): small
+# cases of every shape of algebra, of both signs of d, and one whose
+# relation degree (8) is deeper than its first completion's look-ahead
 _PROJ_SAMPLE = [
-    (PLANE, 0, 3, 4), (PLANE, 1, -4, 3), (QP, 0, 1, 4), (QP, 1, -2, 3),
-    (C3, 2, -3, 3), ("algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }", 0, 2, 4),
-    ("algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; x*y; }", 1, -2, 3),
-    (Y4, 0, 0, 3), ("algebra D over Q { gens: x; rels: x*x; }", 1, -1, 3),
-    ("algebra K over Q { gens: x; rels: }", 0, 3, 8), (X5, 0, -1, 3),
-    ("algebra E over Q { gens: x; rels: x^8; }", 0, 0, 3),
+    (PLANE, 0, 3, 4, [8]), (PLANE, 1, -4, 3, [5]), (QP, 0, 1, 4, [6]), (QP, 1, -2, 3, [5]),
+    (C3, 2, -3, 3, [6]), ("algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }", 0, 2, 4, [7, 8]),
+    ("algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; x*y; }", 1, -2, 3, [5, 6]),
+    (Y4, 0, 0, 3, [5, 7]), ("algebra D over Q { gens: x; rels: x*x; }", 1, -1, 3, [5]),
+    ("algebra K over Q { gens: x; rels: }", 0, 3, 8, [12]), (X5, 0, -1, 3, [5, 7]),
+    ("algebra E over Q { gens: x; rels: x^8; }", 0, 0, 3, [8, 10]),
 ]
 
 
@@ -160,39 +162,67 @@ def _recording_build(monkeypatch):
     return depths
 
 
-@pytest.mark.parametrize("text, j, d, nmax", _PROJ_SAMPLE,
-                         ids=[f"{t.split()[1]}-j{j}-d{d}-n{n}" for t, j, d, n in _PROJ_SAMPLE])
-def test_proj_cohomology_builds_to_the_depth_it_reads(monkeypatch, text, j, d, nmax):
-    """The algebra is completed to n_max + j + 2 + |d| + max(d, 0) (the Hom
-    step reads degree D + d), and never below the largest relation degree;
-    the report is the one built at the former depth max(12, proj_cutoff)."""
+@pytest.mark.parametrize("text, j, d, nmax, completions", _PROJ_SAMPLE,
+                         ids=[f"{t.split()[1]}-j{j}-d{d}-n{n}" for t, j, d, n, _ in _PROJ_SAMPLE])
+def test_proj_cohomology_builds_to_the_depth_it_reads(monkeypatch, text, j, d, nmax,
+                                                      completions):
+    """The algebra is completed first to max(top relation degree, n_max +
+    j + 1) + max(d, 0), then again while k's resolution asks for more, and
+    the last system is completed exactly to proj_depth, n_max - 1 + T +
+    max(d, 0); the report is the one on a system completed 3 degrees
+    deeper."""
     depths = _recording_build(monkeypatch)
     got = run_json("proj", "cohomology", "--input", text, "-j", str(j), "-d", str(d),
                    "--nmax", str(nmax))
     p = parse_presentation(text)
-    assert depths == [max(p.max_relation_degree(), nmax + j + 2 + abs(d) + max(d, 0))]
-    R = build(p, max(12, proj_cutoff(nmax, j, d)))
+    assert depths == completions
+    assert depths[0] == max(p.max_relation_degree(), nmax + j + 1) + max(d, 0)
+    assert proj_depth(build(p, depths[-1]), nmax, j, d) == depths[-1]
+    R = build(p, depths[-1] + 3)
     want = proj_cohomology(R, GradedModulePresentation.algebra(R), j, d, nmax).to_dict()
     assert got == {**want, "algebra": p.name, "n_max": nmax}
 
 
 def test_proj_cd_builds_to_the_depth_it_reads(monkeypatch):
+    """cd reads H^j for every j <= jmax at twists up to dmax: over the
+    plane T = j + 2, so the one completion is to 4 - 1 + 3 + 1."""
     depths = _recording_build(monkeypatch)
     got = run_json("proj", "cd", "--input", PLANE, "--jmax", "1", "--dmin", "-2",
                    "--dmax", "1", "--nmax", "4")
-    assert depths == [max(4 + 1 + 2 + 2, 4 + 1 + 2 + 1 + 1)]
-    R = build(parse_presentation(PLANE), max(12, proj_cutoff(4, 1, -2, 1)))
+    assert depths == [4 - 1 + 3 + 1]
+    R = build(parse_presentation(PLANE), 12)
     assert got["cd"] == cd_estimate(R, 1, range(-2, 2), 4) == 1
 
 
 @pytest.mark.parametrize("text, j, d, nmax, dim", [(Y4, 1, 3, 7, 0), (X5, 0, 2, 8, 4)],
                          ids=["Y4", "X5"])
 def test_proj_cohomology_reads_past_the_former_depth(text, j, d, nmax, dim):
-    """Completed to max(12, proj_cutoff), these queries read A beyond it in
-    the Hom step and failed with "degree ... exceeds cutoff"."""
+    """These queries read A in the Hom step past the degree their values
+    resolve to, and once failed with "degree ... exceeds cutoff"."""
     got = run_json("proj", "cohomology", "--input", text, "-j", str(j), "-d", str(d),
                    "--nmax", str(nmax))
     assert got["dim"] == dim and got["values"] == [dim] * (nmax + 1)
+
+
+def test_a_proj_command_completes_once_or_twice(monkeypatch):
+    """Over the golden proj cases, and X5's, a Koszul algebra (the plane,
+    QP, C3, Sklyanin) is completed once, since its T is j + 2 and its first
+    completion already reaches n_max - 1 + T + max(d, 0); every other one,
+    Y4 and X5 among them, at most twice."""
+    koszul = {test_golden.PLANE, test_golden.QP, test_golden.C3, test_golden.SKLYANIN}
+    cases = [args for args in test_golden.CASES if args[0] == "proj"] + \
+        [["proj", "cohomology", "--input", X5, "-j", str(j), "-d", str(d), "--nmax", "5"]
+         for j, d in ((0, -1), (0, 1), (1, 0))]
+    assert {args[3] for args in cases} >= koszul | {Y4, X5}
+    depths = _recording_build(monkeypatch)
+    for args in cases:
+        del depths[:]
+        if run(*args).exit_code != 0:
+            assert depths == [], args          # a usage or parse error completes nothing
+        elif args[3] in koszul:
+            assert len(depths) == 1, args
+        else:
+            assert 1 <= len(depths) <= 2, args
 
 
 def test_thcr_present():

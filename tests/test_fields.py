@@ -397,6 +397,45 @@ def test_ratfunc_q_renders():
     assert str(q * q - 1) in ("q^2 - 1", "-1 + q^2")
 
 
+def render_by_num_and_den(x):
+    """RatFunc's text as num and den render it: their Fraction UPolys,
+    q^e N / lead(D) over the monic q^-e D / lead(D)."""
+    n = x.num.render()
+    if x.e >= 0 and len(x.d) == 1:
+        return n
+    d = x.den.render()
+    if len(x.n) > 1:
+        n = f"({n})"
+    if len(x.d) > 1:
+        d = f"({d})"
+    return f"{n}/{d}"
+
+
+def test_ratfunc_renders_its_num_and_den_without_them(monkeypatch):
+    """str reads N and D as stored and builds no UPoly; over a grid of
+    numerators, denominators with lead 1 and not, constant and not, and
+    exponents -3..3, its text is that of num and den."""
+    sides = [(1,), (-1,), (3,), (-4,), (2, 1), (-1, 0, 1), (-3, 0, 5), (1, 2, 1), (7, -4),
+             (Fraction(1, 2), 0, 0, 1)]
+    values = []
+    for N in [(), *sides]:
+        for D in sides:
+            for e in range(-3, 4):
+                num, den = UPoly((0,) * max(e, 0) + N), UPoly((0,) * max(-e, 0) + D)
+                values.append(RatFunc(num, den))
+    assert {x.d[-1] == 1 for x in values} == {True, False}
+    want = [render_by_num_and_den(x) for x in values]
+    made = []
+    init = UPoly.__init__
+    monkeypatch.setattr(UPoly, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    assert [str(x) for x in values] == want and made == []
+    for num, den, text in [((0, 0, 2, 1), (3,), "1/3*q^3 + 2/3*q^2"),
+                           ((2, 1), (0, 3, -4), "(-1/4*q - 1/2)/(q^2 - 3/4*q)"),
+                           ((1,), (Fraction(1, 2), 0, 0, 1), "1/(q^3 + 1/2)"),
+                           ((1, 2, 1), (-1, 0, 1), "(q + 1)/(q - 1)")]:
+        assert str(RatFunc(UPoly(num), UPoly(den))) == text
+
+
 def test_squarefree_part():
     assert squarefree_part(12) == (3, 2)
     assert squarefree_part(5) == (5, 1)

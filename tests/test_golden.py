@@ -122,13 +122,17 @@ CASES = [
     ["algebra", "gorenstein", "--input", POLYDEN],
     ["proj", "cohomology", "--input", POLYDEN, "-j", "0", "-d", "1", "--nmax", "3"],
     # Proj values decided by the exact sequence of k: steps past k's length
-    # where Ext^{j+1}(k, A[n-1+d]) is nonzero, a step the degree check keeps
-    # on the truncation, and a cd scan
+    # where Ext^{j+1}(k, A[n-1+d]) is nonzero, Y4, whose k's P^2 is A(-5)
+    # and whose H^0(O(-1)) is dim A_{-1} = 0, and a cd scan
     ["proj", "cohomology", "--input", C3, "-j", "2", "-d", "-3", "--nmax", "4"],
     ["proj", "cohomology", "--input", QP, "-j", "1", "-d", "-4", "--nmax", "5"],
     ["proj", "cohomology", "--input", Y4, "-j", "0", "-d", "-1", "--nmax", "5"],
     ["proj", "cd", "--input", C3, "--jmax", "2", "--dmin", "-4", "--dmax", "1",
      "--nmax", "4"],
+    # Sklyanin's H^2 at negative twists: by Serre duality H^2(O(-3-m)) =
+    # dim A_m, 6 for m = 2 and 10 for m = 3
+    ["proj", "cohomology", "--input", SKLYANIN, "-j", "2", "-d", "-5", "--nmax", "4"],
+    ["proj", "cohomology", "--input", SKLYANIN, "-j", "2", "-d", "-6", "--nmax", "5"],
 ]
 
 

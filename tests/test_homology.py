@@ -11,13 +11,14 @@ from ncproj.fields import QQ, QQ_Q, RatFunc
 from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate,
                              global_dimension, gorenstein_check, minimal_resolution,
-                             proj_cohomology, proj_cutoff, proj_depth, _ext_dims_from_resolution,
+                             proj_cohomology, proj_depth, _ext_dims_from_resolution,
                              _ext_k_A, _quotient_resolution, _stabilize)
+from ncproj.cli import _built_for_proj
 from ncproj.dsl import parse_presentation
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
 from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated,
-                              normal_words)
+                              hilbert_function, normal_words)
 from ncproj.words import Alphabet, NcPoly
 from test_letter_tables import TRUNCATED, hom_dim
 
@@ -190,17 +191,25 @@ def test_proj_cohomology_reports():
     assert short.stabilized_dim == UNSTABLE
 
 
-def test_proj_cohomology_twist_reads_past_proj_cutoff():
-    """For d > 0 the Hom step reads A in degree D + d, past proj_cutoff: an
-    R completed only to proj_cutoff passes the check up front and then
-    stops cleanly mid-query; one completed to proj_depth answers."""
+def test_proj_cohomology_refuses_a_cutoff_below_its_depth(monkeypatch):
+    """Y4's k has P^2 = A(-5), so T = 5 for H^0: its H^0(O(2)) to n_max 8
+    reads k at B = 8 - 1 + 5 = 12 and, for d = 2 > 0, A in the Hom step
+    to 14.  An R completed to 13 is refused up front, naming 14, before any
+    A/A_{>=n} with n >= 2 is resolved; so is one completed to 11 for
+    H^0(O(-3)), below B itself.  One completed to the depth answers."""
     y4 = parse_presentation(Y4)
-    R = build(y4, proj_cutoff(8, 0, 2))
-    with pytest.raises(CutoffExceededError):
-        proj_cohomology(R, GradedModulePresentation.algebra(R), 0, 2, 8)
-    R = build(y4, proj_depth(y4, 8, 0, 2))
-    assert R.cutoff == 14
-    assert proj_cohomology(R, GradedModulePresentation.algebra(R), 0, 2, 8).stabilized_dim == 1
+    calls = resolved(monkeypatch)
+    for cutoff, d, depth in ((13, 2, 14), (11, -3, 12)):
+        R = build(y4, cutoff)
+        with pytest.raises(CutoffExceededError, match=f"need {depth}$"):
+            proj_cohomology(R, GradedModulePresentation.algebra(R), 0, d, 8)
+        assert {n for n, _ in calls} <= {1}
+        assert proj_depth(R, 8, 0, d) == depth
+        R = build(y4, depth)
+        assert proj_depth(R, 8, 0, d) == depth
+        assert proj_cohomology(R, GradedModulePresentation.algebra(R), 0, d, 8).values == \
+            [1 if d == 2 else 0] * 9
+        del calls[:]
 
 
 @pytest.mark.parametrize("system, cutoff", [(plane, 8), (quantum_plane, 8), (space, 7)],
@@ -397,27 +406,27 @@ def test_hom_ranks_equal_the_column_by_column_route(name):
 
 
 # the degree each cached resolution of A/A_{>=n} is built to, by n, after
-# the queries of the test below: k (n = 1) is read at proj_cutoff(n, j, d)
-# before each value n >= 1, A/A_{>=n} only where the exact sequence of k does
+# the queries of the test below: k (n = 1) is read at B = n_max - 1 + T for
+# each query, A/A_{>=n} at n - 1 + T only where the exact sequence of k does
 # not decide value n, and A/A_{>=0} never
-RESOLVED = {"plane": {1: 10, 2: 9}, "QP": {1: 10, 2: 9}, "C3": {1: 10},
-            "Sklyanin": {1: 7}, "weighted plane": {1: 10}, "cubic": {1: 10},
-            "weighted C3": {1: 10}, "weighted x, z, y:2": {1: 10, 2: 9, 3: 10}}
+RESOLVED = {"plane": {1: 6, 2: 5}, "QP": {1: 6, 2: 5}, "C3": {1: 6},
+            "Sklyanin": {1: 6}, "weighted plane": {1: 6}, "cubic": {1: 6},
+            "weighted C3": {1: 6}, "weighted x, z, y:2": {1: 6, 2: 5, 3: 6}}
 
 
 @pytest.mark.parametrize("name", list(TRUNCATED))
 def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
     """Value n of H^j(A[d]) is read off a resolution built only to
-    proj_cutoff(n, j, d), or decided by the exact sequence of k; it equals the
-    value read off one built to the cutoff of a second system, through the
-    same Ext assembly."""
+    n - 1 + T, or decided by the exact sequence of k; it equals the value
+    read off one built to the cutoff of a second system, through the same
+    Ext assembly."""
     text = TRUNCATED[name]
     C = 7 if name == "Sklyanin" else 10
     R, deep = build(parse_presentation(text), C), build(parse_presentation(text), C)
     A, A_deep = GradedModulePresentation.algebra(R), GradedModulePresentation.algebra(deep)
     for j in range(3):
         for d in (-3, -1, 0, 2):
-            if proj_cutoff(3, j, d) > C:
+            if proj_depth(R, 3, j, d) > C:
                 continue
             want = []
             for n in range(4):
@@ -430,33 +439,34 @@ def test_proj_cohomology_read_at_its_depth_equals_the_cutoff_route(name):
 
 def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch):
     """On P^1 at cutoff 17, H^2(O(-3)) to n_max 6 resolves A/A_{>=n} only
-    for n = 2, only as deep as its value reads, and reads k = A/A_{>=1}
-    before each value n >= 1, at proj_cutoff(n, 2, -3), so to degree 13.
-    Global dimension at degree bound 10 reads that one without building on
-    it; at 15 it continues it from degree 14, without adding a key or
-    starting afresh."""
+    for n = 2, only as deep as its value reads, 2 - 1 + T with T = 4, and
+    reads k = A/A_{>=1} once, at B = 6 - 1 + 4 = 9.  Global dimension at
+    degree bound 8 reads that one without building on it; at 15 it
+    continues it from degree 10, without adding a key or starting afresh."""
     R = plane(17)
     assert proj_cohomology(R, GradedModulePresentation.algebra(R), 2, -3, 6).stabilized_dim == 0
-    assert {n: res.built for n, res in R.cache.resolutions.items()} == {1: 13, 2: 9}
+    assert {n: res.built for n, res in R.cache.resolutions.items()} == {1: 9, 2: 5}
     k = R.cache.resolutions[1]
     degrees = []
     minimal_generators = homology._minimal_generators
     monkeypatch.setattr(homology, "_minimal_generators",
                         lambda ds, *rest: degrees.extend(ds) or minimal_generators(ds, *rest))
-    assert global_dimension(R, 4, 10) == 2
-    assert R.cache.resolutions[1] is k and k.built == 13 and not degrees
+    assert global_dimension(R, 4, 8) == 2
+    assert R.cache.resolutions[1] is k and k.built == 9 and not degrees
     assert global_dimension(R, 4, 15) == 2
     assert list(R.cache.resolutions) == [1, 2]
     assert R.cache.resolutions[1] is k and k.built == 15
-    assert degrees and min(degrees) == 14 and max(degrees) == 15
+    assert degrees and min(degrees) == 10 and max(degrees) == 15
 
 
-def proj_cohomology_n_by_n(R, M, j, d, n_max):
+def proj_cohomology_n_by_n(R, M, j, d, n_max, deeper=0):
     """proj_cohomology with every value n read off the resolution of
-    A/A_{>=n} at proj_cutoff(n, j, d): no value is carried over from n - 1."""
+    A/A_{>=n} at n - 1 + T + deeper, T as proj_cohomology finds it: no value
+    is carried over from n - 1."""
+    T = homology._read_k(R, j, n_max)[0] + deeper
     values = []
     for n in range(n_max + 1):
-        rep = _quotient_resolution(R, n, j + 2, proj_cutoff(n, j, d))
+        rep = _quotient_resolution(R, n, j + 2, n - 1 + T)
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
         values.append(_ext_dims_from_resolution(tail, M, d, j))
     return homology.CohomologyReport(j, d, *_stabilize(values), values)
@@ -464,7 +474,7 @@ def proj_cohomology_n_by_n(R, M, j, d, n_max):
 
 Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
 X5 = "algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }"
-# k's P^2 and P^3 reach degrees 4 and 5, past j + 3 + |d| for H^0 and H^1 at d = 0
+# k's P^2 and P^3 reach degrees 4 and 5, above j + 2 for H^0 and H^1
 Y3C3 = "algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; y*x - x*y; y*z - z*y; }"
 PROJ_GRID = dict(ORACLE, Y4=Y4, X5=X5, **{"weighted C3 y:3": Y3C3})
 
@@ -474,12 +484,11 @@ def test_proj_cohomology_equals_the_route_that_reads_every_n(name):
     """Every report of H^j(A[d]), j = 0..3, d = -4..2 and n_max 5 (d <= 1
     and n_max 3 on Sklyanin, whose every-n route takes seconds per query
     there), decided by the exact sequence of k where it applies, equals the
-    one that reads every A/A_{>=n}, on a second system; over Y4, X5 and
-    weighted C3 with y:3, whose resolutions of k reach past the bound, the
-    degree check keeps the steps whose generators the bound would miss."""
+    one that reads every A/A_{>=n} at the same depth, on a second system,
+    each completed as the CLI completes it for those j and twists."""
     p = parse_presentation(PROJ_GRID[name])
     n_max, twists = (3, range(-4, 2)) if name == "Sklyanin" else (5, range(-4, 3))
-    R, every_n = (build(p, proj_depth(p, n_max, 3, *twists)) for _ in range(2))
+    R, every_n = (_built_for_proj(p, n_max, range(4), max(twists)) for _ in range(2))
     A, A_every_n = (GradedModulePresentation.algebra(S) for S in (R, every_n))
     for j in range(4):
         for d in twists:
@@ -499,40 +508,64 @@ def resolved(monkeypatch):
 def test_a_step_the_exact_sequence_does_not_carry_resolves_its_truncation(monkeypatch):
     """The plane's H^1(O(-3)) moves at the step 1 -> 2, where Ext^1(k, A[-2])
     is 0 and Ext^2(k, A[-2]) is k: past k's length 2, value 2 is 0 + dim A_1
-    . 1 = 2, and every step reads only k, at proj_cutoff(n, 1, -3) before
-    each value n >= 1.  Its H^2(O(-3)) has Ext^2(k, A[-2]) != 0 at that step,
-    which the exact sequence does not decide: value 2 is read off A/A_{>=2}."""
+    . 1 = 2, and every step reads only k, once, at B = 4 - 1 + T with T =
+    3.  Its H^2(O(-3)) has Ext^2(k, A[-2]) != 0 at that step, which the
+    exact sequence does not decide: value 2 is read off A/A_{>=2}, at 2 - 1
+    + T with T = 4."""
     R = plane(12)
     A = GradedModulePresentation.algebra(R)
     calls = resolved(monkeypatch)
     assert proj_cohomology(R, A, 1, -3, 4).values == [0, 0, 2, 2, 2]
-    assert calls == [(1, 7), (1, 8), (1, 9), (1, 10)]
+    assert calls == [(1, 6)]
     del calls[:]
     assert proj_cohomology(R, A, 2, -3, 4).values == [0, 0, 0, 0, 0]
-    assert calls == [(1, 8), (1, 9), (2, 9), (1, 10), (1, 11)]
+    assert calls == [(1, 7), (2, 5)]
 
 
-def test_a_step_past_the_degree_check_resolves_its_truncation(monkeypatch):
-    """Over Y4 (y of weight 4) k's P^2 is A(-5), above j + 3 + |d| = 4 for
-    H^0(O(-1)), so every step n >= 2, where k is read to degree 5 or more,
-    resolves A/A_{>=n}.  There Ext^0 and Ext^1 of (k, A[-1]) vanish, yet
-    value 1 differs from value 0: read at proj_cutoff(1, 0, -1) = 4, A/A_{>=1}
-    misses k's P^2.  So does k read there, which looks terminated with
-    length 1, and the dimension count gives value 1 the same value."""
+def test_y4_values_meet_their_oracles():
+    """Y4 = k[x, y], y of weight 4, is AS-regular with Gorenstein parameter
+    5, so H^0(O(m)) = dim A_m and H^1(O(m)) = dim A_{-m-5}.  Its k has P^2
+    = A(-5), so T = 5: a value read at n + j + 2 + |d| missed it, and H^0
+    at m = -1, 0, 1 read [0, 2, 2, 2, 2, 6], [1, 1, 3, 3, 4, 4] and [1, 3,
+    3, 4, 4, 7] to n_max 5."""
     p = parse_presentation(Y4)
-    R, every_n = (build(p, proj_depth(p, 5, 0, -1)) for _ in range(2))
+    R = _built_for_proj(p, 8, [0, 1], 3)
     A = GradedModulePresentation.algebra(R)
-    k = _quotient_resolution(R, 1, 2, R.cutoff)
-    assert k.betti == [[0], [1, 4], [5]]
-    assert [_ext_dims_from_resolution(k, A, -1, i) for i in (0, 1)] == [0, 0]
-    at_4 = _quotient_resolution(R, 1, 2, 4)
-    assert at_4.betti == [[0], [1, 4]] and at_4.terminated
-    calls = resolved(monkeypatch)
-    report = proj_cohomology(R, A, 0, -1, 5)
-    assert report == proj_cohomology_n_by_n(every_n, GradedModulePresentation.algebra(every_n),
-                                            0, -1, 5)
-    assert report.values[0] != report.values[1]
-    assert calls == [(1, 4), (1, 5), (2, 5), (1, 6), (3, 6), (1, 7), (4, 7), (1, 8), (5, 8)]
+    assert _quotient_resolution(R, 1, 2, R.cutoff).betti == [[0], [1, 4], [5]]
+    dims = hilbert_function(R, 5)
+    for m in range(-1, 4):
+        assert proj_cohomology(R, A, 0, m, 5).values == [dims[m] if m >= 0 else 0] * 6, m
+    for m in range(-10, -3):
+        assert proj_cohomology(R, A, 1, m, 8).stabilized_dim == \
+            (dims[-m - 5] if -m - 5 >= 0 else 0), m
+
+
+X3Y7 = "algebra G over Q { gens: x, y:7; rels: x^3; }"
+# the reports that changed when every value came to be read at n - 1 + T,
+# n_max 5, as the CLI completes for them: (algebra, j, d, values)
+MENDED = [("Y4", 0, -1, [0] * 6), ("Y4", 0, 0, [1] * 6), ("Y4", 0, 1, [1] * 6),
+          ("X5", 0, -1, [0] * 6), ("X5", 0, 0, [1] * 6), ("X5", 0, 1, [2] * 6),
+          ("X5", 1, 0, [0, 28, 136, 552, 2152, 8328]),
+          ("weighted C3 y:3", 0, 0, [1] * 6), ("weighted C3 y:3", 1, 0, [0] * 6),
+          ("x^2, yxy", 3, 0, [0, 4, 12, 16, 16, 16]),
+          # k's P^1 = A(-1) + A(-7) lies above T = 6, and its Hom columns, which
+          # no row of P^2 reaches, are not read: this stopped with "degree 12
+          # exceeds cutoff 11"
+          ("x^3, y:7", 2, 1, [0] * 6)]
+
+
+@pytest.mark.parametrize("name, j, d, values", MENDED,
+                         ids=[f"{name}-j{j}-d{d}" for name, j, d, _ in MENDED])
+def test_a_value_read_at_its_depth_equals_one_read_deeper(name, j, d, values):
+    """Each report equals the route that reads every A/A_{>=n} 3 degrees
+    deeper, on a system completed 3 degrees deeper."""
+    p = parse_presentation(PROJ_GRID.get(name, X3Y7))
+    R = _built_for_proj(p, 5, [j], d)
+    deep = build(p, R.cutoff + 3)
+    got = proj_cohomology(R, GradedModulePresentation.algebra(R), j, d, 5)
+    assert got.values == values
+    assert got == proj_cohomology_n_by_n(deep, GradedModulePresentation.algebra(deep),
+                                         j, d, 5, deeper=3)
 
 
 @pytest.mark.parametrize("name", ["plane", "QP", "C3"])
@@ -542,7 +575,7 @@ def test_a_gorenstein_query_resolves_only_where_k_does_not_decide(name, monkeypa
     A[n-1+d]) != 0, which the exact sequence of k does not decide; the
     plane's and QP's H^2 at d <= -3 take such a step, C3 never does."""
     p = parse_presentation(ORACLE[name])
-    R = build(p, proj_depth(p, 4, 2, -5, 3))
+    R = _built_for_proj(p, 4, range(3), 3)
     A = GradedModulePresentation.algebra(R)
     k = _quotient_resolution(R, 1, 4, R.cutoff)
     calls = resolved(monkeypatch)
@@ -662,7 +695,8 @@ def test_sklyanin_proj_cohomology_to_deep_truncations():
     stays dim A_1 = 3 up to n_max 5, and H^2(O(-3)) stays dim A_0 = 1
     (Serre duality with omega = O(-3)) up to n_max 4."""
     p = parse_presentation(SKLYANIN)
-    R = build(p, max(proj_depth(p, 5, 0, 1), proj_depth(p, 4, 2, -3)))
+    R = build(p, 7)
+    assert proj_depth(R, 5, 0, 1) == proj_depth(R, 4, 2, -3) == 7
     A = GradedModulePresentation.algebra(R)
     assert proj_cohomology(R, A, 0, 1, 5).values == [3] * 6
     assert proj_cohomology(R, A, 2, -3, 4).values == [0, 1, 1, 1, 1]

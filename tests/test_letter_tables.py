@@ -15,7 +15,7 @@ import pytest
 from ncproj.dsl import parse_presentation
 from ncproj.homology import (GradedModulePresentation, _ext_k_A, _hom_rank,
                              _quotient_resolution, global_dimension, gorenstein_check,
-                             minimal_resolution, proj_cohomology, proj_cutoff)
+                             minimal_resolution, proj_cohomology)
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
 from ncproj.rewriting import hilbert_function, letter_table, normal_form, normal_words
@@ -251,8 +251,9 @@ def hom_dim(M, P, d):
 def test_proj_h0_matches_hom_from_the_evaluation_kernel(name):
     """Each H^0 value Hom(A_{>=n}, A[d]), read off the resolution of
     A/A_{>=n}, against hom_dim on the kernel rows found word by
-    word; Hom into A[d] reads the rows of degree <= cutoff - d."""
-    cutoff = proj_cutoff(3, 0, 2)
+    word; Hom into A[d] reads the rows of degree <= cutoff - d.  The
+    cutoff is the depth n_max - 1 + T + d of d = 2, with T <= 3 here."""
+    cutoff = 7
     R = build(parse_presentation(TRUNCATED[name]), cutoff)
     A = GradedModulePresentation.algebra(R)
     for d in range(3):
@@ -301,7 +302,8 @@ def test_weighted_projective_line_serre_duality():
     d >= 0 and, by Serre duality with omega = O(-3), H^1(O(-3 - d)) =
     dim A_d: an oracle that reads only the Hilbert function."""
     n_max = 5
-    R = build(parse_presentation(TRUNCATED["weighted plane"]), proj_cutoff(n_max, 1, 5))
+    # k's resolution is A(-3) -> A(-1) + A(-2) -> A, so T = 3 for j = 0, 1
+    R = build(parse_presentation(TRUNCATED["weighted plane"]), n_max - 1 + 3 + 3)
     A = GradedModulePresentation.algebra(R)
     dims = hilbert_function(R, 3)
     for d in range(4):

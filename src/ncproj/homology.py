@@ -93,7 +93,8 @@ class GradedModulePresentation:
     The free cover is ⊕_i A(-shifts[i]); each row is a homogeneous vector
     (one NcPoly per cover summand) and the module is the cokernel of the
     submodule those rows generate.  truncation is n for A/A_{>=n} made by
-    quotient_truncation, None for every other presentation.
+    quotient_truncation, else None.  The module keeps what its rows decide:
+    per degree its relation span and free columns, and each Hom rank into it.
     """
 
     def __init__(self, ambient, shifts, rows):
@@ -111,6 +112,7 @@ class GradedModulePresentation:
         self.truncation = None
         self._span_cache = {}
         self._free_cache = {}
+        self._rank_cache = {}
 
     # -- canonical constructors --------------------------------------------
 
@@ -522,41 +524,39 @@ def _hom_rank(P, shifts, rows, d):
     return span.dim()
 
 
-def _ext_dims_from_resolution(rep, M, d, i, ranks=None):
+def _ext_dims_from_resolution(rep, M, d, i):
     """dim Ext^i at twist d, from a minimal free resolution of length >= i+1.
 
     The homology at Hom(P^i, M[d]) of the complex Hom(P^., M[d]); the
     differential P^{i+1} -> P^i has the rows rep.differentials[i], of
-    degrees rep.betti[i+1].  ranks, when given, holds the rank of each
-    d_i^* at twist d by (i, d), so that reading Ext^{i-1} and Ext^i of one
-    resolution and module computes it once.
+    degrees rep.betti[i+1].  M keeps each rank of a d_i^*, keyed by the map's content.
     """
     betti, diffs = rep.betti, rep.differentials
     hom_i = sum(M.dim(l + d) for l in betti[i]) if i < len(betti) else 0
     if hom_i == 0:
         return 0
 
-    if ranks is None:
-        ranks = {}
-
     def rank(i):               # of d_i^*: Hom(P^{i-1}, M[d]) -> Hom(P^i, M[d])
-        if (i, d) not in ranks:
-            ranks[i, d] = _hom_rank(M, betti[i - 1], list(zip(betti[i], diffs[i - 1])), d) \
-                if 1 <= i < len(betti) else 0
-        return ranks[i, d]
+        if not 1 <= i < len(betti):
+            return 0
+        rows = list(zip(betti[i], diffs[i - 1]))
+        key = (tuple(betti[i - 1]), tuple((D, tuple(row)) for D, row in rows), d)
+        if (hit := M._rank_cache.get(key)) is None:
+            hit = M._rank_cache[key] = _hom_rank(M, betti[i - 1], rows, d)
+        return hit
 
     return hom_i - rank(i + 1) - rank(i)
 
 
-def _ext_k_A(rep, A, i, N, ranks):
+def _ext_k_A(rep, A, i, N):
     """Nonzero graded dims of Ext^i(k, A) over the exactly computable degree
-    window, read off the resolution rep of k, with A the algebra as a module
-    and ranks the memo of _ext_dims_from_resolution.  It is read for i up to
-    the length of a terminated rep, so betti[i] is not empty."""
+    window, read off the resolution rep of k; A, the algebra as a module,
+    keeps the ranks.  It is read for i up to the length of a terminated rep,
+    so betti[i] is not empty."""
     involved = [s for b in rep.betti[max(i - 1, 0):i + 2] for s in b]
     lo = -max(rep.betti[i])
     return {e: dim for e in range(lo, N - max(involved) + 1)
-            if (dim := _ext_dims_from_resolution(rep, A, e, i, ranks))}
+            if (dim := _ext_dims_from_resolution(rep, A, e, i))}
 
 
 def gorenstein_check(R, N, p_max=8):
@@ -566,9 +566,9 @@ def gorenstein_check(R, N, p_max=8):
         return {"passes": False, "d": None,
                 "reason": f"global dimension not finite within p_max={p_max}"}
     gd = rep.length
-    A, ranks = GradedModulePresentation.algebra(R), {}
+    A = GradedModulePresentation.algebra(R)
     for i in range(gd + 1):
-        total = sum(_ext_k_A(rep, A, i, N, ranks).values())
+        total = sum(_ext_k_A(rep, A, i, N).values())
         if i != gd and total != 0:
             return {"passes": False, "d": gd,
                     "reason": f"Ext^{i}(k, A) is nonzero"}
@@ -666,11 +666,11 @@ def proj_cohomology(R, M, j, d, n_max):
         raise CutoffExceededError(
             f"cutoff {R.cutoff} insufficient for (j={j}, d={d}, n_max={n_max}); "
             f"need {needed}")
-    values, ranks = [M.dim(d) if j == 0 else 0], {}     # ranks: the Ext(k, M) memo
+    values = [M.dim(d) if j == 0 else 0]
     for n in range(1, n_max + 1):
         e = n - 1 + d
-        if not _ext_dims_from_resolution(k, M, e, j, ranks):
-            up = _ext_dims_from_resolution(k, M, e, j + 1, ranks)
+        if not _ext_dims_from_resolution(k, M, e, j):
+            up = _ext_dims_from_resolution(k, M, e, j + 1)
             if not up or k.terminated:          # read to P^{j+2}: pd <= j + 1
                 values.append(values[-1] + len(normal_words(R, n - 1)) * up)
                 continue

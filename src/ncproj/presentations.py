@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .rewriting import (RewriteSystem, complete_truncated_over, hilbert_function,
-                        normal_form, normal_words)
+from .rewriting import (CutoffExceededError, RewriteSystem, complete_truncated_over,
+                        hilbert_function, normal_form, normal_words)
 from .words import Alphabet, NcPoly
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -110,11 +110,15 @@ def twist(p, sigma, N, s_max=None):
     the twisted product in A, a * x_i = a . sigma^deg(a)(x_i), taken as a
     normal form.  The descent check and the evaluation take normal forms
     only in degrees <= max(s_max, the highest relation degree), so p is
-    completed up to that degree or N, the lower.
+    completed up to that degree or N, the lower.  An N below s_max is
+    refused, naming both, before anything is completed.
     """
     if s_max is None:
         s_max = p.max_relation_degree() + 1
-    descends, R = _descends(p, sigma, min(N, max(s_max, p.max_relation_degree())))
+    top = max(s_max, p.max_relation_degree())
+    if s_max > N:
+        raise CutoffExceededError(f"cutoff {N} insufficient for s_max={s_max}; need {top}")
+    descends, R = _descends(p, sigma, min(N, top))
     if not descends:
         raise ValueError("matrix does not define an automorphism of the algebra")
     images = [[sigma.power(k).image_of_gen(i) for i in range(len(p.alphabet))]

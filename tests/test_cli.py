@@ -81,6 +81,21 @@ def test_algebra_twist():
     assert d["relations"] == [] and d["s_max"] == 2
 
 
+def test_twist_refuses_a_cutoff_below_smax_before_completing(monkeypatch):
+    """-N below --smax is refused with a message naming both, and nothing is
+    completed first."""
+    import ncproj.presentations
+
+    def build(*args):
+        raise AssertionError("completed before the refusal")
+
+    monkeypatch.setattr(ncproj.presentations, "build", build)
+    res = run("algebra", "twist", "--input", PLANE, "--sigma", "1,0,0,1",
+              "-N", "2", "--smax", "3")
+    assert res.exit_code == 1
+    assert res.stderr == "error: cutoff 2 insufficient for s_max=3; need 3\n"
+
+
 def test_algebra_gorenstein():
     d = run_json("algebra", "gorenstein", "--input", PLANE, "-N", "10",
                  "--pmax", "4")

@@ -122,7 +122,7 @@ def test_ext0_does_not_depend_on_the_order_of_summands():
 
 def ext_k_A(R, i, N):
     return _ext_k_A(_quotient_resolution(R, 1, i + 2, N),
-                    GradedModulePresentation.algebra(R), i, N, {})
+                    GradedModulePresentation.algebra(R), i, N)
 
 
 def test_ext_of_trivial_module():
@@ -759,10 +759,57 @@ def count_hom_ranks(monkeypatch):
 
 def test_each_ext_rank_is_computed_once(monkeypatch):
     """gorenstein_check computes the rank of each d_i^* at each twist once,
-    where reading Ext^{i-1} and Ext^i computed it twice; the report is that
-    of the uncounted call."""
+    where reading Ext^{i-1} and Ext^i would compute it twice: the algebra it
+    reads into keeps each rank.  The report is that of the uncounted call,
+    on a module of its own."""
     R = space(9)
     want = gorenstein_check(R, 9)
     calls = count_hom_ranks(monkeypatch)
     assert gorenstein_check(R, 9) == want == {"passes": True, "d": 3}
     assert len(calls) == 30
+
+
+def test_queries_on_one_module_share_its_hom_ranks(monkeypatch):
+    """The P^1 jobs of the proj-colimit benchmark on one A (H^0(O(d)) for
+    d = 0..5 at n_max = d + 3, then H^1(O(-d)) for d = 2..5) compute 29 Hom
+    ranks, where a memo per query computed 102, and cd_estimate over the
+    twists -3..1 computes 13 on its own A, where it computed 38.  Each
+    report equals the one read on a fresh module per query, on a second
+    system: proj_cohomology_n_by_n reads through the same ranks, so it
+    cannot check them."""
+    queries = [(0, d, d + 3) for d in range(6)] + [(1, -d, d + 3) for d in range(2, 6)]
+    S = plane(17)
+    want = [proj_cohomology(S, GradedModulePresentation.algebra(S), *q).to_dict()
+            for q in queries]
+    R = plane(17)
+    A = GradedModulePresentation.algebra(R)
+    calls = count_hom_ranks(monkeypatch)
+    assert [proj_cohomology(R, A, *q).to_dict() for q in queries] == want
+    assert len(calls) == 29
+    del calls[:]
+    assert cd_estimate(R, 2, range(-3, 2), 6) == 1
+    assert len(calls) == 13
+
+
+def test_a_hom_rank_is_kept_under_the_rows_of_its_map():
+    """A/Ax and A/Ay over the plane resolve with one Betti table, [[0], [1]],
+    and differ only in their rows, x and y.  Read into one M = A/Ax = k[y],
+    in either order, Ext^0 and Ext^1 at d = 0..3 are 1 and 1 from A/Ax (x
+    acts on M as 0) and 0 and 0 from A/Ay (y acts injectively), as on fresh
+    modules: M keeps each rank under the rows of its map, not its shifts."""
+    R = plane()
+    x, y = NcPoly.gen(AB2, QQ, 0), NcPoly.gen(AB2, QQ, 1)
+    reps = {g: minimal_resolution(GradedModulePresentation(R, [0], [[g]]), 2, 6)
+            for g in (x, y)}
+    assert [(rep.betti, rep.differentials) for rep in reps.values()] == \
+        [([[0], [1]], [[[x]]]), ([[0], [1]], [[[y]]])]
+
+    def exts(g, M):
+        return [[_ext_dims_from_resolution(reps[g], M, d, i) for d in range(4)]
+                for i in (0, 1)]
+
+    want = {x: [[1] * 4] * 2, y: [[0] * 4] * 2}
+    for order in ((x, y), (y, x)):
+        M = GradedModulePresentation(R, [0], [[x]])
+        for g in order:
+            assert exts(g, M) == exts(g, GradedModulePresentation(R, [0], [[x]])) == want[g]

@@ -334,7 +334,7 @@ K_FUNCTIONS = [
     lambda R, N: global_dimension(R, 4, N),
     lambda R, N: gorenstein_check(R, N, 5),
     lambda R, N: _ext_k_A(_quotient_resolution(R, 1, 4, N),
-                          GradedModulePresentation.algebra(R), 2, N, {}),
+                          GradedModulePresentation.algebra(R), 2, N),
 ]
 
 

@@ -477,11 +477,21 @@ class _Syzygies:
 
 def minimal_resolution(module, p_max, N):
     """Minimal free resolution of the module, to homological degree p_max,
-    built to the degree bound N only, as _quotient_resolution builds (see
-    _Syzygies.report): an empty kernel in every degree <= N is reported as
-    termination.  Its levels are not cached on R; the slices and letter maps
-    it reads are."""
-    return _Syzygies.start(module).report(module.ambient, p_max, N)
+    read at the degree bound N (see _Syzygies.report): an empty kernel in
+    every degree <= N is reported as termination.
+
+    That of a truncation A/A_{>=n} (for n = 1, of k) is cached on the
+    rewrite system as plain data, one per n, built only as deep as read: a
+    new one is built to N, a deeper N than any before continues every level
+    upward and a larger p_max builds on from the last level, so one
+    resolution serves every twist and degree bound.  Any other module's is
+    built afresh."""
+    if (n := module.truncation) is None:
+        return _Syzygies.start(module).report(module.ambient, p_max, N)
+    cache = module.ambient.cache.resolutions
+    if n not in cache:
+        cache[n] = _Syzygies.start(module)
+    return cache[n].report(module.ambient, p_max, N)
 
 
 def _minimality_audit(diffs):
@@ -491,7 +501,7 @@ def _minimality_audit(diffs):
 
 def global_dimension(R, p_max, N):
     """Projective dimension of the trivial module, or AT_LEAST(p_max)."""
-    return _quotient_resolution(R, 1, p_max, N).length
+    return minimal_resolution(GradedModulePresentation.trivial(R), p_max, N).length
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +571,7 @@ def _ext_k_A(rep, A, i, N):
 
 def gorenstein_check(R, N, p_max=8):
     """AS-Gorenstein test: Ext^i(k, A) vanishes except in degree d, where it is k."""
-    rep = _quotient_resolution(R, 1, p_max, N)
+    rep = minimal_resolution(GradedModulePresentation.trivial(R), p_max, N)
     if not rep.terminated:
         return {"passes": False, "d": None,
                 "reason": f"global dimension not finite within p_max={p_max}"}
@@ -603,29 +613,14 @@ def _stabilize(values):
     return (values[-1], start) if len(values) - start >= 3 else (UNSTABLE, -1)
 
 
-def _quotient_resolution(R, n, p_max, N):
-    """Minimal resolution of A/A_{>=n} (for n = 1, of k) to homological
-    degree p_max, read at the degree bound N.
-
-    Cached on the rewrite system as plain data, one per n, built only as
-    deep as read: a new one is built to N, a deeper N than any before
-    continues every level upward and a larger p_max builds on from the
-    last level, so one resolution serves every twist and degree bound.
-    """
-    cache = R.cache.resolutions
-    if n not in cache:
-        cache[n] = _Syzygies.start(GradedModulePresentation.quotient_truncation(R, n))
-    return cache[n].report(R, p_max, N)
-
-
 def _read_k(R, j, n_max):
     """(T, k): k's resolution to P^{j+2} read at B = n_max - 1 + T, T the
     top generator degree of its P^j..P^{j+2} there and at least max(j + 2,
     R.relation_degree): a fixed point, read at the B of each T until no
     generator lies in degrees T+1..B.  k is None when B passes the cutoff."""
-    T = max(j + 2, R.relation_degree)
+    T, trivial = max(j + 2, R.relation_degree), GradedModulePresentation.trivial(R)
     while n_max - 1 + T <= R.cutoff:
-        k = _quotient_resolution(R, 1, j + 2, n_max - 1 + T)
+        k = minimal_resolution(trivial, j + 2, n_max - 1 + T)
         top = max([T, *(D for b in k.betti[j:j + 3] for D in b)])
         if top == T:
             return T, k
@@ -674,7 +669,8 @@ def proj_cohomology(R, M, j, d, n_max):
             if not up or k.terminated:          # read to P^{j+2}: pd <= j + 1
                 values.append(values[-1] + len(normal_words(R, n - 1)) * up)
                 continue
-        rep = _quotient_resolution(R, n, j + 2, n - 1 + T)
+        rep = minimal_resolution(GradedModulePresentation.quotient_truncation(R, n),
+                                 j + 2, n - 1 + T)
         tail = replace(rep, betti=rep.betti[1:], differentials=rep.differentials[1:])
         values.append(_ext_dims_from_resolution(tail, M, d, j))
     dim, at = _stabilize(values)

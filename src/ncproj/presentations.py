@@ -110,15 +110,15 @@ def twist(p, sigma, N, s_max=None):
     the twisted product in A, a * x_i = a . sigma^deg(a)(x_i), taken as a
     normal form.  The descent check and the evaluation take normal forms
     only in degrees <= max(s_max, the highest relation degree), so p is
-    completed up to that degree or N, the lower.  An N below s_max is
-    refused, naming both, before anything is completed.
+    completed up to that degree.  An N below max(s_max, the highest
+    relation degree) is refused, naming both, before anything is completed.
     """
     if s_max is None:
         s_max = p.max_relation_degree() + 1
     top = max(s_max, p.max_relation_degree())
-    if s_max > N:
+    if top > N:
         raise CutoffExceededError(f"cutoff {N} insufficient for s_max={s_max}; need {top}")
-    descends, R = _descends(p, sigma, min(N, top))
+    descends, R = _descends(p, sigma, top)
     if not descends:
         raise ValueError("matrix does not define an automorphism of the algebra")
     images = [[sigma.power(k).image_of_gen(i) for i in range(len(p.alphabet))]

@@ -113,8 +113,9 @@ class RewriteCache:
     slices[(shifts, d)], the degree-d basis of the free module
     ⊕_i A(-shifts[i]) and its index, and letter_maps[(shifts, x, d)],
     multiplication by x on it; resolutions: n -> the one minimal
-    resolution of A/A_{>=n} built so far, only as deep as the deepest
-    degree bound read and continued upward when a deeper one is read;
+    resolution of A/A_{>=n} built so far, which minimal_resolution reads
+    and fills, only as deep as the deepest degree bound read and continued
+    upward when a deeper one is read;
     A_{>=n} is generated by the normal words of degrees n .. n + (largest
     letter weight) - 1, and the trivial module k is A/A_{>=1}.
     """

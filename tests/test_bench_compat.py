@@ -107,6 +107,22 @@ def test_the_tracer_counts_each_public_eliminator_call_once(bench):
     assert tr.metrics(0.0)["linalg.span.useful_ratio"][0] == 2 / 3
 
 
+def test_the_tracer_sees_the_resolution_the_gorenstein_check_reads(bench):
+    """gorenstein_check reads k's resolution through the public
+    minimal_resolution, so `--trace 1` times it and counts its Betti
+    numbers."""
+    modules = {m: importlib.import_module(f"ncproj.{m}") for m in bench.run.MODULES}
+    tr = bench.tracer.Tracer()
+    tr.install(modules, bench.workloads)
+    try:
+        R = build(parse_presentation("algebra P over Q { gens: x, y; rels: y*x - x*y; }"), 6)
+        assert modules["homology"].gorenstein_check(R, 6) == {"passes": True, "d": 2}
+    finally:
+        tr.uninstall()
+    assert tr.calls["homology.minimal_resolution"] >= 1
+    assert tr.metrics(0.0)["homology.betti_total"][0] > 0
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_q_binomial_check_of_the_rewrite_workload(bench, n):
     alpha, beta = [(Fraction(1), Fraction(1)), (Fraction(-2), Fraction(1, 2)),

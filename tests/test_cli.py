@@ -81,8 +81,12 @@ def test_algebra_twist():
     assert d["relations"] == [] and d["s_max"] == 2
 
 
-def test_twist_refuses_a_cutoff_below_smax_before_completing(monkeypatch):
-    """-N below --smax is refused with a message naming both, and nothing is
+@pytest.mark.parametrize("text, cutoff, need", [
+    (PLANE, 2, 3), ("algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }", 3, 5)],
+    ids=["below-smax", "below-a-relation"])
+def test_twist_refuses_a_cutoff_below_smax_before_completing(monkeypatch, text, cutoff, need):
+    """-N below --smax or below the top relation degree is refused with a
+    message naming N, --smax and the cutoff needed, and nothing is
     completed first."""
     import ncproj.presentations
 
@@ -90,10 +94,10 @@ def test_twist_refuses_a_cutoff_below_smax_before_completing(monkeypatch):
         raise AssertionError("completed before the refusal")
 
     monkeypatch.setattr(ncproj.presentations, "build", build)
-    res = run("algebra", "twist", "--input", PLANE, "--sigma", "1,0,0,1",
-              "-N", "2", "--smax", "3")
+    res = run("algebra", "twist", "--input", text, "--sigma", "1,0,0,1",
+              "-N", str(cutoff), "--smax", "3")
     assert res.exit_code == 1
-    assert res.stderr == "error: cutoff 2 insufficient for s_max=3; need 3\n"
+    assert res.stderr == f"error: cutoff {cutoff} insufficient for s_max=3; need {need}\n"
 
 
 def test_algebra_gorenstein():

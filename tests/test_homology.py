@@ -12,7 +12,7 @@ from ncproj.homology import (AtLeast, GradedModulePresentation, UNSTABLE,
                              cd_estimate,
                              global_dimension, gorenstein_check, minimal_resolution,
                              proj_cohomology, proj_depth, _ext_dims_from_resolution,
-                             _ext_k_A, _quotient_resolution, _stabilize)
+                             _ext_k_A, _stabilize)
 from ncproj.cli import _built_for_proj
 from ncproj.dsl import parse_presentation
 from ncproj.linalg import SpanTracker
@@ -20,7 +20,7 @@ from ncproj.presentations import build
 from ncproj.rewriting import (CutoffExceededError, RewriteSystem, complete_truncated,
                               hilbert_function, normal_words)
 from ncproj.words import Alphabet, NcPoly
-from test_letter_tables import TRUNCATED, hom_dim
+from test_letter_tables import TRUNCATED, _quotient_resolution, hom_dim
 
 AB1 = Alphabet(["x"])
 AB2 = Alphabet(["x", "y"])
@@ -212,6 +212,11 @@ def test_proj_cohomology_refuses_a_cutoff_below_its_depth(monkeypatch):
         del calls[:]
 
 
+def fresh_resolution(Q, p, N):
+    """Q's resolution built afresh, past the cache its rewrite system keeps."""
+    return homology._Syzygies.start(Q).report(Q.ambient, p, N)
+
+
 @pytest.mark.parametrize("system, cutoff", [(plane, 8), (quantum_plane, 8), (space, 7)],
                          ids=["plane", "QP", "C3"])
 def test_a_resumed_resolution_equals_a_fresh_one(system, cutoff):
@@ -222,7 +227,7 @@ def test_a_resumed_resolution_equals_a_fresh_one(system, cutoff):
         Q = GradedModulePresentation.quotient_truncation(R, n)
         for p in (2, 3, 4, 2):
             got = _quotient_resolution(R, n, p, R.cutoff)
-            want = minimal_resolution(Q, p, R.cutoff)
+            want = fresh_resolution(Q, p, R.cutoff)
             assert got.betti == want.betti, (n, p)
             assert got.differentials == want.differentials, (n, p)
             assert (got.terminated, got.length) == (want.terminated, want.length), (n, p)
@@ -250,7 +255,7 @@ def test_a_resolution_read_below_the_cutoff_equals_one_built_there(name):
             if N not in systems:
                 systems[N] = build(parse_presentation(text), N)
             Q = GradedModulePresentation.quotient_truncation(systems[N], n)
-            fresh[n, p, N] = minimal_resolution(Q, p, N)
+            fresh[n, p, N] = fresh_resolution(Q, p, N)
         return fresh[n, p, N]
 
     requests = [(2, C)] + [r for N in range(3, C + 1) for r in ((4, N), (3, C), (2, N))]
@@ -276,7 +281,7 @@ def test_a_resolution_continued_upward_equals_one_built_there(name):
             if N not in systems:
                 systems[N] = build(parse_presentation(text), N)
             Q = GradedModulePresentation.quotient_truncation(systems[N], n)
-            assert _quotient_resolution(R, n, p, N) == minimal_resolution(Q, p, N), (n, p, N)
+            assert _quotient_resolution(R, n, p, N) == fresh_resolution(Q, p, N), (n, p, N)
         assert R.cache.resolutions[n].built == C
 
 
@@ -459,6 +464,26 @@ def test_global_dimension_reads_the_resolution_proj_cohomology_built(monkeypatch
     assert degrees and min(degrees) == 10 and max(degrees) == 15
 
 
+def test_readers_of_k_start_one_resolution(monkeypatch):
+    """On k[x, y, z] at cutoff 9, the Gorenstein check and then a resolution
+    of k to P^5 start one resolution of k, whose report equals a fresh one;
+    a module that is not a truncation is started afresh on every read."""
+    R = space(9)
+    starts = []
+    start = homology._Syzygies.start
+    monkeypatch.setattr(homology._Syzygies, "start",
+                        staticmethod(lambda M: starts.append(M.truncation) or start(M)))
+    assert gorenstein_check(R, 9) == {"passes": True, "d": 3}
+    k = GradedModulePresentation.trivial(R)
+    rep = minimal_resolution(k, 5, 9)
+    assert starts == [1]
+    assert rep == fresh_resolution(k, 5, 9)
+    M = GradedModulePresentation(R, [0], [[NcPoly.gen(AB3, QQ, 0)]])
+    del starts[:]
+    assert minimal_resolution(M, 2, 6) == minimal_resolution(M, 2, 6)
+    assert starts == [None, None]
+
+
 def proj_cohomology_n_by_n(R, M, j, d, n_max, deeper=0):
     """proj_cohomology with every value n read off the resolution of
     A/A_{>=n} at n - 1 + T + deeper, T as proj_cohomology finds it: no value
@@ -497,11 +522,11 @@ def test_proj_cohomology_equals_the_route_that_reads_every_n(name):
 
 
 def resolved(monkeypatch):
-    """The (n, N) of every _quotient_resolution read, in order."""
+    """The (truncation, N) of every minimal_resolution read, in order."""
     calls = []
-    quotient_resolution = homology._quotient_resolution
-    monkeypatch.setattr(homology, "_quotient_resolution",
-                        lambda R, n, p, N: calls.append((n, N)) or quotient_resolution(R, n, p, N))
+    resolution = homology.minimal_resolution
+    monkeypatch.setattr(homology, "minimal_resolution",
+                        lambda M, p, N: calls.append((M.truncation, N)) or resolution(M, p, N))
     return calls
 
 

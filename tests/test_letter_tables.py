@@ -14,7 +14,7 @@ import pytest
 
 from ncproj.dsl import parse_presentation
 from ncproj.homology import (GradedModulePresentation, _ext_k_A, _hom_rank,
-                             _quotient_resolution, global_dimension, gorenstein_check,
+                             global_dimension, gorenstein_check,
                              minimal_resolution, proj_cohomology)
 from ncproj.linalg import SpanTracker
 from ncproj.presentations import build
@@ -38,6 +38,11 @@ SAMPLED = {"Sklyanin": (6, 150)}
 
 def system(name):
     return build(parse_presentation(ALGEBRAS[name]), CUTOFF)
+
+
+def _quotient_resolution(R, n, p, N):
+    """The resolution of A/A_{>=n} that R keeps, read to P^p at N."""
+    return minimal_resolution(GradedModulePresentation.quotient_truncation(R, n), p, N)
 
 
 def all_words(weights, d):

@@ -90,6 +90,10 @@ def _algebra_input(fn):
 @click.group()
 def main():
     """Exact computations with graded algebra presentations."""
+    # reports hold exact integers of any size (a fixing matrix of a large
+    # radicand has entries of tens of thousands of digits)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 # ---------------------------------------------------------------------------

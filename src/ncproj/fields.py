@@ -15,13 +15,15 @@ Z[q], as integer coefficient sequences low degree first, has one kernel
 here: product, Laurent sum, exact quotient and "make coprime", whose gcd of
 two polynomials of positive degree is the primitive remainder sequence of
 ``UPoly.gcd``.  ``RatFunc`` arithmetic runs on it, and so does
-``rewriting._reduce``, which works fraction-free on numerators over one
-common denominator: Python ints over an int for Q, and integer Laurent
-polynomials (valuation, tuple of ints) over a denominator in Z[q] for
-Q(q), read off each ``RatFunc``'s (e, N, D) as it is stored.  Bare integers
-never leave the walk: every Q scalar it returns is a ``Fraction`` and every
-Q(q) scalar a ``RatFunc``.  ``UPoly`` products over Q also run on the
-kernel's product, on integer numerators over a common denominator.
+``rewriting._walk``, the normal-form walk, which works fraction-free on
+numerators over one common denominator: Python ints over an int for Q, and
+integer Laurent polynomials (valuation, tuple of ints) over a denominator
+in Z[q] for Q(q), read off each ``RatFunc``'s (e, N, D) as it is stored.
+Bare integers leave the walk only for completion's span over Q, whose
+rows are integer rows anyway: every Q scalar ``rewriting._reduce`` returns
+is a ``Fraction`` and every Q(q) scalar a ``RatFunc``.  ``UPoly`` products
+over Q also run on the kernel's product, on integer numerators over a
+common denominator.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def _pseudo_remainder(a, b):
     return r
 
 
-# The Z[q] kernel of RatFunc and of rewriting._reduce.  Its operands are
+# The Z[q] kernel of RatFunc and of rewriting._walk.  Its operands are
 # nonzero integer coefficient lists, low degree first, with a nonzero last
 # entry; a Laurent polynomial q^v N(q) is the pair (v, N) with N(0) != 0.
 # Results are tuples.

@@ -57,7 +57,7 @@ class NormalWordAutomaton:
     rule in list order whose lead ends w (len(rules) if none does).  step
     is goto on normal words: step[s][a] is None when wa is not normal.
 
-    forms[i] is the rhs of rules[i] as _reduce uses it, (D, N) with N its
+    forms[i] is the rhs of rules[i] as _walk uses it, (D, N) with N its
     (word, numerator) pairs, so that rhs = N / D: over Q, D is the least
     common denominator of its coefficients and each numerator an int; over
     Q(q), D is in Z[q] with D(0) != 0, a tuple of ints, and each numerator
@@ -93,7 +93,7 @@ class NormalWordAutomaton:
 
 
 def _integer_form(p):
-    """(S, numerators) with p = numerators / S, for _reduce: over Q, S an
+    """(S, numerators) with p = numerators / S, for _walk: over Q, S an
     int and each coefficient of p an int over it; over Q(q), S in Z[q] and
     each coefficient an integer Laurent polynomial (v, N) over it, read
     from its RatFunc's (e, N, D); the numerators as (word, numerator)
@@ -148,7 +148,28 @@ class RewriteSystem:
 
 
 def _reduce(p, automaton):
-    """Full normal form of p by the automaton's rules, in one top-down pass.
+    """Full normal form of p by the automaton's rules: the result of _walk,
+    each settled numerator over the common denominator S made a field
+    element, as an NcPoly."""
+    S, terms = _walk(p, automaton)
+    out = NcPoly.zero(p.alphabet, p.field)
+    out.terms = _over(S, terms)
+    return out
+
+
+def _over(S, terms):
+    """The coefficients {word: c / S} of a walk's numerators over S: over Q
+    a Fraction per word; over Q(q) for each word one RatFunc q^v N / S made
+    coprime by the Z[q] kernel of ncproj.fields and built by RatFunc._raw."""
+    if S.__class__ is tuple:
+        return {w: RatFunc._raw(e, *_coprime(C, S)) for w, (e, C) in terms.items()}
+    return {w: Fraction(c, S) for w, c in terms.items()}
+
+
+def _walk(p, automaton):
+    """(S, numerators): the normal form of p by the automaton's rules, in one
+    top-down pass, as the numerators {settled word: c} over one common
+    denominator S.
 
     Pending words are settled from the largest down.  A popped word is
     walked once through the automaton, which names the first rule ending at
@@ -169,10 +190,9 @@ def _reduce(p, automaton):
     Laurent sum and the gcd (the content gcd when D is a constant, else
     the gcd in Z[q] by UPoly.gcd) are the Z[q] kernel of ncproj.fields
     that RatFunc arithmetic runs on.  So a rewrite by q^e c is a shift and
-    an integer scale.  The numerators never leave: the result's
-    coefficients are the Fractions c / S over Q and, over Q(q), for each
-    settled word one RatFunc q^v N / S made coprime by that kernel and
-    built by RatFunc._raw.
+    an integer scale.  The walk builds no fraction: _reduce makes the
+    numerators field elements, and completion over Q hands them to its
+    span as they are, since a residue times S spans the same row.
     """
     rules, forms, goto, first = automaton.rules, automaton.forms, automaton.goto, automaton.rule
     weight = [-a for a in p.alphabet.weights]
@@ -237,13 +257,7 @@ def _reduce(p, automaton):
             if old is None:
                 heapq.heappush(heap, entry(v))
             pending[v] = c * a if old is None else old + c * a
-    if laurent:
-        terms = {w: RatFunc._raw(e, *_coprime(C, S)) for w, (e, C) in terms.items()}
-    else:
-        terms = {w: Fraction(c, S) for w, c in terms.items()}
-    out = NcPoly.zero(p.alphabet, p.field)
-    out.terms = terms
-    return out
+    return S, terms
 
 
 def _overlaps(r1, r2, alphabet, cutoff):
@@ -344,12 +358,15 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
         batch += [_spoly(r1, r2, a, c, alphabet, field)
                   for r1, r2, a, c, w in overlaps_of.pop(d, ())
                   if not _holds_lead(w[1:-1], automaton.step)]
-        residues = [_reduce(p, automaton) for p in batch]
-        words = sorted({w for p in residues for w in p.terms}, key=alphabet.key, reverse=True)
+        # over Q the walk's integer numerators are the rows: times S, a
+        # residue spans the same line
+        residues = [terms if S.__class__ is int else _over(S, terms)
+                    for S, terms in (_walk(p, automaton) for p in batch)]
+        words = sorted({w for terms in residues for w in terms}, key=alphabet.key, reverse=True)
         column = {w: j for j, w in enumerate(words)}
         span = SpanTracker(len(words), field)
-        for p in residues:
-            span.add({column[w]: c for w, c in p.terms.items()})
+        for terms in residues:
+            span.add({column[w]: c for w, c in terms.items()})
         new = []
         for pivot, row in span.reduced().items():
             rhs = NcPoly(alphabet, field, [(words[j], -row[j]) for j in sorted(row) if j != pivot])

@@ -107,6 +107,28 @@ def test_the_tracer_counts_each_public_eliminator_call_once(bench):
     assert tr.metrics(0.0)["linalg.span.useful_ratio"][0] == 2 / 3
 
 
+SKLYANIN = ("algebra S over Q { gens: x, y, z; "
+            "rels: y*z + 2*z*y + 3*x*x; z*x + 2*x*z + 3*y*y; x*y + 2*y*x + 3*z*z; }")
+
+
+def test_the_tracer_sees_every_insertion_of_a_completion_over_Q(bench):
+    """Completing the (1,2,3) Sklyanin algebra to cutoff 9 inserts 92 rows
+    into its degree spans, 26 of them new (its 26 rules): the counts taken
+    with the spans over Fraction rows, which integer rows must neither skip
+    nor add to, seen through the tracer's wrapper of SpanTracker.add."""
+    modules = {m: importlib.import_module(f"ncproj.{m}") for m in bench.run.MODULES}
+    p = parse_presentation(SKLYANIN)
+    tr = bench.tracer.Tracer()
+    tr.install(modules, bench.workloads)
+    try:
+        R = modules["rewriting"].complete_truncated_over(p.relations, 9, p.alphabet, p.field)
+    finally:
+        tr.uninstall()
+    assert len(R.rules) == 26
+    assert (tr.counts["span.adds"], tr.counts["span.useful"]) == (92, 26)
+    assert tr.calls["linalg.span"] == 92
+
+
 def test_the_tracer_sees_the_resolution_the_gorenstein_check_reads(bench):
     """gorenstein_check reads k's resolution through the public
     minimal_resolution, so `--trace 1` times it and counts its Betti

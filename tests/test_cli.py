@@ -1,6 +1,7 @@
 """Golden-output tests for every CLI subcommand."""
 
 import json
+import sys
 import time
 
 import click
@@ -316,6 +317,34 @@ def test_rm_cf():
 def test_rm_fix():
     d = run_json("rm", "fix", "--theta", "(-1+1*sqrt(5))/2")
     assert d["matrix"] == [[1, 1], [1, 2]] and d["trace"] == 3
+
+
+@pytest.fixture
+def int_digit_cap():
+    """CPython's default cap on the digits of an int turned into text, put
+    back as it was afterwards (Pythons before 3.10.7 have no cap)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_rm_fix_prints_integers_of_any_size(int_digit_cap):
+    """The fixing matrix of sqrt(1000000007) has entries of more than 4300
+    digits, the interpreter's default cap, which the command lifts."""
+    res = run("rm", "fix", "--theta", "sqrt(1000000007)")
+    assert res.exit_code == 0, res.output + str(res.exception)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    d = json.loads(res.output)
+    (a, b), (c, e) = d["matrix"]
+    assert len(str(b)) > 4300
+    assert a * e - b * c == 1 and d["trace"] == a + e > 2
+    # the matrix fixes sqrt(D): (a t + b) / (c t + e) = t with t^2 = D
+    assert c * 1000000007 == b and a == e
 
 
 def test_rm_hilbert():

@@ -1,5 +1,7 @@
 """Exact generic linear algebra over field tags."""
 
+import heapq
+import math
 import random
 import time
 from fractions import Fraction
@@ -190,16 +192,39 @@ def test_reduced_form_drops_an_entry_that_back_substitution_cancels():
 
 
 def test_unit_pivot_rows_are_stored_unscaled():
-    """A residue whose pivot entry is one keeps its entries as they are; any
-    other is scaled to one at its pivot."""
-    for field in (QQ, QQ_Q):
-        two = field.one + field.one
-        span = linalg.SpanTracker(3, field)
-        span.add({1: field.coerce(1), 2: two})
-        assert span.rows[1][1] is field.one and span.rows[1][2] is two
-        span.add({0: two, 2: two})
-        assert span.rows[0] == {0: field.one, 2: field.one}
-        assert span.rows[0][0] is field.one
+    """Over Q(q), a residue whose pivot entry is one keeps its entries as
+    they are; any other is scaled to one at its pivot."""
+    field = QQ_Q
+    two = field.one + field.one
+    span = linalg.SpanTracker(3, field)
+    span.add({1: field.coerce(1), 2: two})
+    assert span.rows[1][1] is field.one and span.rows[1][2] is two
+    span.add({0: two, 2: two})
+    assert span.rows[0] == {0: field.one, 2: field.one}
+    assert span.rows[0][0] is field.one
+
+
+def is_primitive_row(row, c):
+    """An int row over Q: no common factor, a positive entry at its pivot c
+    and nothing left of it."""
+    return (all(type(x) is int and x for x in row.values()) and row.get(c, 0) > 0
+            and min(row) == c and math.gcd(*row.values()) == 1)
+
+
+def test_rows_over_Q_are_primitive_integer_vectors():
+    """Over Q a residue is stored as a primitive int vector, positive at its
+    pivot: its content is divided out and its sign fixed once."""
+    span = linalg.SpanTracker(4, QQ)
+    span.add({1: Fraction(-2, 3), 2: Fraction(4, 9), 3: Fraction(0)})
+    assert span.rows == {1: {1: 3, 2: -2}}
+    span.add([Fraction(6), Fraction(2), Fraction(0), Fraction(6)])
+    # cleared at column 1 as 3 v - 2 row = (18, 0, 4, 18), then over its content 2
+    assert span.rows[0] == {0: 9, 2: 2, 3: 9}
+    assert span.residue({0: Fraction(1), 1: Fraction(1)}) == \
+        {2: Fraction(4, 9), 3: Fraction(-1)}
+    assert span.reduced() == {1: {1: QQ.one, 2: Fraction(-2, 3)},
+                              0: {0: QQ.one, 2: Fraction(2, 9), 3: Fraction(1)}}
+    assert all(row[c] is QQ.one for c, row in span.reduced().items())
 
 
 def check_against_dense(A, field):
@@ -220,8 +245,12 @@ def check_against_dense(A, field):
         span = linalg.SpanTracker(n, field)
         added = [span.add(r) for r in rows]
         assert added == [i in t_pivots for i in range(m)]
-        # each echelon row holds the field's one at its pivot, nothing left of it
-        assert all(row[c] is field.one and min(row) == c for c, row in span.rows.items())
+        # over Q each echelon row is a primitive int vector, positive at its
+        # pivot; over Q(q) it holds the field's one there; nothing left of it
+        if field == QQ:
+            assert all(is_primitive_row(row, c) for c, row in span.rows.items())
+        else:
+            assert all(row[c] is field.one and min(row) == c for c, row in span.rows.items())
         reduced = span.reduced()
         assert sorted(reduced) == pivots
         assert [dense(reduced[c], n, field) for c in pivots] == red[:len(pivots)]
@@ -251,6 +280,110 @@ def test_eliminator_matches_dense_over_Q(A):
 @given(sparse_matrices(qq_monomials(), QQ_Q, q_general()))
 def test_eliminator_matches_dense_over_Qq(A):
     check_against_dense(A, QQ_Q)
+
+
+# ---------------------------------------------------------------------------
+# differential test: integer rows over Q against the Fraction eliminator
+# ---------------------------------------------------------------------------
+
+class FractionSpan:
+    """The eliminator as it was over Q, the reference: sparse Fraction rows
+    with one at the pivot, each pivot of a vector cleared by its value."""
+
+    def __init__(self, ncols):
+        self.ncols, self.rows = ncols, {}
+
+    @staticmethod
+    def clear(v, rows):
+        heap = [c for c in v if c in rows]
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            f = v.pop(c, None)
+            if f is None:
+                continue
+            for j, x in rows[c].items():
+                if j != c:
+                    if j not in v and j in rows:
+                        heapq.heappush(heap, j)
+                    y = v.get(j, 0) - f * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+        return v
+
+    def residue(self, vec):
+        return self.clear({j: x for j, x in vec.items() if x}, self.rows)
+
+    def add(self, vec):
+        row = self.residue(vec)
+        if row:
+            pivot = min(row)
+            self.rows[pivot] = {j: x / row[pivot] for j, x in row.items()}
+        return bool(row)
+
+    def reduced(self):
+        red = {}
+        for c in sorted(self.rows, reverse=True):
+            red[c] = self.clear(dict(self.rows[c]), red)
+        return red
+
+    def kernel(self):
+        red = self.reduced()
+        basis = {f: {f: Fraction(1)} for f in range(self.ncols) if f not in red}
+        for c, row in red.items():
+            for f, x in row.items():
+                if f != c:
+                    basis[f][c] = -x
+        return list(basis.values())
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**60, 10**60).filter(bool),
+                          st.integers(1, 10**60))
+
+
+@st.composite
+def big_sparse_matrices(draw):
+    """Up to 9 x 10 over Q, 60-digit numerators and denominators, 10-40%
+    nonzero, and up to three rows that are combinations of earlier ones."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    cells = draw(st.permutations([(i, j) for i in range(m) for j in range(n)]))
+    A = [{} for _ in range(m)]
+    for i, j in cells[:draw(st.integers(max(1, m * n // 10), max(1, 2 * m * n // 5)))]:
+        A[i][j] = draw(big_rationals)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, len(A) - 1)), draw(st.integers(0, len(A) - 1))
+        c, e = draw(big_rationals), draw(big_rationals)
+        row = {j: c * A[a].get(j, 0) + e * A[b].get(j, 0) for j in range(n)}
+        A.append({j: x for j, x in row.items() if x})
+    return A, n
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(big_sparse_matrices(), st.integers(-10**60, 10**60).filter(bool))
+def test_integer_rows_match_the_fraction_eliminator(An, scale):
+    A, n = An
+    new, old = linalg.SpanTracker(n, QQ), FractionSpan(n)
+    assert [new.add(r) for r in A] == [old.add(r) for r in A]
+    assert new.dim() == len(old.rows)
+    probes = A + [{j: Fraction(j + 1, 7) for j in range(n)}, {0: Fraction(10**61, 3)}]
+    for v in probes:
+        assert new.contains(v) == (not old.residue(v))
+        assert new.residue(v) == old.residue(v)
+    reduced = new.reduced()
+    assert reduced == old.reduced()
+    assert list(reduced) == list(old.reduced())
+    assert all(row[c] is QQ.one for c, row in reduced.items())
+    assert new.kernel() == old.kernel()
+    # the same rows as ints, each a multiple of a row scaled as Fractions
+    as_ints = linalg.SpanTracker(n, QQ)
+    as_fractions = linalg.SpanTracker(n, QQ)
+    for r in A:
+        m = math.lcm(*(x.denominator for x in r.values()))
+        as_ints.add({j: int(x * m) * scale for j, x in r.items()})
+        as_fractions.add({j: x * Fraction(m * scale, 3) for j, x in r.items()})
+    assert as_ints.reduced() == as_fractions.reduced() == reduced
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -18,12 +18,15 @@ two polynomials of positive degree is the primitive remainder sequence of
 ``rewriting._walk``, the normal-form walk, which works fraction-free on
 numerators over one common denominator: Python ints over an int for Q, and
 integer Laurent polynomials (valuation, tuple of ints) over a denominator
-in Z[q] for Q(q), read off each ``RatFunc``'s (e, N, D) as it is stored.
-Bare integers leave the walk only for completion's span over Q, whose
-rows are integer rows anyway: every Q scalar ``rewriting._reduce`` returns
-is a ``Fraction`` and every Q(q) scalar a ``RatFunc``.  ``UPoly`` products
-over Q also run on the kernel's product, on integer numerators over a
-common denominator.
+in Z[q] for Q(q), kept as its factors, read off each ``RatFunc``'s
+(e, N, D) as it is stored.  Each rewrite rule reads its rhs into that form
+once, and S-polynomials are built from those forms, so no ``RatFunc`` is
+made between two rules and their S-polynomial.  Bare integers leave the
+walk only for completion's span over Q, whose rows are integer rows
+anyway: every Q scalar ``rewriting._reduce`` returns is a ``Fraction`` and
+every Q(q) scalar a ``RatFunc``, made coprime with the denominator one
+factor at a time.  ``UPoly`` products over Q also run on the kernel's
+product, on integer numerators over a common denominator.
 """
 
 from __future__ import annotations

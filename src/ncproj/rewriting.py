@@ -10,6 +10,10 @@ overlaps, which lower degrees have already resolved.  It stops at the
 degree cutoff.  A completed system is confluent for all words of degree
 <= cutoff, so normal forms, normal-word bases and Hilbert functions are
 exact in that range.
+
+Normal forms run in key space, each letter a written m - a for the largest
+letter m, so that a word is its own heap key; each rule caches its rhs in
+that form, and an S-polynomial is built from two cached forms.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
 
-from .fields import (QQ, RatFunc, _ONE, _coprime, _laurent_numerators, _laurent_sum, _over_lcm,
-                     _zmul)
+from .fields import (QQ, RatFunc, _ONE, _coprime, _laurent_numerators, _laurent_sum, _neg,
+                     _over_lcm, _zmul)
 from .linalg import SpanTracker
 from .words import NcPoly
 
@@ -43,6 +47,11 @@ class RewriteRule:
     def degree(self):
         return self.rhs.alphabet.degree(self.lead)
 
+    @cached_property
+    def form(self):
+        """The rhs as _walk and _spoly read it, _integer_form(rhs), made once."""
+        return _integer_form(self.rhs)
+
     def render(self):
         lead = NcPoly.word(self.rhs.alphabet, self.rhs.field, self.lead)
         return f"{lead.render()} -> {self.rhs.render()}"
@@ -52,23 +61,17 @@ class NormalWordAutomaton:
     """Aho-Corasick automaton over the rule leads: Ufnarovski's graph.
 
     State 0 is the empty word and every other state a prefix of a lead.
-    For the state s of a word w, goto[s][a] is the state of wa, the longest
-    suffix of wa that is a state, and rule[s] is the index of the first
-    rule in list order whose lead ends w (len(rules) if none does).  step
-    is goto on normal words: step[s][a] is None when wa is not normal.
-
-    forms[i] is the rhs of rules[i] as _walk uses it, (D, N) with N its
-    (word, numerator) pairs, so that rhs = N / D: over Q, D is the least
-    common denominator of its coefficients and each numerator an int; over
-    Q(q), D is in Z[q] with D(0) != 0, a tuple of ints, and each numerator
-    an integer Laurent polynomial (v, tuple of ints): a coefficient's
-    stored q^v N times D over its stored denominator, so that a rewrite by
-    q^v c is a shift and an integer scale.
+    For the state s of a word w, the state of wa is the longest suffix of
+    wa that is a state, and rule[s] is the index of the first rule in list
+    order whose lead ends w (len(rules) if none does).  step[s][a] is the
+    state of wa on normal words, and None when wa is not normal.  goto is
+    the same transition for _walk, in key space: goto[s][m - a] is the
+    state of wa, m the largest letter.  forms[i] is rules[i].form.
     """
 
     def __init__(self, rules, nletters):
         self.rules = rules = tuple(rules)
-        self.forms = [_integer_form(r.rhs) for r in rules]
+        self.forms = [r.form for r in rules]
         children = [{}]
         rule = [len(rules)]
         for i, r in enumerate(rules):
@@ -88,18 +91,19 @@ class NormalWordAutomaton:
             rule[s] = min(rule[s], rule[fail])
             goto[s] = [children[s].get(a, goto[fail][a]) for a in range(nletters)]
             queue.extend((t, goto[fail][a]) for a, t in children[s].items())
-        self.goto, self.rule = goto, rule
+        self.goto, self.rule = [row[::-1] for row in goto], rule
         self.step = [[None if rule[t] < len(rules) else t for t in row] for row in goto]
 
 
 def _integer_form(p):
-    """(S, numerators) with p = numerators / S, for _walk: over Q, S an
-    int and each coefficient of p an int over it; over Q(q), S in Z[q] and
-    each coefficient an integer Laurent polynomial (v, N) over it, read
-    from its RatFunc's (e, N, D); the numerators as (word, numerator)
-    pairs."""
+    """(S, numerators) with p = numerators / S, the walk's form of p: over
+    Q, S an int and each coefficient of p an int over it; over Q(q), S in
+    Z[q] and each coefficient an integer Laurent polynomial (v, N) over
+    it, read from its RatFunc's (e, N, D); the numerators as (key,
+    numerator) pairs, each word written in key space (see _walk)."""
     S, ns = (_over_lcm if p.field == QQ else _laurent_numerators)(p.terms.values())
-    return S, tuple(zip(p.terms, ns))
+    m = len(p.alphabet) - 1
+    return S, tuple(zip([tuple([m - a for a in w]) for w in p.terms], ns))
 
 
 class RewriteCache:
@@ -151,7 +155,7 @@ def _reduce(p, automaton):
     """Full normal form of p by the automaton's rules: the result of _walk,
     each settled numerator over the common denominator S made a field
     element, as an NcPoly."""
-    S, terms = _walk(p, automaton)
+    S, terms = _walk(*_integer_form(p), automaton, p.alphabet.weights)
     out = NcPoly.zero(p.alphabet, p.field)
     out.terms = _over(S, terms)
     return out
@@ -159,35 +163,51 @@ def _reduce(p, automaton):
 
 def _over(S, terms):
     """The coefficients {word: c / S} of a walk's numerators over S: over Q
-    a Fraction per word; over Q(q) for each word one RatFunc q^v N / S made
-    coprime by the Z[q] kernel of ncproj.fields and built by RatFunc._raw."""
-    if S.__class__ is tuple:
-        return {w: RatFunc._raw(e, *_coprime(C, S)) for w, (e, C) in terms.items()}
+    a Fraction per word; over Q(q), where S is the list of its factors, for
+    each word one RatFunc q^v N / S built by RatFunc._raw, made coprime by
+    one gcd per factor, in turn, which is exact as gcd(a, bc) = g gcd(a / g,
+    c) for g = gcd(a, b)."""
+    if S.__class__ is list:
+        out = {}
+        for w, (e, C) in terms.items():
+            D = _ONE
+            for F in S:
+                C, F = _coprime(C, F)
+                D = _zmul(D, F)
+            out[w] = RatFunc._raw(e, C, D)
+        return out
     return {w: Fraction(c, S) for w, c in terms.items()}
 
 
-def _walk(p, automaton):
-    """(S, numerators): the normal form of p by the automaton's rules, in one
-    top-down pass, as the numerators {settled word: c} over one common
-    denominator S.
+def _walk(S, pending, automaton, weights):
+    """(S, numerators): the normal form of pending / S by the automaton's
+    rules, in one top-down pass, as the numerators {settled word: c} over
+    one common denominator S.  pending holds the numerators by key, as
+    _integer_form and _spoly give them, and weights the letter weights.
 
-    Pending words are settled from the largest down.  A popped word is
-    walked once through the automaton, which names the first rule ending at
-    each position.  A word that meets no lead is settled; any other is
-    rewritten once, by the first rule in list order at its leftmost
-    occurrence, into words that are strictly smaller, because every rhs
-    word is smaller than its lead and the order is compatible with
-    concatenation.  So when a word is popped, every contribution to its
-    coefficient has already arrived, and each word is settled once.
+    The walk runs in key space (see NormalWordAutomaton): a pending word is
+    its own heap key, as within one weighted degree plain tuple order on
+    keys is the reverse of alphabet.key.  Rules are homogeneous, so each
+    degree of the input has its own heap, walked from the top degree down.
+    A popped word is walked once through the automaton, which names the
+    first rule ending at each position.  A word that meets no lead is
+    settled, written back once; any other is rewritten once, by the first
+    rule in list order at its leftmost occurrence, into words that are
+    strictly smaller, because every rhs word is smaller than its lead and
+    the order is compatible with concatenation.  So when a word is popped,
+    every contribution to its coefficient has already arrived, each word
+    is settled once, and the settled words come out in descending
+    alphabet.key order.
 
     The walk is fraction-free in the manner of Bareiss: every pending and
     settled coefficient is a numerator over one common denominator S.  Over
     Q the numerators are Python ints and S is an int; over Q(q) they are
     integer Laurent polynomials (v, N), q^v N(q) with N a tuple of ints,
-    N(0) != 0, and S is in Z[q].  A word with numerator c rewritten by a
-    rule rhs N / D adds (c / g) N, with g = gcd(c, D), after every
-    numerator and S are multiplied by D / g; over Q(q), the product, the
-    Laurent sum and the gcd (the content gcd when D is a constant, else
+    N(0) != 0, and S, in Z[q], is returned as the list of its factors: the
+    input's and each one the walk multiplies in.  A word with numerator c
+    rewritten by a rule rhs N / D adds (c / g) N, with g = gcd(c, D), after
+    every numerator and S are multiplied by D / g; over Q(q), the product,
+    the Laurent sum and the gcd (the content gcd when D is a constant, else
     the gcd in Z[q] by UPoly.gcd) are the Z[q] kernel of ncproj.fields
     that RatFunc arithmetic runs on.  So a rewrite by q^e c is a shift and
     an integer scale.  The walk builds no fraction: _reduce makes the
@@ -195,68 +215,68 @@ def _walk(p, automaton):
     span as they are, since a residue times S spans the same row.
     """
     rules, forms, goto, first = automaton.rules, automaton.forms, automaton.goto, automaton.rule
-    weight = [-a for a in p.alphabet.weights]
-    rank = [-a for a in range(len(weight))]
-
-    def entry(w):
-        # alphabet.key negated, then w itself.  Words of equal weighted degree
-        # are never prefixes of one another (weights are positive), so two
-        # entries differ before either runs out of letters: w is never compared.
-        return (sum(map(weight.__getitem__, w)), *map(rank.__getitem__, w), w)
-
-    S, pending = _integer_form(p)
+    m = len(weights) - 1
     pending = dict(pending)
+    if len(pending) == 1:
+        tiers = [list(pending)]
+    else:
+        weight, tier = weights[::-1], {}
+        for w in pending:
+            tier.setdefault(sum(map(weight.__getitem__, w)), []).append(w)
+        tiers = [tier[d] for d in sorted(tier, reverse=True)]
     laurent = S.__class__ is tuple
-    heap = [entry(w) for w in pending]
-    heapq.heapify(heap)
+    if laurent:
+        S = [S]
     terms = {}
-    while heap:
-        w = heapq.heappop(heap)[-1]
-        c = pending.pop(w)
-        if not c:
-            continue
-        s, best, end = 0, first[0], 0
-        for i, a in enumerate(w, 1):
-            s = goto[s][a]
-            if first[s] < best:
-                best, end = first[s], i
-        if best == len(rules):
-            terms[w] = c
-            continue
-        D, rhs = forms[best]
-        pre, post = w[:end - len(rules[best].lead)], w[end:]
-        if laurent:
-            e, C = c
-            if D != _ONE:
-                C, k = _coprime(C, D)
-                if k != _ONE:
-                    S = _zmul(S, k)
-                    # a pending sum that cancelled stays 0
-                    pending = {v: x and (x[0], _zmul(x[1], k)) for v, x in pending.items()}
-                    terms = {v: (f, _zmul(N, k)) for v, (f, N) in terms.items()}
-            for u, (f, A) in rhs:
+    for heap in tiers:
+        heapq.heapify(heap)
+        while heap:
+            w = heapq.heappop(heap)
+            c = pending.pop(w)
+            if not c:
+                continue
+            s, best, end = 0, first[0], 0
+            for i, a in enumerate(w, 1):
+                s = goto[s][a]
+                if first[s] < best:
+                    best, end = first[s], i
+            if best == len(rules):
+                terms[tuple([m - a for a in w])] = c
+                continue
+            D, rhs = forms[best]
+            pre, post = w[:end - len(rules[best].lead)], w[end:]
+            if laurent:
+                e, C = c
+                if D != _ONE:
+                    C, k = _coprime(C, D)
+                    if k != _ONE:
+                        S.append(k)
+                        # a pending sum that cancelled stays 0
+                        pending = {v: x and (x[0], _zmul(x[1], k)) for v, x in pending.items()}
+                        terms = {v: (f, _zmul(N, k)) for v, (f, N) in terms.items()}
+                for u, (f, A) in rhs:
+                    v = pre + u + post
+                    x = (e + f, _zmul(C, A))
+                    old = pending.get(v)
+                    if old is None:
+                        heapq.heappush(heap, v)
+                        pending[v] = x
+                    else:
+                        pending[v] = _laurent_sum(old, x) if old else x
+                continue
+            g = math.gcd(c, D)
+            if g != D:
+                k = D // g
+                S *= k
+                pending = {v: x * k for v, x in pending.items()}
+                terms = {v: x * k for v, x in terms.items()}
+            c //= g
+            for u, a in rhs:
                 v = pre + u + post
-                x = (e + f, _zmul(C, A))
                 old = pending.get(v)
                 if old is None:
-                    heapq.heappush(heap, entry(v))
-                    pending[v] = x
-                else:
-                    pending[v] = _laurent_sum(old, x) if old else x
-            continue
-        g = math.gcd(c, D)
-        if g != D:
-            k = D // g
-            S *= k
-            pending = {v: x * k for v, x in pending.items()}
-            terms = {v: x * k for v, x in terms.items()}
-        c //= g
-        for u, a in rhs:
-            v = pre + u + post
-            old = pending.get(v)
-            if old is None:
-                heapq.heappush(heap, entry(v))
-            pending[v] = c * a if old is None else old + c * a
+                    heapq.heappush(heap, v)
+                pending[v] = c * a if old is None else old + c * a
     return S, terms
 
 
@@ -287,9 +307,29 @@ def _pairs(new, old):
 
 
 def _spoly(rule1, rule2, a, c, alphabet, field):
-    """rhs1.c - a.rhs2, for the overlap word lead1.c = a.lead2."""
-    return NcPoly(alphabet, field, [(u + c, x) for u, x in rule1.rhs.terms.items()]
-                  + [(a + u, -x) for u, x in rule2.rhs.terms.items()])
+    """rhs1.c - a.rhs2, for the overlap word lead1.c = a.lead2, as the walk's
+    input (S, {key: numerator}), read from the rules' cached forms N1 / D1
+    and N2 / D2.  S is a common multiple of D1 and D2: their lcm over Q;
+    over Q(q) D1 when D1 == D2 and D1 D2 otherwise, so that no gcd in Z[q]
+    runs."""
+    (D1, rhs1), (D2, rhs2) = rule1.form, rule2.form
+    m = len(alphabet) - 1
+    a, c = tuple([m - x for x in a]), tuple([m - x for x in c])
+    if D1.__class__ is int:
+        S = math.lcm(D1, D2)
+        k1, k2, times, plus = S // D1, -(S // D2), int.__mul__, int.__add__
+    else:
+        S, k1, k2 = (D1, _ONE, (-1,)) if D1 == D2 else (_zmul(D1, D2), D2, _neg(D1))
+        plus = _laurent_sum
+
+        def times(x, k):
+            return x[0], _zmul(x[1], k)
+    out = {u + c: times(x, k1) for u, x in rhs1}
+    for u, x in rhs2:
+        v, x = a + u, times(x, k2)
+        old = out.get(v)
+        out[v] = x if old is None else plus(old, x)
+    return S, out
 
 
 def _holds_lead(word, step):
@@ -354,14 +394,14 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
     while relations_of or overlaps_of:
         d = min(relations_of.keys() | overlaps_of.keys())
         automaton = NormalWordAutomaton(rules, len(alphabet))
-        batch = relations_of.pop(d, [])
+        batch = [_integer_form(p) for p in relations_of.pop(d, [])]
         batch += [_spoly(r1, r2, a, c, alphabet, field)
                   for r1, r2, a, c, w in overlaps_of.pop(d, ())
                   if not _holds_lead(w[1:-1], automaton.step)]
         # over Q the walk's integer numerators are the rows: times S, a
         # residue spans the same line
         residues = [terms if S.__class__ is int else _over(S, terms)
-                    for S, terms in (_walk(p, automaton) for p in batch)]
+                    for S, terms in (_walk(*p, automaton, alphabet.weights) for p in batch)]
         words = sorted({w for terms in residues for w in terms}, key=alphabet.key, reverse=True)
         column = {w: j for j, w in enumerate(words)}
         span = SpanTracker(len(words), field)

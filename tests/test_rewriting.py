@@ -12,8 +12,8 @@ from ncproj.dsl import parse_scalar
 from ncproj.fields import QQ, QQ_Q, RatFunc, UPoly
 from ncproj import rewriting
 from ncproj.rewriting import (INFINITE, CutoffExceededError, NormalWordAutomaton,
-                              RewriteRule, RewriteSystem, _overlaps, _pairs, _reduce,
-                              _spoly, complete_truncated, complete_truncated_over,
+                              RewriteRule, RewriteSystem, _over, _overlaps, _pairs, _reduce,
+                              _spoly, _walk, complete_truncated, complete_truncated_over,
                               gk_estimate, hilbert_function, letter_table, normal_form,
                               normal_words)
 from ncproj.words import Alphabet, NcPoly
@@ -22,9 +22,20 @@ AB = Alphabet(["x", "y"])
 rng = random.Random(9920)
 
 
+def _reduce_spoly(r1, r2, a, c, automaton):
+    """The normal form of the S-polynomial of the overlap lead1.c = a.lead2,
+    as an NcPoly, from _spoly's walk input through the walk and _over as
+    completion runs them."""
+    alphabet, field = r1.rhs.alphabet, r1.rhs.field
+    S, terms = _walk(*_spoly(r1, r2, a, c, alphabet, field), automaton, alphabet.weights)
+    out = NcPoly.zero(alphabet, field)
+    out.terms = _over(S, terms)
+    return out
+
+
 def confluence_audit(R):
     """All overlap ambiguities of degree <= cutoff must reduce to zero."""
-    return all(_reduce(_spoly(r1, r2, a, c, R.alphabet, R.field), R.cache.automaton).is_zero()
+    return all(_reduce_spoly(r1, r2, a, c, R.cache.automaton).is_zero()
                for r1, r2 in _pairs(R.rules, [])
                for _, a, c, _ in _overlaps(r1, r2, R.alphabet, R.cutoff))
 
@@ -270,14 +281,17 @@ def test_reduce_matches_restarting_reference(name):
     for kind, rules in _rule_lists(alphabet, rels):
         for _ in range(25):
             p = _random_poly(alphabet, rels[0].field, rnd, 7)
-            assert _reduce(p, NormalWordAutomaton(rules, len(alphabet))) == \
-                _reduce_restarting(p, rules, alphabet), kind
+            got = _reduce(p, NormalWordAutomaton(rules, len(alphabet)))
+            assert got == _reduce_restarting(p, rules, alphabet), kind
+            # the walk settles words from the largest down, across degrees too
+            keys = [alphabet.key(w) for w in got.terms]
+            assert keys == sorted(keys, reverse=True), kind
     if name == "Sklyanin":
         # rule denominators D of about 244 bits and inputs with 40-digit
         # numerators and denominators: gcd(c, D) != D, so _reduce rescales
         rules = list(complete_truncated(rels, 8).rules)
         automaton = NormalWordAutomaton(rules, len(alphabet))
-        assert max(D for D, _ in automaton.forms).bit_length() > 200
+        assert max(r.form[0] for r in rules).bit_length() > 200
         for _ in range(10):
             p = _random_poly(alphabet, QQ, rnd, 8, 10 ** 40, 10 ** 40)
             assert _reduce(p, automaton) == _reduce_restarting(p, rules, alphabet)
@@ -486,8 +500,7 @@ def _complete_restarting(relations, cutoff, alphabet, field):
         pending.sort(key=lambda t: (t[0], t[1]))
         new_rule = None
         for _, _, r1, r2, a, c in pending:
-            s = _reduce(_spoly(r1, r2, a, c, alphabet, field),
-                        NormalWordAutomaton(rules, len(alphabet)))
+            s = _reduce_spoly(r1, r2, a, c, NormalWordAutomaton(rules, len(alphabet)))
             if not s.is_zero():
                 new_rule = _make_rule(s, alphabet)
                 break
@@ -510,6 +523,10 @@ def _completion_cases():
     heavy = Alphabet(["x", "y"], [1, 2])
     hx, hy = (NcPoly.gen(heavy, QQ, i) for i in range(2))
     c3 = [Y * Z - Z * Y, Z * X - X * Z, X * Y - Y * X]
+
+    def s(text):
+        return parse_scalar(text, QQ_Q)
+
     return {
         "plane": (AB, [y * x - x * y], 10, QQ),
         "quantum plane": (AB, [qy * qx - (qx * qy).scale(q)], 10, QQ_Q),
@@ -534,6 +551,12 @@ def _completion_cases():
         "mixed degree": (AB, [y * x * x - x * x * y, y * y - x * y,
                               x * x * x * y - y * x * y * x + x * x * x * x], 10, QQ),
         "linear and quadratic": (xyz, [X - Z, Y * Y - X * Y, Z * Y * X], 7, QQ),
+        # 12 rules with denominators in Z[q] of degree up to 20, so the
+        # S-polynomials are built from forms with polynomial denominators
+        "polynomial denominators": (xyz, [qY * qZ - (qZ * qY).scale(s("(q+1)/(q+2)")) + qX * qX,
+                                          qZ * qX - (qX * qZ).scale(s("(q^2+1)/(q+3)"))
+                                          + qY * qY,
+                                          qX * qY - (qY * qX).scale(q) + qZ * qZ], 4, QQ_Q),
     }
 
 
@@ -617,6 +640,38 @@ def test_benchmark_systems_pinned(name):
     assert confluence_audit(R)
 
 
+@pytest.mark.parametrize("name", ["Sklyanin", "cyclic", "polynomial denominators"])
+def test_spoly_is_the_overlap_difference(name):
+    """_spoly's walk input, written back from key space over its S, is
+    rhs1.c - a.rhs2 by NcPoly arithmetic, for every overlap of the rules."""
+    alphabet, rels, cutoff, field = _completion_cases()[name]
+    R = complete_truncated_over(rels, cutoff, alphabet, field)
+    m = len(alphabet) - 1
+    for (_, _, a, c), (r1, r2, _) in _final_overlaps(R).items():
+        S, numerators = _spoly(r1, r2, a, c, alphabet, field)
+        terms = {tuple(m - b for b in key): x for key, x in numerators.items() if x}
+        got = NcPoly(alphabet, field, _over(S if field == QQ else [S], terms))
+        want = (r1.rhs * NcPoly.word(alphabet, field, c)
+                - NcPoly.word(alphabet, field, a) * r2.rhs)
+        assert got == want, (r1.lead, r2.lead, a, c)
+
+
+def test_pinned_sklyanin_makes_each_integer_form_once(monkeypatch):
+    """Each rule's walk form is made once, cached on the rule, and each input
+    relation's once: no automaton and no S-polynomial makes one again."""
+    alphabet, rels, cutoff, field = _benchmark_systems()["Sklyanin"][:4]
+    made = []
+    integer_form = rewriting._integer_form
+
+    def counting_integer_form(p):
+        made.append(p)
+        return integer_form(p)
+
+    monkeypatch.setattr(rewriting, "_integer_form", counting_integer_form)
+    R = complete_truncated_over(rels, cutoff, alphabet, field)
+    assert 0 < len(made) <= len(R.rules) + len(rels)
+
+
 def _criterion_cases():
     """name -> (alphabet, relations, cutoff, field): every completion case
     and the three pinned benchmark systems."""
@@ -638,7 +693,7 @@ def test_completion_builds_the_overlaps_with_no_interior_lead(monkeypatch, name)
                                    if _is_normal(w[1:-1], R))
     for key in overlaps.keys() - set(built):
         r1, r2, _ = overlaps[key]
-        assert _reduce(_spoly(r1, r2, *key[2:], alphabet, field), R.cache.automaton).is_zero()
+        assert _reduce_spoly(r1, r2, *key[2:], R.cache.automaton).is_zero()
 
 
 def _random_presentation(rnd):

@@ -193,10 +193,11 @@ def proj():
 
 
 def _built_for_proj(p, nmax, js, dmax):
-    """p completed for H^j, j in js, at twists up to dmax: afresh while k's
-    resolution asks for more (proj_depth, which only grows), a loop that ends
+    """p completed for H^j, j in js, at twists up to dmax: first to proj_depth's
+    floor n_max - 1 + max(j + 2, relation degree) + max(d, 0), then afresh while
+    k's resolution asks for more (proj_depth only grows), a loop that ends
     whenever k's P^j..P^{j+2} are finitely generated."""
-    R = build(p, max(p.max_relation_degree(), nmax + max(js) + 1) + max(dmax, 0))
+    R = build(p, nmax - 1 + max(max(js) + 2, p.max_relation_degree()) + max(dmax, 0))
     while (depth := max(proj_depth(R, nmax, j, dmax) for j in js)) > R.cutoff:
         R = build(p, depth)
     return R

@@ -20,24 +20,23 @@ v is never scaled.  A vector and a row span the same line, so the span,
 its dimension and its pivots do not depend on the ring; residue, reduced
 and kernel map their entries back to the field, exactly.
 
-The module holds only that eliminator and two entry points over it:
-``evaluation_kernel``, the kernel of a map given by the sparse images of a
-basis, and ``rank``, the rank of a dense matrix (a list of lists of
-scalars).
+A row ring is four operations: lift(vec) is (v, m), the sparse vector v
+over the ring that is vec scaled by a positive m, both found in one pass;
+pair is the (a, b) above, None for monic rows; normalise(row, pivot)
+turns a residue into the row to store, in place; down(v, d) is v / d over
+the field.
+
+The eliminator reads sparse {column: scalar} vectors only.  The module
+holds it and two entry points over it: ``evaluation_kernel``, the kernel
+of a map given by the sparse images of a basis, and ``rank``, the rank of
+a dense matrix (a list of lists of scalars), whose rows it makes sparse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-
-
-def _sparse(vec):
-    """Sparse copy {column: nonzero} of a dense list or of a sparse dict."""
-    if isinstance(vec, dict):
-        return {j: x for j, x in vec.items() if x}
-    return {j: x for j, x in enumerate(vec) if x}
+from math import gcd
 
 
 def _clear(v, rows, pair):
@@ -84,18 +83,13 @@ def _clear(v, rows, pair):
     return s
 
 
-# A row ring: lift(vec) is a sparse vector over the ring that is
-# multiple(vec) times vec, a positive multiple; pair is the (a, b) of
-# _clear, None for monic rows; normalise turns a residue into the row to
-# store, in place; down(v, d) is v / d over the field.
-
 class _Integers:
     """Q's row ring Z: rows are primitive int vectors, positive at the pivot."""
 
     @staticmethod
     def lift(vec):
         v, m = {}, 1
-        for j, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
+        for j, x in vec.items():
             if x:
                 n, d = x.as_integer_ratio()
                 if m % d:              # m grows to lcm(m, d): rescale what is lifted
@@ -104,7 +98,7 @@ class _Integers:
                     for i in v:
                         v[i] *= k
                 v[j] = n if m == 1 else n * (m // d)
-        return v
+        return v, m
 
     @staticmethod
     def pair(p, f):
@@ -122,10 +116,6 @@ class _Integers:
         return row
 
     @staticmethod
-    def multiple(vec):
-        return lcm(*[x.denominator for x in (vec.values() if isinstance(vec, dict) else vec)])
-
-    @staticmethod
     def down(v, d):
         if d == 1:
             return {j: Fraction(x) for j, x in v.items()}
@@ -138,7 +128,6 @@ class _Monic:
     unscaled; vectors are never scaled."""
 
     pair = None
-    lift = staticmethod(_sparse)
 
     def __init__(self, field):
         self.one = field.one
@@ -154,8 +143,8 @@ class _Monic:
         return row
 
     @staticmethod
-    def multiple(vec):
-        return 1
+    def lift(vec):
+        return {j: x for j, x in vec.items() if x}, 1
 
     @staticmethod
     def down(v, d):
@@ -170,8 +159,8 @@ class SpanTracker:
     its pivot: over Q a primitive int vector with a positive pivot entry,
     over Q(q) a vector with the field's one object at the pivot.  A row is
     zero at each pivot column held when it was added, not at later ones.
-    Vectors may be dense lists of length ncols or sparse {column: scalar}
-    dicts; over Q their entries may be Fractions or ints.
+    Vectors are sparse {column: scalar} dicts, columns below ncols; over Q
+    their entries may be Fractions or ints.
     """
 
     def __init__(self, ncols, field):
@@ -188,11 +177,11 @@ class SpanTracker:
         """vec minus its part in the span, as a fresh sparse dict: the one
         such vector that is zero at every pivot."""
         ring = self.ring
-        v = ring.lift(vec)
-        return ring.down(v, _clear(v, self.rows, ring.pair) * ring.multiple(vec))
+        v, m = ring.lift(vec)
+        return ring.down(v, _clear(v, self.rows, ring.pair) * m)
 
     def contains(self, vec):
-        v = self.ring.lift(vec)
+        v, _ = self.ring.lift(vec)
         _clear(v, self.rows, self.ring.pair)
         return not v
 
@@ -200,7 +189,7 @@ class SpanTracker:
         """Insert vec; returns True if it enlarged the span.  The residue,
         normalised by the row ring, is the only row written."""
         ring = self.ring
-        row = ring.lift(vec)
+        row, _ = ring.lift(vec)
         _clear(row, self.rows, ring.pair)
         if not row:
             return False
@@ -267,4 +256,5 @@ def _tracker(rows, ncols, field):
 def rank(rows, field):
     if not rows:
         return 0
-    return _tracker(rows, len(rows[0]), field).dim()
+    return _tracker(({j: x for j, x in enumerate(r) if x} for r in rows),
+                    len(rows[0]), field).dim()

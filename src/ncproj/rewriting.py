@@ -399,7 +399,10 @@ def complete_truncated_over(relations, cutoff, alphabet, field):
                   for r1, r2, a, c, w in overlaps_of.pop(d, ())
                   if not _holds_lead(w[1:-1], automaton.step)]
         # over Q the walk's integer numerators are the rows: times S, a
-        # residue spans the same line
+        # residue spans the same line.  Over Q(q) the numerators as RatFuncs
+        # q^v N / 1 span the same line too, but the monic rows then pay the
+        # Z[q] gcds, which doubled a completion with polynomial denominators:
+        # they go over S until the row ring keeps Z[q] rows itself
         residues = [terms if S.__class__ is int else _over(S, terms)
                     for S, terms in (_walk(*p, automaton, alphabet.weights) for p in batch)]
         words = sorted({w for terms in residues for w in terms}, key=alphabet.key, reverse=True)

@@ -96,10 +96,10 @@ def test_the_tracer_counts_each_public_eliminator_call_once(bench):
     tr.install(modules, bench.workloads)
     try:
         span = modules["linalg"].SpanTracker(3, QQ)
-        assert span.add([Fraction(1), Fraction(2), Fraction(0)])
+        assert span.add({0: Fraction(1), 1: Fraction(2)})
         assert span.add({1: Fraction(1), 2: Fraction(1)})
-        assert not span.add([Fraction(1), Fraction(3), Fraction(1)])
-        assert span.residue([Fraction(0), Fraction(0), Fraction(5)]) == {2: Fraction(5)}
+        assert not span.add({0: Fraction(1), 1: Fraction(3), 2: Fraction(1)})
+        assert span.residue({2: Fraction(5)}) == {2: Fraction(5)}
         assert span.contains({0: Fraction(2), 1: Fraction(5), 2: Fraction(1)})
     finally:
         tr.uninstall()

@@ -158,15 +158,17 @@ def test_every_command_has_one_shape():
 X5 = "algebra X5 over Q { gens: x, y; rels: x*x*x*x*x - y*y*y*y*y; }"
 Y4 = "algebra Y4 over Q { gens: x, y:4; rels: y*x - x*y; }"
 # (presentation, j, d, n_max, the degrees the command completes to): small
-# cases of every shape of algebra, of both signs of d, and one whose
-# relation degree (8) is deeper than its first completion's look-ahead
+# cases of every shape of algebra, of both signs of d, one whose relation
+# degree (8) sets T, and the cubic, whose T grows past j + 2 and its
+# relation degree
 _PROJ_SAMPLE = [
     (PLANE, 0, 3, 4, [8]), (PLANE, 1, -4, 3, [5]), (QP, 0, 1, 4, [6]), (QP, 1, -2, 3, [5]),
-    (C3, 2, -3, 3, [6]), ("algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }", 0, 2, 4, [7, 8]),
-    ("algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; x*y; }", 1, -2, 3, [5, 6]),
-    (Y4, 0, 0, 3, [5, 7]), ("algebra D over Q { gens: x; rels: x*x; }", 1, -1, 3, [5]),
-    ("algebra K over Q { gens: x; rels: }", 0, 3, 8, [12]), (X5, 0, -1, 3, [5, 7]),
-    ("algebra E over Q { gens: x; rels: x^8; }", 0, 0, 3, [8, 10]),
+    (C3, 2, -3, 3, [6]), ("algebra W over Q { gens: x:1, y:2; rels: y*x - x*y; }", 0, 2, 4, [8]),
+    ("algebra T over Q { gens: x, z, y:3; rels: z*x - x*z; x*y; }", 1, -2, 3, [6]),
+    (Y4, 0, 0, 3, [7]), ("algebra D over Q { gens: x; rels: x*x; }", 1, -1, 3, [5]),
+    ("algebra K over Q { gens: x; rels: }", 0, 3, 8, [12]), (X5, 0, -1, 3, [7]),
+    ("algebra E over Q { gens: x; rels: x^8; }", 0, 0, 3, [10]),
+    (test_golden.CUBIC, 1, -2, 3, [5, 6]),
 ]
 
 
@@ -186,17 +188,17 @@ def _recording_build(monkeypatch):
                          ids=[f"{t.split()[1]}-j{j}-d{d}-n{n}" for t, j, d, n, _ in _PROJ_SAMPLE])
 def test_proj_cohomology_builds_to_the_depth_it_reads(monkeypatch, text, j, d, nmax,
                                                       completions):
-    """The algebra is completed first to max(top relation degree, n_max +
-    j + 1) + max(d, 0), then again while k's resolution asks for more, and
-    the last system is completed exactly to proj_depth, n_max - 1 + T +
-    max(d, 0); the report is the one on a system completed 3 degrees
+    """The algebra is completed first to n_max - 1 + max(j + 2, top
+    relation degree) + max(d, 0), then again while k's resolution asks for
+    more, and the last system is completed exactly to proj_depth, n_max - 1
+    + T + max(d, 0); the report is the one on a system completed 3 degrees
     deeper."""
     depths = _recording_build(monkeypatch)
     got = run_json("proj", "cohomology", "--input", text, "-j", str(j), "-d", str(d),
                    "--nmax", str(nmax))
     p = parse_presentation(text)
     assert depths == completions
-    assert depths[0] == max(p.max_relation_degree(), nmax + j + 1) + max(d, 0)
+    assert depths[0] == nmax - 1 + max(j + 2, p.max_relation_degree()) + max(d, 0)
     assert proj_depth(build(p, depths[-1]), nmax, j, d) == depths[-1]
     R = build(p, depths[-1] + 3)
     want = proj_cohomology(R, GradedModulePresentation.algebra(R), j, d, nmax).to_dict()
@@ -225,24 +227,24 @@ def test_proj_cohomology_reads_past_the_former_depth(text, j, d, nmax, dim):
 
 
 def test_a_proj_command_completes_once_or_twice(monkeypatch):
-    """Over the golden proj cases, and X5's, a Koszul algebra (the plane,
-    QP, C3, Sklyanin) is completed once, since its T is j + 2 and its first
-    completion already reaches n_max - 1 + T + max(d, 0); every other one,
-    Y4 and X5 among them, at most twice."""
-    koszul = {test_golden.PLANE, test_golden.QP, test_golden.C3, test_golden.SKLYANIN}
+    """Over the golden proj cases, and X5's, the first completion reaches
+    n_max - 1 + T + max(d, 0) at the least T, max(j + 2, relation degree),
+    so every command whose T is that least one, Y4 and X5 among them, is
+    completed once.  The cubic's P^3 has its generator in degree 4, past
+    j + 2 = 3 and its relation degree 3: it is completed twice."""
     cases = [args for args in test_golden.CASES if args[0] == "proj"] + \
         [["proj", "cohomology", "--input", X5, "-j", str(j), "-d", str(d), "--nmax", "5"]
          for j, d in ((0, -1), (0, 1), (1, 0))]
-    assert {args[3] for args in cases} >= koszul | {Y4, X5}
+    assert {args[3] for args in cases} >= {Y4, X5, test_golden.CUBIC}
     depths = _recording_build(monkeypatch)
     for args in cases:
         del depths[:]
         if run(*args).exit_code != 0:
             assert depths == [], args          # a usage or parse error completes nothing
-        elif args[3] in koszul:
-            assert len(depths) == 1, args
+        elif args[3] == test_golden.CUBIC:
+            assert len(depths) == 2, args
         else:
-            assert 1 <= len(depths) <= 2, args
+            assert len(depths) == 1, args
 
 
 def test_thcr_present():
@@ -496,6 +498,39 @@ def test_cli_edge_exits_cleanly(args, code, usage):
         assert sum(line.startswith("Error:") for line in res.stderr.splitlines()) == 1
     else:
         assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+
+
+_NOT_STABLE = "algebra M over Q { gens: x, y; rels: x*x; y*x*y; }"
+
+
+# An unknown field or field parameter, a fixing matrix that is not
+# hyperbolic, an orbit that meets a torsion charge and a Proj value that does
+# not stabilize: each exits with one message line that names its fault.
+@pytest.mark.parametrize("args, code, message", [
+    (["algebra", "hilbert", "--input", "algebra A over R { gens: x; rels: x*x; }"],
+     2, "unknown field 'R'"),
+    (["algebra", "hilbert", "--input", "algebra A over Q(t) { gens: x; rels: x*x; }"],
+     2, "unknown field parameter 't'"),
+    (["rm", "hilbert", "-F", "-1,-1,-1,-2", "-G", "1:0", "--theta", "(-1+1*sqrt(5))/2"],
+     1, "trace > 2"),
+    (["rm", "hilbert", "-F", "2,1,1,1", "-G", "0:1", "--theta", "(1+1*sqrt(5))/2"],
+     1, "orbit hit a torsion charge"),
+    (["proj", "cd", "--input", _NOT_STABLE, "--nmax", "3", "--dmin", "-2", "--dmax", "1"],
+     1, "H^2(R[-2]) did not stabilize before n_max=3"),
+], ids=["field-R", "field-Q(t)", "rm-hilbert-elliptic", "rm-hilbert-torsion", "cd-unstable"])
+def test_bad_input_names_its_fault(args, code, message):
+    res = run(*args)
+    assert res.exit_code == code and not res.stdout
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+    assert message in res.stderr
+
+
+def test_proj_cd_is_zero_when_no_scanned_value_is_nonzero():
+    """A with every product of two generators zero is finite dimensional, so
+    every H^j(A[d]) stabilizes at 0 and the scan ends on cd 0."""
+    d = run_json("proj", "cd", "--input", "algebra M over Q { gens: x, y; "
+                 "rels: x*x; y*y; x*y; y*x; }", "--nmax", "6", "--dmin", "-2", "--dmax", "1")
+    assert d["cd"] == 0
 
 
 # Each literal is a few tokens of the shared alphabet, or long runs of an

@@ -24,6 +24,11 @@ def mat_vec(A, v):
             for i in range(len(A))]
 
 
+def sparse(vec):
+    """The sparse {column: nonzero} form of a dense vector."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 def span_of(rows, ncols, field=QQ):
     span = linalg.SpanTracker(ncols, field)
     for r in rows:
@@ -39,7 +44,7 @@ def test_rref_idempotent_and_rank():
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = rand_matrix(m, n)
-        red = span_of(A, n).reduced()
+        red = span_of(map(sparse, A), n).reduced()
         assert span_of(list(red.values()), n).reduced() == red
         assert linalg.rank(A, QQ) == len(red)
 
@@ -48,7 +53,7 @@ def test_kernel_basis_is_kernel():
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         A = rand_matrix(m, n)
-        ker = [dense(v, n, QQ) for v in span_of(A, n).kernel()]
+        ker = [dense(v, n, QQ) for v in span_of(map(sparse, A), n).kernel()]
         assert len(ker) == n - linalg.rank(A, QQ)
         for v in ker:
             assert all(x == 0 for x in mat_vec(A, v))
@@ -57,10 +62,10 @@ def test_kernel_basis_is_kernel():
 
 
 def test_row_space_contains():
-    A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert span_of(A, 2).contains([Fraction(3), Fraction(-2)])
-    B = [[Fraction(1), Fraction(1)]]
-    assert not span_of(B, 2).contains([Fraction(1), Fraction(0)])
+    A = [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert span_of(A, 2).contains({0: Fraction(3), 1: Fraction(-2)})
+    B = [{0: Fraction(1), 1: Fraction(1)}]
+    assert not span_of(B, 2).contains({0: Fraction(1)})
 
 
 def test_span_tracker_matches_rank():
@@ -71,20 +76,20 @@ def test_span_tracker_matches_rank():
         span = linalg.SpanTracker(n, QQ)
         added = 0
         for v in vecs:
-            if span.add(v):
+            if span.add(sparse(v)):
                 added += 1
         assert added == linalg.rank(vecs, QQ)
         for v in vecs:
-            assert span.contains(v)
+            assert span.contains(sparse(v))
 
 
 def test_span_tracker_residue():
     span = linalg.SpanTracker(2, QQ)
-    span.add([Fraction(1), Fraction(1)])
-    assert span.residue([Fraction(2), Fraction(3)]) == {1: Fraction(1)}
+    span.add({0: Fraction(1), 1: Fraction(1)})
+    assert span.residue({0: Fraction(2), 1: Fraction(3)}) == {1: Fraction(1)}
     assert span.residue({0: Fraction(2), 1: Fraction(2)}) == {}
-    span.add([Fraction(0), Fraction(1)])
-    assert span.contains([Fraction(5), Fraction(-7)])
+    span.add({1: Fraction(1)})
+    assert span.contains({0: Fraction(5), 1: Fraction(-7)})
 
 
 def test_over_rational_functions():
@@ -184,7 +189,7 @@ def sparse_matrices(draw, entries, field, general=()):
 
 def test_reduced_form_drops_an_entry_that_back_substitution_cancels():
     span = linalg.SpanTracker(3, QQ)
-    span.add([Fraction(1), Fraction(1), Fraction(1)])
+    span.add({0: Fraction(1), 1: Fraction(1), 2: Fraction(1)})
     # pivot 1 is cleared from row 0, and with it the entry at column 2
     span.add({1: Fraction(2), 2: Fraction(2)})
     assert span.reduced() == {0: {0: Fraction(1)}, 1: {1: Fraction(1), 2: Fraction(1)}}
@@ -217,7 +222,7 @@ def test_rows_over_Q_are_primitive_integer_vectors():
     span = linalg.SpanTracker(4, QQ)
     span.add({1: Fraction(-2, 3), 2: Fraction(4, 9), 3: Fraction(0)})
     assert span.rows == {1: {1: 3, 2: -2}}
-    span.add([Fraction(6), Fraction(2), Fraction(0), Fraction(6)])
+    span.add({0: Fraction(6), 1: Fraction(2), 2: Fraction(0), 3: Fraction(6)})
     # cleared at column 1 as 3 v - 2 row = (18, 0, 4, 18), then over its content 2
     assert span.rows[0] == {0: 9, 2: 2, 3: 9}
     assert span.residue({0: Fraction(1), 1: Fraction(1)}) == \
@@ -236,34 +241,33 @@ def check_against_dense(A, field):
     # of the transpose is a pivot column
     transpose = [list(col) for col in zip(*A)]
     t_pivots = dense_rref(transpose, field)[1]
-    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in A]
+    sparse_rows = [sparse(r) for r in A]
     # random vectors, and one in the row space, for the residue oracle
     pick = random.Random(str(A))
     vectors = [[field.coerce(pick.randint(-3, 3)) for _ in range(n)] for _ in range(3)]
     vectors.append([sum((r[j] for r in A), field.zero) for j in range(n)])
-    for rows in (A, sparse_rows):
-        span = linalg.SpanTracker(n, field)
-        added = [span.add(r) for r in rows]
-        assert added == [i in t_pivots for i in range(m)]
-        # over Q each echelon row is a primitive int vector, positive at its
-        # pivot; over Q(q) it holds the field's one there; nothing left of it
-        if field == QQ:
-            assert all(is_primitive_row(row, c) for c, row in span.rows.items())
-        else:
-            assert all(row[c] is field.one and min(row) == c for c, row in span.rows.items())
-        reduced = span.reduced()
-        assert sorted(reduced) == pivots
-        assert [dense(reduced[c], n, field) for c in pivots] == red[:len(pivots)]
-        assert [dense(v, n, field) for v in span.kernel()] == kernel
-        assert all(span.contains(r) for r in rows)
-        for v in vectors:
-            # the residue is v minus v[c] times the rref row of c, over the pivots c
-            want = list(v)
-            for c, row in zip(pivots, red):
-                want = [x - v[c] * y for x, y in zip(want, row)]
-            got = span.residue(v)
-            assert not set(got) & set(pivots)
-            assert dense(got, n, field) == want
+    span = linalg.SpanTracker(n, field)
+    added = [span.add(r) for r in sparse_rows]
+    assert added == [i in t_pivots for i in range(m)]
+    # over Q each echelon row is a primitive int vector, positive at its
+    # pivot; over Q(q) it holds the field's one there; nothing left of it
+    if field == QQ:
+        assert all(is_primitive_row(row, c) for c, row in span.rows.items())
+    else:
+        assert all(row[c] is field.one and min(row) == c for c, row in span.rows.items())
+    reduced = span.reduced()
+    assert sorted(reduced) == pivots
+    assert [dense(reduced[c], n, field) for c in pivots] == red[:len(pivots)]
+    assert [dense(v, n, field) for v in span.kernel()] == kernel
+    assert all(span.contains(r) for r in sparse_rows)
+    for v in vectors:
+        # the residue is v minus v[c] times the rref row of c, over the pivots c
+        want = list(v)
+        for c, row in zip(pivots, red):
+            want = [x - v[c] * y for x, y in zip(want, row)]
+        got = span.residue(sparse(v))
+        assert not set(got) & set(pivots)
+        assert dense(got, n, field) == want
     # the kernel of the transpose, through the sparse evaluation entry
     assert [dense(v, m, field) for v in linalg.evaluation_kernel(sparse_rows, field)] == \
         dense_kernel_basis(transpose, m, field)
@@ -425,7 +429,7 @@ def test_rref_over_qq_without_coefficient_swell():
     rref over Q of the matrix at q0."""
     A = pinned_monomial_matrix()
     start = time.perf_counter()
-    reduced = span_of(A, 12, QQ_Q).reduced()
+    reduced = span_of(map(sparse, A), 12, QQ_Q).reduced()
     assert time.perf_counter() - start < 10
     pivots = sorted(reduced)
     red = [dense(reduced[c], 12, QQ_Q) for c in pivots]
